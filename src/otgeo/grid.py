@@ -59,6 +59,19 @@ class Grid:
     cell_volume: np.ndarray = field(repr=False, default=None)
     volume: float = field(default=None)
 
+    # a grid is a value: equal parameters and metric bytes make equal grids
+    def _key(self):
+        return (self.dim, self.n_space, self.n_time, self.horizon, self.length,
+                self.metric.tobytes())
+
+    def __eq__(self, other):
+        if not isinstance(other, Grid):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     @property
     def h(self) -> float:
         return self.length / self.n_space

@@ -49,10 +49,12 @@ def _coupling_segments(cp, cq, xs, L, alpha):
     keep = lengths > 1e-15
     mids = 0.5 * (events[:-1] + events[1:])[keep]
     lengths = lengths[keep]
-    x = xs[np.searchsorted(cp, mids)]
+    # a cumulative sum can end just below 1; a quantile past it is the last atom's
+    last = len(xs) - 1
+    x = xs[np.minimum(np.searchsorted(cp, mids), last)]
     s = mids - alpha
     k = np.floor(s)
-    y = xs[np.searchsorted(cq, s - k)] + k * L
+    y = xs[np.minimum(np.searchsorted(cq, s - k), last)] + k * L
     return lengths, x, y
 
 

@@ -8,9 +8,14 @@ kernel, ``b``: momentum, ``c``: interior-node density for the entropy), the
 staggered copy is kept exactly feasible by a weighted projection onto the
 continuity set, and a multiplier enforces consensus between the two:
 
-    1. pointwise prox on the centered copies     (independent scalar roots)
+    1. pointwise prox on the centered copies     (two closed forms per cell)
     2. weighted continuity projection            (one spectral space-time solve)
     3. multiplier ascent.
+
+Step 1 is exact: ``(a, b)`` carry only the kinetic energy, so ``a`` is the
+real root of the Benamou-Brenier cubic, and ``c`` carries only the entropy,
+so it is a Wright omega value.  The safeguarded Newton root ``_prox_root``
+of the mixed cell serves ``pointwise_prox`` and is the tests' reference.
 
 The projection multiplier converges to the adjoint state of the coupled
 optimality system; after a sign fix and a linear-in-time gauge shift it is
@@ -26,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import dct, idct
 from scipy.linalg import solve_banded
+from scipy.special import wrightomega
 
 from .grid import Grid, covariant_gradient, divergence_g, integrate, metric_norm_sq
 from .transport import (
@@ -51,7 +57,6 @@ class ProxConfig:
     penalty: float = 1.0
     max_outer_iterations: int = 30000
     constraint_tolerance: float = 1e-7
-    prox_tolerance: float = 1e-12
     stagnation_window: int = 50
     objective_stagnation: float = 1e-9
     min_iterations: int = 100
@@ -59,7 +64,7 @@ class ProxConfig:
     def validate(self):
         if self.penalty <= 0:
             raise ValueError("penalty must be positive")
-        for name in ("constraint_tolerance", "prox_tolerance", "objective_stagnation"):
+        for name in ("constraint_tolerance", "objective_stagnation"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         return self
@@ -159,6 +164,51 @@ def _prox_root(a, bsq, sigma, eps, V, tol=1e-12, max_iter=500):
     return m
 
 
+def _kinetic_prox(a, bsq, sigma):
+    """Closed-form ``_prox_root`` for ``eps == 0`` (the Benamou-Brenier cubic).
+
+    With ``x = m + sigma`` the first-order condition is the cubic
+    ``x^3 - s x^2 - q = 0``, ``s = a + sigma``, ``q = sigma bsq / 2``, whose
+    positive root is unique (Descartes).  Cardano gives it unless the
+    discriminant is negative, which needs ``s < 0``; then the trigonometric
+    form applies, written through ``arcsin`` because the ``arccos``
+    argument sits next to -1 when the root is small.  One Newton step on
+    ``(m - a)(m + sigma)^2 - q`` in ``m`` itself restores the digits that
+    ``x - sigma`` loses when ``m << sigma``.  Cells with
+    ``a + bsq / (2 sigma) <= 0`` sit at the boundary minimum ``m = 0``.
+    """
+    a = np.asarray(a, dtype=float)
+    s = a + sigma
+    q = 0.5 * sigma * bsq
+    at_zero = (-a) / sigma - bsq / (2.0 * sigma ** 2) >= 0
+    # depressed cubic y^3 + P y + Q = 0 for x = y + s/3, disc = (Q/2)^2 + (P/3)^3
+    half_q = s ** 3 / 27.0 + 0.5 * q                         # -Q/2
+    disc = q * (s ** 3 / 27.0 + 0.25 * q)
+    u = np.cbrt(half_q + np.copysign(np.sqrt(np.maximum(disc, 0.0)), half_q))
+    u = np.where(u == 0.0, 1.0, u)
+    cardano = u + s * s / (9.0 * u) + s / 3.0
+    r = np.abs(s) / 3.0
+    ratio = q / (4.0 * np.where(r > 0, r, 1.0) ** 3)
+    alpha = (2.0 / 3.0) * np.arcsin(np.sqrt(np.minimum(ratio, 1.0)))
+    trig = r * (np.sqrt(3.0) * np.sin(alpha) - 2.0 * np.sin(0.5 * alpha) ** 2)
+    m = np.maximum(np.where(disc < 0, trig, cardano) - sigma, 0.0)
+    ms = m + sigma
+    m = m - ((m - a) * ms * ms - q) / (ms * (3.0 * m + sigma - 2.0 * a))
+    return np.where(at_zero, 0.0, m)
+
+
+def _entropy_prox(a, sigma, eps, V):
+    """Closed-form ``_prox_root`` for ``bsq == 0`` and ``eps > 0``.
+
+    ``(m - a)/sigma + eps (log m + V + 1) = 0`` becomes ``w + log w = z``
+    for ``m = sigma eps w``, so ``w`` is the Wright omega function of
+    ``z = a/(sigma eps) - V - 1 - log(sigma eps)``; it cannot overflow and
+    underflows to ``m = 0`` only for ``z`` below about -745.
+    """
+    se = sigma * eps
+    return se * wrightomega(np.asarray(a, dtype=float) / se - V - 1.0 - np.log(se))
+
+
 def pointwise_prox(a, b, sigma, eps_cell, V_cell, tol=1e-12):
     """Per-cell prox: argmin over (m >= 0, w) of
     ``Psi(w, m) + eps_cell m (log m + V_cell) + (|w - b|^2 + (m - a)^2) / (2 sigma)``.
@@ -193,7 +243,8 @@ def _space_symbol(grid: Grid):
 
 
 def _time_symbol(grid: Grid, weighted: bool):
-    """DCT-II symbol of the time block of the projection operator.
+    """DCT-II symbol of the time block of the projection operator, shaped
+    to broadcast against space-time fields.
 
     Plain projection: the 3-point Neumann Laplacian on the Nt interval
     midpoints.  Weighted projection (consensus coupling through midpoint
@@ -204,24 +255,29 @@ def _time_symbol(grid: Grid, weighted: bool):
     lam = (2.0 - 2.0 * np.cos(np.pi * j / grid.n_time)) / grid.tau ** 2
     if weighted:
         lam = lam / (1.5 + 0.5 * np.cos(np.pi * j / grid.n_time))
-    return lam
+    return lam.reshape((-1,) + (1,) * grid.dim)
 
 
-def _spectral_solve(rhs, grid: Grid, weighted: bool):
-    """Pseudo-inverse of (time block + wide flat Laplacian) via DCT x FFT."""
-    sym = _time_symbol(grid, weighted).reshape((-1,) + (1,) * grid.dim) + _space_symbol(grid)
+def _spectral_inverse(grid: Grid, weighted: bool):
+    """Pseudo-inverse symbol of (time block + wide flat Laplacian)."""
+    sym = _time_symbol(grid, weighted) + _space_symbol(grid)
     inv = np.zeros_like(sym)
     mask = sym > 1e-12 * sym.max()
     inv[mask] = 1.0 / sym[mask]
+    return inv
+
+
+def _spectral_solve(rhs, grid: Grid, inv):
+    """Apply the pseudo-inverse symbol ``inv`` via DCT x FFT."""
     axes = tuple(range(1, 1 + grid.dim))
     hat = np.fft.fftn(dct(rhs, type=2, axis=0, norm="ortho"), axes=axes)
     hat *= inv
     return idct(np.fft.ifftn(hat, axes=axes).real, type=2, axis=0, norm="ortho")
 
 
-def _apply_operator(phi, grid: Grid, weighted: bool):
-    """Forward application of the space-time operator (any metric)."""
-    t_sym = _time_symbol(grid, weighted).reshape((-1,) + (1,) * grid.dim)
+def _apply_operator(phi, grid: Grid, t_sym):
+    """Forward application of the space-time operator (any metric), with
+    ``t_sym = _time_symbol(grid, weighted)``."""
     out = idct(t_sym * dct(phi, type=2, axis=0, norm="ortho"), type=2, axis=0, norm="ortho")
     grad = covariant_gradient(phi, grid)
     return out - divergence_g(grad, grid)
@@ -306,13 +362,15 @@ def spacetime_poisson(rhs, grid: Grid, weighted=False, tol=1e-10):
         b = rhs.copy()
         for z in kernel:
             b -= z * (np.sum(b * z) / np.sum(z * z))
-        return _spectral_solve(b, grid, weighted)
+        return _spectral_solve(b, grid, _spectral_inverse(grid, weighted))
     return _pcg_solve(rhs, grid, weighted, tol)
 
 
 def _pcg_solve(rhs, grid: Grid, weighted, tol):
     """PCG on the sqrt(g)-symmetrized operator, flat solve as preconditioner."""
     wroot = np.sqrt(grid.sqrt_g)       # omega^{1/2} with omega = sqrt(g)
+    t_sym = _time_symbol(grid, weighted)
+    inv = _spectral_inverse(grid, weighted)
 
     kernel = []
     for z in _kernel_basis(grid):
@@ -328,7 +386,7 @@ def _pcg_solve(rhs, grid: Grid, weighted, tol):
         return x
 
     def op(psi):
-        return project(wroot * _apply_operator(psi / wroot, grid, weighted))
+        return project(wroot * _apply_operator(psi / wroot, grid, t_sym))
 
     b = project(wroot * rhs)
     bnorm = np.sqrt(np.sum(b * b))
@@ -336,7 +394,7 @@ def _pcg_solve(rhs, grid: Grid, weighted, tol):
         return np.zeros_like(rhs)
     x = np.zeros_like(b)
     res = b.copy()
-    z = project(_spectral_solve(res, grid, weighted))
+    z = project(_spectral_solve(res, grid, inv))
     p = z.copy()
     rz = np.sum(res * z)
     max_iter = 10 * rhs.size
@@ -347,7 +405,7 @@ def _pcg_solve(rhs, grid: Grid, weighted, tol):
         res -= alpha * Ap
         if np.sqrt(np.sum(res * res)) <= tol * bnorm:
             return x / wroot
-        z = project(_spectral_solve(res, grid, weighted))
+        z = project(_spectral_solve(res, grid, inv))
         rz_new = np.sum(res * z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -609,10 +667,10 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
 
         pb_frame = pb * sqrt_g[..., None] if grid.dim == 1 else pb
         bsq = np.sum(pb_frame * pb_frame, axis=-1)
-        a = _prox_root(pa, bsq, sigma, 0.0, 0.0, tol=config.prox_tolerance)
+        a = _kinetic_prox(pa, bsq, sigma)
         scale = a / (a + sigma)
         b = pb * scale[..., None]
-        c = _prox_root(pc, 0.0, sigma, eps, V, tol=config.prox_tolerance)
+        c = _entropy_prox(pc, sigma, eps, V)
 
         # 2. weighted continuity projection of the staggered copy
         qa = a - lam_a / r

@@ -16,6 +16,8 @@ from otgeo.grid import build_grid, divergence_g, covariant_gradient, integrate, 
 from otgeo.transport import DensityPath, MomentumField, ReferenceMeasure, relative_entropy
 from otgeo.prox import (
     ProxConfig,
+    _entropy_prox,
+    _kinetic_prox,
     _prox_root,
     _residual,
     _spacetime_norm,
@@ -24,6 +26,7 @@ from otgeo.prox import (
     spacetime_poisson,
     _apply_operator,
     _kernel_basis,
+    _time_symbol,
 )
 from otgeo.elliptic import EllipticProblem, solve_elliptic
 from otgeo.oracles import heat_competitor_bound
@@ -295,6 +298,21 @@ def test_criterion_10_module_invariants_fast(tmp_path):
             f = np.where(mroot == 0.0, 0.0, f)
         assert np.max(np.abs(f)) <= 1e-12
 
+    # closed forms of solve_prox against the reference root, relative to m + sigma:
+    # vacuum cells, |b|^2 up to 1e6, and the Wright omega underflow tail
+    for scale in (1.0, 2.5e5):
+        closed = _kinetic_prox(a, scale * bsq, 1.0)
+        mroot = _prox_root(a, scale * bsq, 1.0, 0.0, 0.0)
+        f = np.where(closed == 0.0, 0.0, (closed - a) - scale * bsq / (2 * (closed + 1.0) ** 2))
+        assert np.array_equal(closed == 0.0, mroot == 0.0)
+        assert np.max(np.abs(f)) <= 1e-12
+        assert np.max(np.abs(closed - mroot) / (mroot + 1.0)) <= 1e-12
+    closed = _entropy_prox(a, 1.0, 0.1, 0.0)
+    assert np.max(np.abs((closed - a) + 0.1 * (np.log(closed) + 1.0))) <= 1e-12
+    assert np.max(np.abs(closed - _prox_root(a, 0.0, 1.0, 0.1, 0.0)) / (closed + 1.0)) <= 1e-12
+    tail = _entropy_prox(np.array([-74.5, -80.0, -1e3]), 1.0, 0.1, 0.0)
+    assert np.all(np.isfinite(tail)) and np.all(tail >= 0.0)
+
     # space-time solves reproduce their right-hand side
     g = build_grid(1, 32, 16, 1.0)
     rhs = rng.standard_normal((16, 32))
@@ -309,7 +327,8 @@ def test_criterion_10_module_invariants_fast(tmp_path):
     for q in basis:
         rhs = rhs - q * np.sum(rhs * q * wgt)
     phi = spacetime_poisson(rhs, g)
-    assert np.linalg.norm(_apply_operator(phi, g, False) - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    back = _apply_operator(phi, g, _time_symbol(g, False))
+    assert np.linalg.norm(back - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     # idempotent projection
     m0, m1 = make_marginals("bump_pair", {"width": 0.15}, g)

@@ -32,6 +32,12 @@ class TestBuildGrid:
         fine = np.trapezoid(np.sqrt(CONFORMAL(xf)), xf)
         assert g.volume == pytest.approx(fine, abs=1e-3)
 
+    def test_equal_grids_compare_and_hash_as_values(self):
+        a, b = build_grid(1, 16, 8, 1.0, CONFORMAL), build_grid(1, 16, 8, 1.0, CONFORMAL)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != build_grid(1, 16, 8, 1.0) and a != build_grid(1, 16, 4, 1.0, CONFORMAL)
+        assert len({a, b, build_grid(2, 16, 8, 1.0)}) == 2
+
     def test_rejects_nonpositive_metric_naming_node(self):
         bad = np.ones(8)
         bad[5] = -0.25

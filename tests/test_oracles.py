@@ -72,6 +72,15 @@ class TestCircularW2:
             assert circular_w2_oracle(m0, m1, g) == pytest.approx(
                 lp_circle_w2(m0, m1, g), abs=1e-10)
 
+    def test_cdf_ending_just_below_one(self):
+        # these marginals' cumulative sums end below 1 by a rounding error
+        from otgeo.families import make_marginals
+        g = build_grid(1, 64, 32, 1.0)
+        m0, m1 = make_marginals("bump_pair", {"width": 0.08, "centers": [
+            0.5366333278673542, 0.03663332786735429]}, g)
+        assert circular_w2_oracle(m0, m1, g) == pytest.approx(lp_circle_w2(m0, m1, g), abs=1e-10)
+        assert integrate(mccann_midpoint(m0, m1, g), g) == pytest.approx(1.0, abs=1e-12)
+
     def test_shift_cost_is_convex_in_the_offset(self):
         # the refinement step relies on convexity of the quantile cost
         from otgeo.oracles import _shift_cost

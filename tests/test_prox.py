@@ -8,9 +8,12 @@ from otgeo.transport import DensityPath, MomentumField, ReferenceMeasure
 from otgeo.prox import (
     ProxConfig,
     _apply_operator,
+    _entropy_prox,
+    _kinetic_prox,
     _prox_root,
     _residual,
     _spacetime_norm,
+    _time_symbol,
     align_null_moments,
     pointwise_prox,
     project_continuity,
@@ -59,14 +62,38 @@ class TestPointwiseProx:
         a = rng.standard_normal(5000) * 2
         bsq = rng.random(5000) * 5
         V = rng.standard_normal(5000) * 0.5
-        for eps in (0.0, 0.05, 0.3):
-            m = _prox_root(a, bsq, 0.8, eps, V)
+
+        def residual(m, a, bsq, eps, V):
             f = (m - a) / 0.8 - bsq / (2.0 * (m + 0.8) ** 2)
             if eps > 0:
-                f = f + eps * (np.log(m) + V + 1.0)
-            else:
-                f = np.where(m == 0.0, 0.0, f)
-            assert np.max(np.abs(f)) <= 1e-12
+                return f + eps * (np.log(m) + V + 1.0)
+            return np.where(m == 0.0, 0.0, f)
+
+        for eps in (0.0, 0.05, 0.3):
+            m = _prox_root(a, bsq, 0.8, eps, V)
+            assert np.max(np.abs(residual(m, a, bsq, eps, V))) <= 1e-12
+
+        # the closed forms of solve_prox against the reference root; f' >= 1/sigma,
+        # so a residual of 1e-12 pins m to 1e-12 sigma: compare relative to m + sigma
+        def agrees(m, ref):
+            return np.max(np.abs(m - ref) / (ref + 0.8)) <= 1e-12
+
+        wide = np.concatenate([bsq, 10.0 ** rng.uniform(-3.0, 6.0, 5000)])
+        aa = np.concatenate([a, a])
+        m = _kinetic_prox(aa, wide, 0.8)
+        ref = _prox_root(aa, wide, 0.8, 0.0, 0.0)
+        assert np.any(m == 0.0) and np.array_equal(m == 0.0, ref == 0.0)  # vacuum cells
+        assert np.max(np.abs(residual(m, aa, wide, 0.0, 0.0))) <= 1e-12 and agrees(m, ref)
+        for eps in (0.05, 0.3):
+            m = _entropy_prox(a, 0.8, eps, V)
+            assert np.max(np.abs(residual(m, a, 0.0, eps, V))) <= 1e-12
+            assert agrees(m, _prox_root(a, 0.0, 0.8, eps, V))
+        # b = 0 leaves m = a, to full relative precision also for a << sigma
+        small = 10.0 ** rng.uniform(-12.0, 1.0, 100)
+        assert np.max(np.abs(_kinetic_prox(small, 0.0, 0.8) / small - 1.0)) <= 1e-15
+        # Wright omega underflow tail, a / (sigma eps) <= -745
+        tail = _entropy_prox(np.array([-745.0, -800.0, -1e4]) * 0.8 * 0.05, 0.8, 0.05, 0.0)
+        assert np.all(np.isfinite(tail)) and np.all(tail >= 0.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -112,7 +139,7 @@ class TestSpacetimePoisson:
         for q in basis:
             rhs = rhs - q * np.sum(rhs * q * wgt)
         phi = spacetime_poisson(rhs, g)
-        back = _apply_operator(phi, g, weighted=False)
+        back = _apply_operator(phi, g, _time_symbol(g, weighted=False))
         assert np.linalg.norm(back - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_shape_validation(self):

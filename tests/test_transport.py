@@ -103,6 +103,17 @@ class TestFunctionalValue:
         expected = -eps * flat64.horizon * cosine_reference.log_normalizer
         assert functional_value(m, w, cosine_reference, eps) == pytest.approx(expected, rel=1e-12)
 
+    def test_equal_but_distinct_grids(self, flat64, cosine_reference):
+        twin = build_grid(1, 64, 16, 1.0)
+        ms = cosine_reference.stationary_density(flat64)
+        m = DensityPath(np.tile(ms, (17, 1)), flat64)
+        w = MomentumField(np.zeros((16, 64, 1)), twin)
+        expected = -0.1 * flat64.horizon * cosine_reference.log_normalizer
+        assert functional_value(m, w, cosine_reference, 0.1) == pytest.approx(expected, rel=1e-12)
+        with pytest.raises(ValueError, match="different grids"):
+            functional_value(m, MomentumField(np.zeros((8, 64, 1)), build_grid(1, 64, 8, 1.0)),
+                             cosine_reference, 0.1)
+
     def test_infeasible_kernel_branch_flagged(self, flat64):
         ref = ReferenceMeasure.from_potential(0.0, flat64)
         vals = np.ones((17, 64))
