@@ -149,6 +149,12 @@ def validate_config(cfg):
         if not isinstance(e, (int, float)) or e <= 0:
             raise ConfigError("solver.eps values must be positive numbers")
 
+    prox_cfg, _ = _solver_configs(cfg)
+    try:
+        prox_cfg.validate()
+    except ValueError as err:
+        raise ConfigError(f"solver.prox: {err}")
+
     for item in cfg.get("diagnostics", {}).get("checks", []):
         cid = item if isinstance(item, str) else item.get("id")
         if cid not in KNOWN_CHECKS:

@@ -10,7 +10,14 @@ continuity set, and a multiplier enforces consensus between the two:
 
     1. pointwise prox on the centered copies     (two closed forms per cell)
     2. weighted continuity projection            (one spectral space-time solve)
-    3. multiplier ascent.
+       of the relaxed point  h = alpha y + (1 - alpha) L z
+    3. relaxed multiplier ascent                 lambda += r (L z' - h).
+
+Steps 2 and 3 are over-relaxed (Eckstein & Bertsekas 1992) with
+``alpha = RELAXATION = 1.5``; ``L z`` is the centered image of the
+staggered copy before the projection and ``L z'`` after it.  On the
+conformal metric the projection's conjugate-gradient solve starts from the
+previous iteration's multiplier.
 
 Step 1 is exact: ``(a, b)`` carry only the kinetic energy, so ``a`` is the
 real root of the Benamou-Brenier cubic, and ``c`` carries only the entropy,
@@ -25,6 +32,7 @@ the duality identity  int u(0) m0 - int u(T) m1 = F_eps(m, w).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -40,7 +48,11 @@ from .transport import (
     Potential,
     ReferenceMeasure,
     relative_entropy,
+    velocity_from_momentum,
 )
+
+# Over-relaxation factor of the ADMM splitting; 1 is plain ADMM.
+RELAXATION = 1.5
 
 
 class ProxError(Exception):
@@ -111,7 +123,9 @@ def _prox_root(a, bsq, sigma, eps, V, tol=1e-12, max_iter=500):
     - bsq / (2 (m + sigma)^2) = 0 over m > 0, by safeguarded Newton with
     bisection fallback on a bracket that provably contains the root (f is
     strictly increasing).  For eps == 0 the boundary minimum m = 0 is
-    detected from the sign of f(0+).
+    detected from the sign of f(0+); for eps > 0 a root below the smallest
+    normal float is returned as 0, as ``_entropy_prox`` underflows.  Raises
+    ``ProxError`` when ``max_iter`` steps do not reach ``tol``.
     """
     a = np.asarray(a, dtype=float)
     bsq = np.broadcast_to(np.asarray(bsq, dtype=float), a.shape).copy()
@@ -132,12 +146,12 @@ def _prox_root(a, bsq, sigma, eps, V, tol=1e-12, max_iter=500):
     if eps == 0:
         at_zero = (-a) / sigma - bsq / (2.0 * sigma ** 2) >= 0
     else:
-        at_zero = np.zeros(a.shape, dtype=bool)
+        at_zero = f(np.finfo(float).tiny) >= 0
 
     lo = np.maximum(a, 0.0) + 1e-300
     if eps > 0:
         for _ in range(400):
-            bad = f(lo) >= 0
+            bad = (f(lo) >= 0) & ~at_zero
             if not bad.any():
                 break
             lo = np.where(bad, lo / 8.0, lo)
@@ -160,6 +174,8 @@ def _prox_root(a, bsq, sigma, eps, V, tol=1e-12, max_iter=500):
         newton = m - step
         inside = (newton > lo) & (newton < hi)
         m = np.where(inside, newton, 0.5 * (lo + hi))
+    else:
+        raise ProxError(f"pointwise prox root did not reach {tol:g} in {max_iter} iterations")
     m = np.where(at_zero, 0.0, m)
     return m
 
@@ -258,12 +274,15 @@ def _time_symbol(grid: Grid, weighted: bool):
     return lam.reshape((-1,) + (1,) * grid.dim)
 
 
+@functools.lru_cache(maxsize=16)
 def _spectral_inverse(grid: Grid, weighted: bool):
-    """Pseudo-inverse symbol of (time block + wide flat Laplacian)."""
+    """Pseudo-inverse symbol of (time block + wide flat Laplacian), cached
+    per grid and read-only."""
     sym = _time_symbol(grid, weighted) + _space_symbol(grid)
     inv = np.zeros_like(sym)
     mask = sym > 1e-12 * sym.max()
     inv[mask] = 1.0 / sym[mask]
+    inv.flags.writeable = False
     return inv
 
 
@@ -283,10 +302,12 @@ def _apply_operator(phi, grid: Grid, t_sym):
     return out - divergence_g(grad, grid)
 
 
+@functools.lru_cache(maxsize=16)
 def _kernel_basis(grid: Grid):
-    """Constant-in-time kernel modes of the space-time operator."""
-    return [np.broadcast_to(m, (grid.n_time,) + grid.space_shape)
-            for m in _space_null_modes(grid)]
+    """Constant-in-time kernel modes of the space-time operator, cached per
+    grid as read-only views."""
+    return tuple(np.broadcast_to(m, (grid.n_time,) + grid.space_shape)
+                 for m in _space_null_modes(grid))
 
 
 def _space_null_modes(grid: Grid):
@@ -339,7 +360,7 @@ def align_null_moments(m0, m1, grid: Grid, max_rounds=4):
     return m0, m1
 
 
-def spacetime_poisson(rhs, grid: Grid, weighted=False, tol=1e-10):
+def spacetime_poisson(rhs, grid: Grid, weighted=False, tol=1e-10, x0=None):
     """Solve the space-time problem (-d_tt - Lap_g) phi = rhs.
 
     Homogeneous Neumann in time (the rhs lives on the Nt interval
@@ -350,7 +371,8 @@ def spacetime_poisson(rhs, grid: Grid, weighted=False, tol=1e-10):
 
     Flat metric: diagonalized by a cosine transform in time and a Fourier
     transform in space.  Conformal metric: preconditioned conjugate
-    gradient with the flat solve as preconditioner; failure to reach
+    gradient with the flat solve as preconditioner, started from the guess
+    ``x0`` when one is given (the flat solve ignores it); failure to reach
     ``tol`` within ``10 * n_unknowns`` iterations is an error.
     """
     rhs = np.asarray(rhs, dtype=float)
@@ -363,11 +385,15 @@ def spacetime_poisson(rhs, grid: Grid, weighted=False, tol=1e-10):
         for z in kernel:
             b -= z * (np.sum(b * z) / np.sum(z * z))
         return _spectral_solve(b, grid, _spectral_inverse(grid, weighted))
-    return _pcg_solve(rhs, grid, weighted, tol)
+    return _pcg_solve(rhs, grid, weighted, tol, x0)
 
 
-def _pcg_solve(rhs, grid: Grid, weighted, tol):
-    """PCG on the sqrt(g)-symmetrized operator, flat solve as preconditioner."""
+def _pcg_solve(rhs, grid: Grid, weighted, tol, x0=None):
+    """PCG on the sqrt(g)-symmetrized operator, flat solve as preconditioner.
+
+    A guess ``x0`` enters with its kernel content removed; the stopping
+    test ``|b - A x| <= tol |b|`` is the same from any start.
+    """
     wroot = np.sqrt(grid.sqrt_g)       # omega^{1/2} with omega = sqrt(g)
     t_sym = _time_symbol(grid, weighted)
     inv = _spectral_inverse(grid, weighted)
@@ -392,8 +418,10 @@ def _pcg_solve(rhs, grid: Grid, weighted, tol):
     bnorm = np.sqrt(np.sum(b * b))
     if bnorm == 0:
         return np.zeros_like(rhs)
-    x = np.zeros_like(b)
-    res = b.copy()
+    x = np.zeros_like(b) if x0 is None else project(wroot * x0)
+    res = b - op(x)
+    if np.sqrt(np.sum(res * res)) <= tol * bnorm:
+        return x / wroot
     z = project(_spectral_solve(res, grid, inv))
     p = z.copy()
     rz = np.sum(res * z)
@@ -481,13 +509,14 @@ def _interior_coupling_solve(rhs, n_time):
     return solve_banded((1, 1), _AV_BAND_CACHE[key], flat).reshape(rhs.shape)
 
 
-def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid):
+def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid, phi_prev=None):
     """Constrained least-squares step of the splitting.
 
     Minimizes |Av m - qa|^2 + |w - qb|^2_g + |m_int - qc|^2 over the
     continuity set (endpoints pinned to the marginals).  Reduces to a
-    candidate assembly, one weighted space-time solve for the multiplier,
-    and the adjoint correction.  Returns (m_full, w, phi).
+    candidate assembly, one weighted space-time solve for the multiplier
+    (started from ``phi_prev``), and the adjoint correction.  Returns
+    (m_full, w, phi).
     """
     tau = grid.tau
     rhs_m = 0.5 * (qa[:-1] + qa[1:]) + qc
@@ -499,7 +528,7 @@ def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid):
     m_cand[1:-1] = _interior_coupling_solve(rhs_m, grid.n_time)
 
     r = _residual(m_cand, qb, grid)
-    phi = spacetime_poisson(r, grid, weighted=True)
+    phi = spacetime_poisson(r, grid, weighted=True, x0=phi_prev)
 
     m_new = m_cand.copy()
     psi = (phi[:-1] - phi[1:]) / tau
@@ -549,10 +578,7 @@ def _potential_from_multiplier(phi_scaled, m_full, w_values, reference, eps, gri
     """
     t_mid = grid.time_midpoints().reshape((-1,) + (1,) * grid.dim)
     mbar = 0.5 * (m_full[:-1] + m_full[1:])
-    v = np.zeros_like(w_values)
-    live = mbar > 1e-14
-    v[live] = w_values[live] / mbar[live][:, None]
-    vsq = metric_norm_sq(v, grid)
+    vsq = metric_norm_sq(velocity_from_momentum(w_values, mbar), grid)
     V = reference.potential_V
 
     def assemble(sign):
@@ -634,12 +660,10 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     phi0 = spacetime_poisson(_residual(m_full, w, grid), grid, weighted=False)
     m_full, w = _apply_correction(m_full, w, phi0, grid)
 
-    a = 0.5 * (m_full[:-1] + m_full[1:])
-    b = w.copy()
-    c = np.maximum(m_full[1:-1], 1e-12)
-    lam_a = np.zeros_like(a)
-    lam_b = np.zeros_like(b)
-    lam_c = np.zeros_like(c)
+    za = 0.5 * (m_full[:-1] + m_full[1:])      # a-part of the centered image L z
+    lam_a = np.zeros_like(za)
+    lam_b = np.zeros_like(w)
+    lam_c = np.zeros_like(m_full[1:-1])
 
     sqrt_g = grid.sqrt_g
     V = reference.potential_V
@@ -661,7 +685,7 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     converged = False
     for it in range(1, config.max_outer_iterations + 1):
         # 1. pointwise prox on the centered copies
-        pa = 0.5 * (m_full[:-1] + m_full[1:]) + lam_a / r
+        pa = za + lam_a / r
         pb = w + lam_b / r
         pc = m_full[1:-1] + lam_c / r
 
@@ -672,21 +696,20 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         b = pb * scale[..., None]
         c = _entropy_prox(pc, sigma, eps, V)
 
-        # 2. weighted continuity projection of the staggered copy
-        qa = a - lam_a / r
-        qb = b - lam_b / r
-        qc = c - lam_c / r
-        m_full, w, phi = _weighted_projection(qa, qb, qc, m0, m1, grid)
+        # 2. weighted continuity projection of the relaxed point
+        ha = RELAXATION * a + (1.0 - RELAXATION) * za
+        hb = RELAXATION * b + (1.0 - RELAXATION) * w
+        hc = RELAXATION * c + (1.0 - RELAXATION) * m_full[1:-1]
+        m_full, w, phi = _weighted_projection(ha - lam_a / r, hb - lam_b / r, hc - lam_c / r,
+                                              m0, m1, grid, phi)
 
-        # 3. multiplier ascent on the consensus constraint
-        da = 0.5 * (m_full[:-1] + m_full[1:]) - a
-        db = w - b
-        dc = m_full[1:-1] - c
-        lam_a += r * da
-        lam_b += r * db
-        lam_c += r * dc
+        # 3. relaxed multiplier ascent; consensus is measured against y = (a, b, c)
+        za = 0.5 * (m_full[:-1] + m_full[1:])
+        lam_a += r * (za - ha)
+        lam_b += r * (w - hb)
+        lam_c += r * (m_full[1:-1] - hc)
 
-        consensus = consensus_norm(da, db, dc)
+        consensus = consensus_norm(za - a, w - b, m_full[1:-1] - c)
         res_history.append(consensus)
         obj = _objective(np.maximum(m_full, 0.0), w, reference, eps, grid)
         obj_history.append(obj)
@@ -717,9 +740,7 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     drift = float(np.max(np.abs(energy - np.mean(energy)))) if energy.size else 0.0
 
     mbar = 0.5 * (m_full[:-1] + m_full[1:])
-    v = np.zeros_like(w)
-    live = mbar > 1e-14
-    v[live] = w[live] / mbar[live][:, None]
+    v = velocity_from_momentum(w, mbar)
     grad_u_mid = covariant_gradient(-r * phi, grid)
     vdisc = _spacetime_norm(np.sqrt(np.maximum(metric_norm_sq(v - grad_u_mid, grid), 0.0)
                                     * np.maximum(mbar, 0.0)), grid)

@@ -118,6 +118,12 @@ class TestConfigValidation:
         ({"solver": {"method": "prox"}}, "eps"),
         ({"solver": {"method": "quantum", "eps": 0.1}}, "solver.method"),
         ({"diagnostics": {"checks": ["nonsense"]}}, "check"),
+        ({"solver": {"method": "prox", "eps": 0.1, "prox": {"prox_tolerance": 1e-12}}},
+         "solver.prox.prox_tolerance"),
+        ({"solver": {"method": "prox", "eps": 0.1, "prox": {"penalty": -1.0}}},
+         "solver.prox.penalty"),
+        ({"solver": {"method": "elliptic", "eps": 0.1, "elliptic": {"newton_steps": 5}}},
+         "solver.elliptic.newton_steps"),
     ])
     def test_invalid_configs_name_the_field(self, tmp_path, patch, field):
         path, _ = write_config(tmp_path, **patch)

@@ -7,8 +7,10 @@ from otgeo.grid import build_grid, integrate
 from otgeo.transport import DensityPath, MomentumField, ReferenceMeasure
 from otgeo.prox import (
     ProxConfig,
+    ProxError,
     _apply_operator,
     _entropy_prox,
+    _kernel_basis,
     _kinetic_prox,
     _prox_root,
     _residual,
@@ -30,6 +32,23 @@ def smooth_pair(grid, width=0.08):
     q = np.exp(kappa * (np.cos(2 * np.pi * x) - 1.0))
     q /= integrate(q, grid)
     return align_null_moments(q, np.roll(q, grid.n_space // 2), grid)
+
+
+def off_kernel(grid):
+    """Projector off the sqrt(g)-orthonormalized kernel of the space-time operator."""
+    wgt = np.broadcast_to(grid.sqrt_g, (grid.n_time,) + grid.space_shape)
+    basis = []
+    for z in _kernel_basis(grid):
+        v = np.array(z, dtype=float)
+        for q in basis:
+            v -= q * np.sum(v * q * wgt)
+        basis.append(v / np.sqrt(np.sum(v * v * wgt)))
+
+    def project(f):
+        for q in basis:
+            f = f - q * np.sum(f * q * wgt)
+        return f
+    return project
 
 
 class TestPointwiseProx:
@@ -95,6 +114,18 @@ class TestPointwiseProx:
         tail = _entropy_prox(np.array([-745.0, -800.0, -1e4]) * 0.8 * 0.05, 0.8, 0.05, 0.0)
         assert np.all(np.isfinite(tail)) and np.all(tail >= 0.0)
 
+    def test_underflowing_root_is_zero(self):
+        # f at the smallest normal float is already >= 0: the root is 0 in
+        # double precision, where the Wright omega form underflows too
+        a = np.array([-80.0])
+        m = _prox_root(a, 0.0, 0.8, 0.1, 0.0)
+        assert m[0] == 0.0 and m[0] == _entropy_prox(a, 0.8, 0.1, 0.0)[0]
+
+    def test_exhausted_root_budget_raises(self):
+        a = np.random.default_rng(4).standard_normal(50)
+        with pytest.raises(ProxError, match="did not reach"):
+            _prox_root(a, 1.0, 0.8, 0.1, 0.0, max_iter=2)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             pointwise_prox(0.1, np.zeros(1), -1.0, 0.0, 0.0)
@@ -125,19 +156,8 @@ class TestSpacetimePoisson:
     def test_forward_apply_recovers_rhs(self, dim, metric):
         rng = np.random.default_rng(2)
         g = build_grid(dim, 12, 10, 1.0, metric)
-        rhs = rng.standard_normal((10,) + g.space_shape)
         # remove the kernel content so rhs is exactly solvable
-        from otgeo.prox import _kernel_basis
-        wgt = np.broadcast_to(g.sqrt_g, rhs.shape)
-        basis = []
-        for z in _kernel_basis(g):
-            v = np.array(z, dtype=float)
-            for q in basis:
-                v -= q * np.sum(v * q * wgt)
-            v /= np.sqrt(np.sum(v * v * wgt))
-            basis.append(v)
-        for q in basis:
-            rhs = rhs - q * np.sum(rhs * q * wgt)
+        rhs = off_kernel(g)(rng.standard_normal((10,) + g.space_shape))
         phi = spacetime_poisson(rhs, g)
         back = _apply_operator(phi, g, _time_symbol(g, weighted=False))
         assert np.linalg.norm(back - rhs) <= 1e-9 * np.linalg.norm(rhs)
@@ -146,6 +166,35 @@ class TestSpacetimePoisson:
         g = build_grid(1, 16, 8, 1.0)
         with pytest.raises(ValueError):
             spacetime_poisson(np.zeros((9, 16)), g)
+
+    def test_conformal_warm_start(self, monkeypatch):
+        import otgeo.prox as prox
+        rng = np.random.default_rng(3)
+        g = build_grid(1, 16, 8, 1.0, CONFORMAL)
+        wroot = np.sqrt(g.sqrt_g)
+        project = off_kernel(g)
+        rhs = project(rng.standard_normal((8, 16)))
+        t_sym = _time_symbol(g, weighted=True)
+        tol = 1e-10
+        cold = spacetime_poisson(rhs, g, weighted=True, tol=tol)
+
+        applied = []
+        monkeypatch.setattr(prox, "_apply_operator",
+                            lambda *args: applied.append(1) or _apply_operator(*args))
+        again = spacetime_poisson(rhs, g, weighted=True, tol=tol, x0=cold)
+        assert len(applied) == 1     # one residual evaluation, no CG step
+        assert np.max(np.abs(again - cold)) <= 1e-14 * np.max(np.abs(cold))
+
+        def residual_ratio(phi):     # in the symmetrized norm of the solve, off the kernel
+            res = project(_apply_operator(phi, g, t_sym) - rhs)
+            return np.linalg.norm(res * wroot) / np.linalg.norm(rhs * wroot)
+
+        for x0 in (rng.standard_normal((8, 16)), cold + 1e-3 * rng.standard_normal((8, 16))):
+            applied.clear()
+            warm = spacetime_poisson(rhs, g, weighted=True, tol=tol, x0=x0)
+            assert len(applied) > 1
+            assert residual_ratio(warm) <= tol
+            assert np.max(np.abs(warm - cold)) <= 1e-9 * np.max(np.abs(cold))
 
 
 class TestProjectContinuity:
@@ -290,6 +339,18 @@ class TestSolveProx:
         bound, _ = heat_competitor_bound(m0, m1, ref, eps, g)
         assert rep.objective >= w2sq / 2 - eps * abs(np.log(eps)) - 1e-7
         assert rep.objective <= bound + 1e-7
+
+    def test_penalty_sweep_agrees(self):
+        g = build_grid(1, 32, 16, 1.0)
+        ref = ReferenceMeasure.from_potential(0.0, g)
+        m0, m1 = smooth_pair(g, width=0.12)
+        reports = [solve_prox(m0, m1, ref, 0.1, g, ProxConfig(penalty=r))[3]
+                   for r in (0.5, 1.0, 2.0)]
+        values = [rep.objective for rep in reports]
+        assert max(values) - min(values) <= 1e-9
+        for rep in reports:
+            assert rep.converged
+            assert rep.duality_gap <= 1e-4 * (1.0 + abs(rep.objective))
 
     def test_conformal_metric_solve(self):
         g = build_grid(1, 32, 16, 1.0, CONFORMAL)
