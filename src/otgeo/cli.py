@@ -93,13 +93,11 @@ REFERENCE_PROFILES = {
     "cosine": lambda params, x, dim: (
         params.get("amplitude", 0.3)
         * (np.cos(2.0 * np.pi * params.get("frequency", 1) * x) if dim == 1
-           else np.cos(2.0 * np.pi * params.get("frequency", 1) * x)[:, None]
-           + 0.0 * x[None, :])),
+           else np.cos(2.0 * np.pi * params.get("frequency", 1) * x)[:, None])),
     "sine": lambda params, x, dim: (
         params.get("amplitude", 0.3)
         * (np.sin(2.0 * np.pi * params.get("frequency", 1) * x) if dim == 1
-           else np.sin(2.0 * np.pi * params.get("frequency", 1) * x)[:, None]
-           + 0.0 * x[None, :])),
+           else np.sin(2.0 * np.pi * params.get("frequency", 1) * x)[:, None])),
 }
 
 

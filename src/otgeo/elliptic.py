@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .grid import Grid, covariant_gradient, integrate, metric_norm_sq, _dc
+from .grid import Grid, covariant_gradient, integrate, metric_dot, metric_norm_sq, _dc
 from .transport import DensityPath, Potential, ReferenceMeasure
 from .prox import SolveReport, _energy_profile, _objective
 
@@ -186,7 +186,7 @@ def elliptic_residual(u, problem: EllipticProblem):
         advect = 2.0 * (ux[1:-1] * _dc(du_t[1:-1], -2, h) + uy[1:-1] * _dc(du_t[1:-1], -1, h))
 
     res[1:-1] = (-utt + advect - hess_term - eps * _laplacian_compact(u[1:-1], grid)
-                 + eps * _metric_pair(gu[1:-1], gv, grid) + rho * u[1:-1])
+                 + eps * metric_dot(gu[1:-1], gv, grid) + rho * u[1:-1])
 
     half_grad_sq = 0.5 * metric_norm_sq(gu, grid)
     res[0] = (-du_t[0] + half_grad_sq[0] + delta * u[0]
@@ -194,13 +194,6 @@ def elliptic_residual(u, problem: EllipticProblem):
     res[-1] = (-du_t[-1] + half_grad_sq[-1] - delta * u[-1]
                - eps * (np.log(problem.m1) + V))
     return res, float(np.max(np.abs(res)))
-
-
-def _metric_pair(X, Y, grid: Grid):
-    """<X, Y>_g for stacked vector fields (broadcasts the second argument)."""
-    if grid.dim == 1:
-        return grid.metric * X[..., 0] * Y[..., 0]
-    return X[..., 0] * Y[..., 0] + X[..., 1] * Y[..., 1]
 
 
 def _assemble_jacobian(u, problem: EllipticProblem):

@@ -15,9 +15,11 @@ continuity set, and a multiplier enforces consensus between the two:
 
 Steps 2 and 3 are over-relaxed (Eckstein & Bertsekas 1992) with
 ``alpha = RELAXATION = 1.5``; ``L z`` is the centered image of the
-staggered copy before the projection and ``L z'`` after it.  On the
-conformal metric the projection's conjugate-gradient solve starts from the
-previous iteration's multiplier.
+staggered copy before the projection and ``L z'`` after it.  The
+projection's space-time solve is direct on either metric: a cosine
+transform in time and, in space, a Fourier transform on the flat grids or
+a cached dense eigenbasis of the Laplace-Beltrami operator on the
+conformal circle.
 
 Step 1 is exact: ``(a, b)`` carry only the kinetic energy, so ``a`` is the
 real root of the Benamou-Brenier cubic, and ``c`` carries only the entropy,
@@ -41,7 +43,14 @@ from scipy.fft import dct, idct
 from scipy.linalg import solve_banded
 from scipy.special import wrightomega
 
-from .grid import Grid, covariant_gradient, divergence_g, integrate, metric_norm_sq
+from .grid import (
+    Grid,
+    covariant_gradient,
+    divergence_g,
+    integrate,
+    laplace_beltrami,
+    metric_norm_sq,
+)
 from .transport import (
     DensityPath,
     MomentumField,
@@ -275,13 +284,39 @@ def _time_symbol(grid: Grid, weighted: bool):
 
 
 @functools.lru_cache(maxsize=16)
+def _space_eigenbasis(grid: Grid):
+    """Eigenpairs ``(mu, Q)`` of the symmetrized spatial operator
+    ``S = omega^{1/2} (-div_g grad) omega^{-1/2}``, ``omega = sqrt(g)``, from
+    one dense ``eigh``; cached per grid and read-only.  Raises ``ProxError``
+    when the eigen-residual exceeds ``1e-12 |S|``.
+    """
+    wroot = np.sqrt(grid.sqrt_g)
+    # row i of -Lap_g(diag(omega^{-1/2})) is column i of -Lap_g omega^{-1/2}
+    S = (-laplace_beltrami(np.diag(1.0 / wroot), grid) * wroot).T
+    mu, Q = np.linalg.eigh(S)
+    if np.linalg.norm(S @ Q - Q * mu) > 1e-12 * np.linalg.norm(S):
+        raise ProxError("eigendecomposition of the spatial operator is inaccurate")
+    mu.flags.writeable = False
+    Q.flags.writeable = False
+    return mu, Q
+
+
+@functools.lru_cache(maxsize=16)
 def _spectral_inverse(grid: Grid, weighted: bool):
-    """Pseudo-inverse symbol of (time block + wide flat Laplacian), cached
-    per grid and read-only."""
-    sym = _time_symbol(grid, weighted) + _space_symbol(grid)
+    """Pseudo-inverse symbol of (time block + spatial operator), cached per
+    grid and read-only.  The spatial symbol is the wide flat Laplacian's
+    Fourier symbol on a flat grid and the eigenvalues of
+    ``_space_eigenbasis`` otherwise; exactly the kernel modes are masked,
+    else ``ProxError``.
+    """
+    space = _space_symbol(grid) if grid.flat else _space_eigenbasis(grid)[0]
+    sym = _time_symbol(grid, weighted) + space
     inv = np.zeros_like(sym)
     mask = sym > 1e-12 * sym.max()
     inv[mask] = 1.0 / sym[mask]
+    masked, kernel = mask.size - np.count_nonzero(mask), len(_space_null_modes(grid))
+    if masked != kernel:
+        raise ProxError(f"{masked} masked modes, expected the {kernel} kernel modes")
     inv.flags.writeable = False
     return inv
 
@@ -360,84 +395,37 @@ def align_null_moments(m0, m1, grid: Grid, max_rounds=4):
     return m0, m1
 
 
-def spacetime_poisson(rhs, grid: Grid, weighted=False, tol=1e-10, x0=None):
+def spacetime_poisson(rhs, grid: Grid, weighted=False):
     """Solve the space-time problem (-d_tt - Lap_g) phi = rhs.
 
     Homogeneous Neumann in time (the rhs lives on the Nt interval
     midpoints), periodic in space, mean-zero gauge: components of the rhs
     in the kernel of the operator (space-time constants and, on even
-    grids, the centered-stencil null modes) are removed by subtraction and
-    the solution carries none of them.
+    grids, the centered-stencil null modes) are removed and the solution
+    carries none of them.
 
-    Flat metric: diagonalized by a cosine transform in time and a Fourier
-    transform in space.  Conformal metric: preconditioned conjugate
-    gradient with the flat solve as preconditioner, started from the guess
-    ``x0`` when one is given (the flat solve ignores it); failure to reach
-    ``tol`` within ``10 * n_unknowns`` iterations is an error.
+    The operator is separable and both blocks are diagonalized directly.
+    Flat metric: a cosine transform in time and a Fourier transform in
+    space.  Conformal metric (1-D only): the cosine transform in time and
+    the cached eigenbasis of the sqrt(g)-symmetrized Laplace-Beltrami
+    operator in space, so the solution is sqrt(g)-orthogonal to the kernel.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (grid.n_time,) + grid.space_shape:
         raise ValueError(f"rhs shape {rhs.shape}, expected {(grid.n_time,) + grid.space_shape}")
 
+    inv = _spectral_inverse(grid, weighted)
     if grid.flat:
         kernel = _kernel_basis(grid)
         b = rhs.copy()
         for z in kernel:
             b -= z * (np.sum(b * z) / np.sum(z * z))
-        return _spectral_solve(b, grid, _spectral_inverse(grid, weighted))
-    return _pcg_solve(rhs, grid, weighted, tol, x0)
-
-
-def _pcg_solve(rhs, grid: Grid, weighted, tol, x0=None):
-    """PCG on the sqrt(g)-symmetrized operator, flat solve as preconditioner.
-
-    A guess ``x0`` enters with its kernel content removed; the stopping
-    test ``|b - A x| <= tol |b|`` is the same from any start.
-    """
+        return _spectral_solve(b, grid, inv)
+    Q = _space_eigenbasis(grid)[1]
     wroot = np.sqrt(grid.sqrt_g)       # omega^{1/2} with omega = sqrt(g)
-    t_sym = _time_symbol(grid, weighted)
-    inv = _spectral_inverse(grid, weighted)
-
-    kernel = []
-    for z in _kernel_basis(grid):
-        psi = wroot * z
-        for q in kernel:
-            psi = psi - q * np.sum(psi * q)
-        psi = psi / np.sqrt(np.sum(psi * psi))
-        kernel.append(psi)
-
-    def project(x):
-        for q in kernel:
-            x = x - q * np.sum(x * q)
-        return x
-
-    def op(psi):
-        return project(wroot * _apply_operator(psi / wroot, grid, t_sym))
-
-    b = project(wroot * rhs)
-    bnorm = np.sqrt(np.sum(b * b))
-    if bnorm == 0:
-        return np.zeros_like(rhs)
-    x = np.zeros_like(b) if x0 is None else project(wroot * x0)
-    res = b - op(x)
-    if np.sqrt(np.sum(res * res)) <= tol * bnorm:
-        return x / wroot
-    z = project(_spectral_solve(res, grid, inv))
-    p = z.copy()
-    rz = np.sum(res * z)
-    max_iter = 10 * rhs.size
-    for _ in range(max_iter):
-        Ap = op(p)
-        alpha = rz / np.sum(p * Ap)
-        x += alpha * p
-        res -= alpha * Ap
-        if np.sqrt(np.sum(res * res)) <= tol * bnorm:
-            return x / wroot
-        z = project(_spectral_solve(res, grid, inv))
-        rz_new = np.sum(res * z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise ProxError(f"space-time CG did not reach {tol:g} in {max_iter} iterations")
+    hat = dct(wroot * rhs, type=2, axis=0, norm="ortho") @ Q
+    hat *= inv
+    return idct(hat @ Q.T, type=2, axis=0, norm="ortho") / wroot
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +465,7 @@ def project_continuity(m: DensityPath, w: MomentumField, m0, m1, grid: Grid):
     m_full[0] = m0
     m_full[-1] = m1
     r = _residual(m_full, w.values, grid)
-    phi = spacetime_poisson(r, grid, weighted=False, tol=1e-12)
+    phi = spacetime_poisson(r, grid, weighted=False)
     m_new, w_new = _apply_correction(m_full, w.values, phi, grid)
     return (DensityPath(m_new, grid), MomentumField(w_new, grid),
             Potential(_midpoints_to_nodes(phi, grid), grid))
@@ -492,31 +480,31 @@ def _midpoints_to_nodes(field_mid, grid: Grid):
     return out
 
 
-_AV_BAND_CACHE = {}
+@functools.lru_cache(maxsize=16)
+def _coupling_band(n):
+    """Banded storage of the n x n coupling [1/4, 3/2, 1/4], read-only."""
+    ab = np.zeros((3, n))
+    ab[0, 1:] = 0.25
+    ab[1, :] = 1.5
+    ab[2, :-1] = 0.25
+    ab.flags.writeable = False
+    return ab
 
 
 def _interior_coupling_solve(rhs, n_time):
     """Solve the tridiagonal consensus coupling [1/4, 3/2, 1/4] in time."""
     n = n_time - 1
-    key = n
-    if key not in _AV_BAND_CACHE:
-        ab = np.zeros((3, n))
-        ab[0, 1:] = 0.25
-        ab[1, :] = 1.5
-        ab[2, :-1] = 0.25
-        _AV_BAND_CACHE[key] = ab
     flat = rhs.reshape(n, -1)
-    return solve_banded((1, 1), _AV_BAND_CACHE[key], flat).reshape(rhs.shape)
+    return solve_banded((1, 1), _coupling_band(n), flat).reshape(rhs.shape)
 
 
-def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid, phi_prev=None):
+def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid):
     """Constrained least-squares step of the splitting.
 
     Minimizes |Av m - qa|^2 + |w - qb|^2_g + |m_int - qc|^2 over the
     continuity set (endpoints pinned to the marginals).  Reduces to a
-    candidate assembly, one weighted space-time solve for the multiplier
-    (started from ``phi_prev``), and the adjoint correction.  Returns
-    (m_full, w, phi).
+    candidate assembly, one weighted space-time solve for the multiplier,
+    and the adjoint correction.  Returns (m_full, w, phi).
     """
     tau = grid.tau
     rhs_m = 0.5 * (qa[:-1] + qa[1:]) + qc
@@ -528,7 +516,7 @@ def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid, phi_prev=None):
     m_cand[1:-1] = _interior_coupling_solve(rhs_m, grid.n_time)
 
     r = _residual(m_cand, qb, grid)
-    phi = spacetime_poisson(r, grid, weighted=True, x0=phi_prev)
+    phi = spacetime_poisson(r, grid, weighted=True)
 
     m_new = m_cand.copy()
     psi = (phi[:-1] - phi[1:]) / tau
@@ -670,7 +658,6 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     sigma = 1.0 / r
     res_history = []
     obj_history = []
-    phi = None
     consensus = np.inf
 
     weight_scalar = grid.cell_volume * tau
@@ -701,7 +688,7 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         hb = RELAXATION * b + (1.0 - RELAXATION) * w
         hc = RELAXATION * c + (1.0 - RELAXATION) * m_full[1:-1]
         m_full, w, phi = _weighted_projection(ha - lam_a / r, hb - lam_b / r, hc - lam_c / r,
-                                              m0, m1, grid, phi)
+                                              m0, m1, grid)
 
         # 3. relaxed multiplier ascent; consensus is measured against y = (a, b, c)
         za = 0.5 * (m_full[:-1] + m_full[1:])

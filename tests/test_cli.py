@@ -16,6 +16,7 @@ from otgeo.diagnostics import DiagnosticsReport
 from otgeo.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    REFERENCE_PROFILES,
     ConfigError,
     config_digest,
     emit_plots,
@@ -138,6 +139,19 @@ class TestConfigValidation:
         a = {"b": 1, "a": [1, 2]}
         b = {"a": [1, 2], "b": 1}
         assert config_digest(a) == config_digest(b)
+
+
+class TestReferenceProfiles:
+    @pytest.mark.parametrize("name,fn", [("cosine", np.cos), ("sine", np.sin)])
+    def test_2d_column_potential_broadcasts(self, name, fn):
+        g = build_grid(2, 16, 4, 1.0)
+        x = g.axis_coords()
+        params = {"amplitude": -0.7, "frequency": 2}
+        V = ReferenceMeasure.from_potential(REFERENCE_PROFILES[name](params, x, 2), g)
+        old = -0.7 * (fn(2.0 * np.pi * 2 * x)[:, None] + 0.0 * x[None, :])
+        assert V.potential_V.shape == (16, 16)
+        assert V.potential_V.tobytes() == (np.zeros((16, 16)) + old).tobytes()
+        assert V.log_normalizer == ReferenceMeasure.from_potential(old, g).log_normalizer
 
 
 class TestRun:

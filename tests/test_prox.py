@@ -14,7 +14,9 @@ from otgeo.prox import (
     _kinetic_prox,
     _prox_root,
     _residual,
+    _space_null_modes,
     _spacetime_norm,
+    _spectral_inverse,
     _time_symbol,
     align_null_moments,
     pointwise_prox,
@@ -167,34 +169,46 @@ class TestSpacetimePoisson:
         with pytest.raises(ValueError):
             spacetime_poisson(np.zeros((9, 16)), g)
 
-    def test_conformal_warm_start(self, monkeypatch):
-        import otgeo.prox as prox
+    def test_conformal_direct_solve(self):
         rng = np.random.default_rng(3)
-        g = build_grid(1, 16, 8, 1.0, CONFORMAL)
-        wroot = np.sqrt(g.sqrt_g)
-        project = off_kernel(g)
-        rhs = project(rng.standard_normal((8, 16)))
-        t_sym = _time_symbol(g, weighted=True)
-        tol = 1e-10
-        cold = spacetime_poisson(rhs, g, weighted=True, tol=tol)
+        for n in (12, 13):
+            g = build_grid(1, n, 8, 1.0, CONFORMAL)
+            project = off_kernel(g)
+            wgt = np.broadcast_to(g.sqrt_g, (8, n))
+            wr = np.sqrt(wgt).ravel()
+            for weighted in (False, True):
+                t_sym = _time_symbol(g, weighted)
+                rhs = rng.standard_normal((8, n))
+                phi = spacetime_poisson(rhs, g, weighted=weighted)
+                res = project(_apply_operator(phi, g, t_sym) - rhs)
+                assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
+                # sqrt(g)-weighted pseudo-inverse of the operator, column by column
+                cols = [_apply_operator(e.reshape(8, n), g, t_sym).ravel() for e in np.eye(8 * n)]
+                sym = wr[:, None] * np.array(cols).T / wr[None, :]
+                expected = (np.linalg.pinv(sym) @ (wr * rhs.ravel()) / wr).reshape(8, n)
+                assert np.max(np.abs(phi - expected)) <= 1e-10 * np.max(np.abs(expected))
+                content = phi - project(phi)
+                assert (np.sqrt(np.sum(content ** 2 * wgt))
+                        <= 1e-13 * np.sqrt(np.sum(phi ** 2 * wgt)))
 
-        applied = []
-        monkeypatch.setattr(prox, "_apply_operator",
-                            lambda *args: applied.append(1) or _apply_operator(*args))
-        again = spacetime_poisson(rhs, g, weighted=True, tol=tol, x0=cold)
-        assert len(applied) == 1     # one residual evaluation, no CG step
-        assert np.max(np.abs(again - cold)) <= 1e-14 * np.max(np.abs(cold))
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_masked_modes_are_the_kernel(self, n):
+        g = build_grid(1, n, 8, 1.0, CONFORMAL)
+        for weighted in (False, True):
+            inv = _spectral_inverse(g, weighted)
+            assert np.count_nonzero(inv == 0.0) == len(_space_null_modes(g)) == 2 - n % 2
 
-        def residual_ratio(phi):     # in the symmetrized norm of the solve, off the kernel
-            res = project(_apply_operator(phi, g, t_sym) - rhs)
-            return np.linalg.norm(res * wroot) / np.linalg.norm(rhs * wroot)
-
-        for x0 in (rng.standard_normal((8, 16)), cold + 1e-3 * rng.standard_normal((8, 16))):
-            applied.clear()
-            warm = spacetime_poisson(rhs, g, weighted=True, tol=tol, x0=x0)
-            assert len(applied) > 1
-            assert residual_ratio(warm) <= tol
-            assert np.max(np.abs(warm - cold)) <= 1e-9 * np.max(np.abs(cold))
+    def test_failed_spectral_checks_raise(self, monkeypatch):
+        import otgeo.prox as prox
+        g = build_grid(1, 14, 8, 1.0, lambda x: 1.0 + 0.3 * np.sin(2.0 * np.pi * x))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda S: (eigh(S)[0] * (1 + 1e-9), eigh(S)[1]))
+        with pytest.raises(ProxError, match="inaccurate"):
+            prox._space_eigenbasis(g)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(prox, "_space_null_modes", lambda grid: [np.ones(grid.space_shape)])
+        with pytest.raises(ProxError, match="masked modes"):
+            spacetime_poisson(np.zeros((8, 14)), g, weighted=True)
 
 
 class TestProjectContinuity:
