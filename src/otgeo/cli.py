@@ -39,6 +39,7 @@ from .diagnostics import (
     check_displacement_convexity,
     check_duality,
     check_energy,
+    check_heat_bound,
     check_interior_bounds,
     check_time_scaling,
     epsilon_sweep,
@@ -319,15 +320,8 @@ def _run_checks(cfg, report, grid, reference, m0, m1, m, w, u, objective,
             bound, parts = heat_competitor_bound(
                 m0, m1, reference, eps, grid,
                 beta=opts.get("beta", 2.0))
-            from .diagnostics import CheckEntry, _digest, _grid_info
-            gap = bound - objective
-            report.add(CheckEntry(
-                check="heat_bound", inputs_digest=_digest(m0, m1, eps),
-                grid_info=_grid_info(grid, eps),
-                threshold={"bound_minus_objective_min": -1e-6},
-                values={"bound": bound, "objective": objective, "margin": gap,
-                        **parts},
-                passed=bool(gap >= -1e-6), required=required))
+            report.add(check_heat_bound(m0, m1, eps, grid, objective, bound, parts,
+                                        required=required))
         elif cid == "time_scaling":
             report.add(check_time_scaling(
                 m0, m1, reference, eps, grid, opts.get("T_alt", 2.0),

@@ -185,6 +185,30 @@ def check_energy(m: DensityPath, u: Potential, reference: ReferenceMeasure, eps,
 
 
 # ---------------------------------------------------------------------------
+# Heat-competitor upper bound
+# ---------------------------------------------------------------------------
+
+def check_heat_bound(m0, m1, eps, grid: Grid, objective, bound, parts,
+                     required=False) -> CheckEntry:
+    """Upper-bound check: the optimum does not exceed the heat competitor.
+
+    ``bound`` and its ``parts`` are the value and the breakdown returned by
+    ``oracles.heat_competitor_bound`` for the marginals ``(m0, m1)``; the
+    check passes when ``bound - objective >= -1e-6``.
+    """
+    gap = bound - objective
+    return CheckEntry(
+        check="heat_bound",
+        inputs_digest=_digest(m0, m1, eps),
+        grid_info=_grid_info(grid, eps),
+        threshold={"bound_minus_objective_min": -1e-6},
+        values={"bound": bound, "objective": objective, "margin": gap, **parts},
+        passed=bool(gap >= -1e-6),
+        required=required,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Displacement convexity
 # ---------------------------------------------------------------------------
 

@@ -18,16 +18,22 @@ derivatives, so the linearized operator has no spurious null modes); the
 time derivative in the boundary rows is one-sided second order.  On the
 conformal circle the Hessian includes the Christoffel correction
 ``-g_x/(2g) u_x``.
+
+Each Newton step solves with the exact sparse Jacobian.  Its index pattern
+and SuperLU's fill-reducing column order depend on the grid alone, so both
+are built once per grid and cached; a step computes the Jacobian's values
+as whole-array stencil coefficients and factors them in the cached order.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .grid import Grid, covariant_gradient, integrate, metric_dot, metric_norm_sq, _dc
 from .transport import DensityPath, Potential, ReferenceMeasure
@@ -108,13 +114,17 @@ def _cross_second(u, ax1, ax2, h):
         / (4.0 * h * h)
 
 
+@functools.lru_cache(maxsize=16)
 def _conformal_coeffs(grid: Grid):
-    """Per-node coefficients of the compact conformal Laplacian and Christoffel."""
+    """Per-node coefficients of the compact conformal Laplacian and
+    Christoffel, cached per grid and read-only."""
     g = grid.metric
     s = 1.0 / grid.sqrt_g                      # sqrt(g)/g evaluated at nodes
     s_plus = 0.5 * (s + np.roll(s, -1))        # midpoint i + 1/2
     s_minus = 0.5 * (s + np.roll(s, 1))
     gamma = _dc(g, -1, grid.h) / (2.0 * g)
+    for arr in (s_plus, s_minus, gamma):
+        arr.flags.writeable = False
     return s_plus, s_minus, gamma
 
 
@@ -196,35 +206,23 @@ def elliptic_residual(u, problem: EllipticProblem):
     return res, float(np.max(np.abs(res)))
 
 
-def _assemble_jacobian(u, problem: EllipticProblem):
-    """Exact sparse Jacobian of :func:`elliptic_residual` at ``u``."""
+def _jacobian_terms(u, problem: EllipticProblem):
+    """Stencil terms of the exact Jacobian of :func:`elliptic_residual` at ``u``.
+
+    Each term ``((k0, k1), dk, shift, coeff)`` couples the rows at time levels
+    ``k0 .. k1 - 1`` (all space points) with the columns at level ``k + dk``
+    and the per-axis periodic offset ``shift``; ``coeff`` broadcasts to
+    ``(k1 - k0,) + space_shape``.  Terms at the same entry are summed, and
+    entries that vanish at ``u`` are kept, so the pattern is the grid's.
+    """
     grid = problem.grid
     tau, h = grid.tau, grid.h
     eps, delta, rho = problem.eps, problem.delta, problem.rho
-    Nt, nsp = grid.n_time, grid.n_space ** grid.dim
-    ntot = (Nt + 1) * nsp
+    Nt = grid.n_time
     V = problem.reference.potential_V
-
-    rows, cols, vals = [], [], []
-    space_idx = np.arange(nsp).reshape(grid.space_shape)
-
-    def add(row_k, dk, shift, coeff):
-        """Entries for rows at time levels row_k (array) and all space points.
-
-        ``shift`` is a tuple of per-axis spatial offsets applied with
-        periodic wrap; ``coeff`` is an array over (len(row_k),) + space.
-        """
-        col_sp = space_idx
-        for ax, s in enumerate(shift):
-            if s:
-                col_sp = np.roll(col_sp, -s, axis=ax)
-        for i, k in enumerate(row_k):
-            rows.append((k * nsp + space_idx).ravel())
-            cols.append(((k + dk) * nsp + col_sp).ravel())
-            vals.append(np.broadcast_to(coeff[i], grid.space_shape).ravel())
-
-    interior = np.arange(1, Nt)
     du_t = _time_derivative(u, tau)
+    inner = (1, Nt)
+    boundary = (((0, 1), 1, 1.0, delta), ((Nt, Nt + 1), -1, -1.0, -delta))
 
     if grid.dim == 1:
         g = grid.metric
@@ -239,139 +237,184 @@ def _assemble_jacobian(u, problem: EllipticProblem):
             s_plus, s_minus, gamma = _conformal_coeffs(grid)
             inv_sqrt_g = 1.0 / grid.sqrt_g
         Vx = _dc(V, -1, h)
-
-        uxI = ux[interior]
-        uxxI = uxx[interior]
-        utxI = utx[interior]
+        uxI, uxxI, utxI = ux[1:-1], uxx[1:-1], utx[1:-1]
 
         # -u_tt
-        add(interior, 1, (0,), np.full((Nt - 1,) + grid.space_shape, -1.0 / tau ** 2))
-        add(interior, -1, (0,), np.full((Nt - 1,) + grid.space_shape, -1.0 / tau ** 2))
-        add(interior, 0, (0,), np.full((Nt - 1,) + grid.space_shape, 2.0 / tau ** 2))
-
+        terms = [(inner, 1, (0,), -1.0 / tau ** 2), (inner, -1, (0,), -1.0 / tau ** 2),
+                 (inner, 0, (0,), 2.0 / tau ** 2)]
         # 2 ux utx / g : d(utx) and d(ux)
         A = 2.0 * uxI / g
-        for dk in (+1, -1):
-            for dx in (+1, -1):
-                add(interior, dk, (dx,), A * (dk * dx) / (4.0 * tau * h))
+        terms += [(inner, dk, (dx,), A * (dk * dx) / (4.0 * tau * h))
+                  for dk in (+1, -1) for dx in (+1, -1)]
         dux = 2.0 * utxI / g
-        for dx in (+1, -1):
-            add(interior, 0, (dx,), dux * dx / (2.0 * h))
-
+        terms += [(inner, 0, (dx,), dux * dx / (2.0 * h)) for dx in (+1, -1)]
         # -(uxx - gamma ux)(ux/g)^2
         q = (uxI / g) ** 2
-        add(interior, 0, (1,), -q / h ** 2)
-        add(interior, 0, (-1,), -q / h ** 2)
-        add(interior, 0, (0,), 2.0 * q / h ** 2)
+        terms += [(inner, 0, (1,), -q / h ** 2), (inner, 0, (-1,), -q / h ** 2),
+                  (inner, 0, (0,), 2.0 * q / h ** 2)]
         dpart = gamma * q - (uxxI - gamma * uxI) * 2.0 * uxI / g ** 2
-        for dx in (+1, -1):
-            add(interior, 0, (dx,), dpart * dx / (2.0 * h))
-
+        terms += [(inner, 0, (dx,), dpart * dx / (2.0 * h)) for dx in (+1, -1)]
         # -eps Lap_c
-        add(interior, 0, (1,),
-            np.broadcast_to(-eps * s_plus * inv_sqrt_g / h ** 2, (Nt - 1,) + grid.space_shape))
-        add(interior, 0, (-1,),
-            np.broadcast_to(-eps * s_minus * inv_sqrt_g / h ** 2, (Nt - 1,) + grid.space_shape))
-        add(interior, 0, (0,),
-            np.broadcast_to(eps * (s_plus + s_minus) * inv_sqrt_g / h ** 2,
-                            (Nt - 1,) + grid.space_shape))
-
+        terms += [(inner, 0, (1,), -eps * s_plus * inv_sqrt_g / h ** 2),
+                  (inner, 0, (-1,), -eps * s_minus * inv_sqrt_g / h ** 2),
+                  (inner, 0, (0,), eps * (s_plus + s_minus) * inv_sqrt_g / h ** 2)]
         # eps ux Vx / g and rho u
-        for dx in (+1, -1):
-            add(interior, 0, (dx,),
-                np.broadcast_to(eps * Vx / g * dx / (2.0 * h), (Nt - 1,) + grid.space_shape))
+        terms += [(inner, 0, (dx,), eps * Vx / g * dx / (2.0 * h)) for dx in (+1, -1)]
         if rho:
-            add(interior, 0, (0,), np.full((Nt - 1,) + grid.space_shape, rho))
-
+            terms.append((inner, 0, (0,), rho))
         # boundary rows
-        for k, sgn_dt, sgn_delta in ((0, 1.0, delta), (Nt, -1.0, -delta)):
-            add([k], 0, (0,), np.array([np.full(grid.space_shape,
-                                                      3.0 / (2.0 * tau) * sgn_dt + sgn_delta)]))
-            add([k], (1 if k == 0 else -1), (0,),
-                np.array([np.full(grid.space_shape, -2.0 / tau * sgn_dt)]))
-            add([k], (2 if k == 0 else -2), (0,),
-                np.array([np.full(grid.space_shape, 1.0 / (2.0 * tau) * sgn_dt)]))
-            for dx in (+1, -1):
-                add([k], 0, (dx,), np.array([ux[k] / g * dx / (2.0 * h)]))
-    else:
-        ux = _dc(u, -2, h)
-        uy = _dc(u, -1, h)
-        uxx = _compact_second(u, -2, h)
-        uyy = _compact_second(u, -1, h)
-        uxy = _cross_second(u, -2, -1, h)
-        utx = _dc(du_t, -2, h)
-        uty = _dc(du_t, -1, h)
-        Vx = _dc(V, -2, h)
-        Vy = _dc(V, -1, h)
+        for levels, side, sgn_dt, sgn_delta in boundary:
+            k = levels[0]
+            terms += [(levels, 0, (0,), 3.0 / (2.0 * tau) * sgn_dt + sgn_delta),
+                      (levels, side, (0,), -2.0 / tau * sgn_dt),
+                      (levels, 2 * side, (0,), 1.0 / (2.0 * tau) * sgn_dt)]
+            terms += [(levels, 0, (dx,), ux[k] / g * dx / (2.0 * h)) for dx in (+1, -1)]
+        return terms
 
-        base = np.full((Nt - 1,) + grid.space_shape, -1.0 / tau ** 2)
-        add(interior, 1, (0, 0), base)
-        add(interior, -1, (0, 0), base)
-        add(interior, 0, (0, 0), -2.0 * base)
+    ux = _dc(u, -2, h)
+    uy = _dc(u, -1, h)
+    uxx = _compact_second(u, -2, h)
+    uyy = _compact_second(u, -1, h)
+    uxy = _cross_second(u, -2, -1, h)
+    utx = _dc(du_t, -2, h)
+    uty = _dc(du_t, -1, h)
+    Vx = _dc(V, -2, h)
+    Vy = _dc(V, -1, h)
 
-        for comp, (gr, gt) in enumerate(((ux, utx), (uy, uty))):
-            A = 2.0 * gr[interior]
-            for dk in (+1, -1):
-                for d in (+1, -1):
-                    shift = (d, 0) if comp == 0 else (0, d)
-                    add(interior, dk, shift, A * (dk * d) / (4.0 * tau * h))
-            for d in (+1, -1):
-                shift = (d, 0) if comp == 0 else (0, d)
-                add(interior, 0, shift, 2.0 * gt[interior] * d / (2.0 * h))
+    def along(comp, d):
+        return (d, 0) if comp == 0 else (0, d)
 
-        uxI, uyI = ux[interior], uy[interior]
-        uxxI, uyyI, uxyI = uxx[interior], uyy[interior], uxy[interior]
-        for comp, q in enumerate((uxI ** 2, uyI ** 2)):
-            for d, c in ((1, -q / h ** 2), (-1, -q / h ** 2), (0, 2.0 * q / h ** 2)):
-                shift = (d, 0) if comp == 0 else (0, d)
-                add(interior, 0, shift, c)
-        for dx in (+1, -1):
-            for dy in (+1, -1):
-                add(interior, 0, (dx, dy),
-                    -2.0 * uxI * uyI * (dx * dy) / (4.0 * h * h))
-        dux = -2.0 * (uxxI * uxI + uxyI * uyI) + eps * Vx
-        duy = -2.0 * (uyyI * uyI + uxyI * uxI) + eps * Vy
+    base = -1.0 / tau ** 2
+    terms = [(inner, 1, (0, 0), base), (inner, -1, (0, 0), base),
+             (inner, 0, (0, 0), -2.0 * base)]
+    for comp, (gr, gt) in enumerate(((ux, utx), (uy, uty))):
+        A = 2.0 * gr[1:-1]
+        terms += [(inner, dk, along(comp, d), A * (dk * d) / (4.0 * tau * h))
+                  for dk in (+1, -1) for d in (+1, -1)]
+        terms += [(inner, 0, along(comp, d), 2.0 * gt[1:-1] * d / (2.0 * h)) for d in (+1, -1)]
+
+    uxI, uyI = ux[1:-1], uy[1:-1]
+    uxxI, uyyI, uxyI = uxx[1:-1], uyy[1:-1], uxy[1:-1]
+    for comp, q in enumerate((uxI ** 2, uyI ** 2)):
+        terms += [(inner, 0, along(comp, d), c)
+                  for d, c in ((1, -q / h ** 2), (-1, -q / h ** 2), (0, 2.0 * q / h ** 2))]
+    terms += [(inner, 0, (dx, dy), -2.0 * uxI * uyI * (dx * dy) / (4.0 * h * h))
+              for dx in (+1, -1) for dy in (+1, -1)]
+    dux = -2.0 * (uxxI * uxI + uxyI * uyI) + eps * Vx
+    duy = -2.0 * (uyyI * uyI + uxyI * uxI) + eps * Vy
+    for d in (+1, -1):
+        terms += [(inner, 0, (d, 0), dux * d / (2.0 * h)), (inner, 0, (0, d), duy * d / (2.0 * h))]
+
+    lap = -eps / h ** 2
+    terms += [(inner, 0, shift, lap) for shift in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+    terms.append((inner, 0, (0, 0), -4.0 * lap))
+    if rho:
+        terms.append((inner, 0, (0, 0), rho))
+
+    for levels, side, sgn_dt, sgn_delta in boundary:
+        k = levels[0]
+        terms += [(levels, 0, (0, 0), 3.0 / (2.0 * tau) * sgn_dt + sgn_delta),
+                  (levels, side, (0, 0), -2.0 / tau * sgn_dt),
+                  (levels, 2 * side, (0, 0), 1.0 / (2.0 * tau) * sgn_dt)]
         for d in (+1, -1):
-            add(interior, 0, (d, 0), dux * d / (2.0 * h))
-            add(interior, 0, (0, d), duy * d / (2.0 * h))
+            terms += [(levels, 0, (d, 0), ux[k] * d / (2.0 * h)),
+                      (levels, 0, (0, d), uy[k] * d / (2.0 * h))]
+    return terms
 
-        lap = np.full((Nt - 1,) + grid.space_shape, -eps / h ** 2)
-        for shift in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            add(interior, 0, shift, lap)
-        add(interior, 0, (0, 0), -4.0 * lap)
-        if rho:
-            add(interior, 0, (0, 0), np.full((Nt - 1,) + grid.space_shape, rho))
 
-        for k, sgn_dt, sgn_delta in ((0, 1.0, delta), (Nt, -1.0, -delta)):
-            add([k], 0, (0, 0), np.array([np.full(grid.space_shape,
-                                                        3.0 / (2.0 * tau) * sgn_dt + sgn_delta)]))
-            add([k], (1 if k == 0 else -1), (0, 0),
-                np.array([np.full(grid.space_shape, -2.0 / tau * sgn_dt)]))
-            add([k], (2 if k == 0 else -2), (0, 0),
-                np.array([np.full(grid.space_shape, 1.0 / (2.0 * tau) * sgn_dt)]))
-            for d in (+1, -1):
-                add([k], 0, (d, 0), np.array([ux[k] * d / (2.0 * h)]))
-                add([k], 0, (0, d), np.array([uy[k] * d / (2.0 * h)]))
+@functools.lru_cache(maxsize=16)
+def _stencil_pattern(grid: Grid, stencil):
+    """COO ``(rows, cols)`` of the stencil terms ``((k0, k1), dk, shift)``,
+    concatenated in term order; cached per grid and read-only."""
+    nsp = grid.n_space ** grid.dim
+    space_idx = np.arange(nsp).reshape(grid.space_shape)
+    rows, cols = [], []
+    for (k0, k1), dk, shift in stencil:
+        col_sp = space_idx
+        for ax, s in enumerate(shift):
+            if s:
+                col_sp = np.roll(col_sp, -s, axis=ax)
+        levels = np.arange(k0, k1)[:, None] * nsp
+        rows.append((levels + space_idx.ravel()).ravel())
+        cols.append((levels + dk * nsp + col_sp.ravel()).ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
+
+def _assemble_jacobian(u, problem: EllipticProblem):
+    """Exact sparse Jacobian of :func:`elliptic_residual` at ``u`` (CSR).
+
+    The index pattern comes from :func:`_stencil_pattern`; only the values
+    are computed per call.  Duplicate entries are summed and explicit zeros
+    kept, so the structure depends on the grid alone.
+    """
+    grid = problem.grid
+    terms = _jacobian_terms(u, problem)
+    rows, cols = _stencil_pattern(grid, tuple(term[:3] for term in terms))
+    vals = np.concatenate([np.broadcast_to(coeff, (k1 - k0,) + grid.space_shape).ravel()
+                           for (k0, k1), _, _, coeff in terms])
+    ntot = (grid.n_time + 1) * grid.n_space ** grid.dim
     return sparse.csr_matrix((vals, (rows, cols)), shape=(ntot, ntot))
 
 
-def newton_step(u, problem: EllipticProblem, config: EllipticConfig = None):
+@functools.lru_cache(maxsize=16)
+def _column_order(grid: Grid):
+    """The Jacobian's CSR structure and SuperLU's column order for it,
+    cached per grid and read-only.
+
+    The COLAMD order and its elimination-tree postorder read only the
+    structure, which the grid fixes, so they are taken once from the
+    Jacobian at ``u = 0`` of a unit problem.  ``order = argsort(perm_c)``
+    gathers the columns into the order SuperLU factors them in.
+    """
+    ones = np.ones(grid.space_shape)
+    unit = EllipticProblem(grid, ReferenceMeasure.from_potential(0.0, grid), 1.0, ones, ones)
+    J = _assemble_jacobian(np.zeros((grid.n_time + 1,) + grid.space_shape), unit)
+    order = np.argsort(splu(J.tocsc()).perm_c)
+    for arr in (J.indptr, J.indices, order):
+        arr.flags.writeable = False
+    return J.indptr, J.indices, order
+
+
+def _solve_linear(J, rhs, grid: Grid):
+    """Solve ``J x = rhs`` by sparse LU in the grid's cached column order.
+
+    Equal, bit for bit, to ``spsolve(J.tocsc(), rhs)``: the columns are
+    gathered into SuperLU's own COLAMD order and factored without a second
+    ordering.  Raises ``EllipticError`` when ``J``'s structure is not the
+    cached one.
+    """
+    indptr, indices, order = _column_order(grid)
+    if not (np.array_equal(J.indptr, indptr) and np.array_equal(J.indices, indices)):
+        raise EllipticError("Jacobian structure differs from the grid's cached pattern")
+    lu = splu(J.tocsc()[:, order], permc_spec="NATURAL")
+    x = np.empty_like(rhs)
+    x[order] = lu.solve(rhs)
+    return x
+
+
+def newton_step(u, problem: EllipticProblem, config: EllipticConfig = None, *, residual=None):
     """One damped Newton step; returns ``(u_next, step_norm)``.
 
-    The linear system is solved by a sparse direct method and checked to
+    The Jacobian is assembled on the grid's cached stencil pattern and solved
+    by sparse LU in the grid's cached column order, checked to
     ``linear_tolerance`` relative residual; the update is damped by Armijo
-    backtracking on the residual max-norm.
+    backtracking on the residual max-norm.  A caller that already holds
+    ``residual = elliptic_residual(u, problem)`` passes it in and gets
+    ``(u_next, step_norm, residual_next)`` back, so a Newton loop evaluates
+    each point once.
     """
     config = config or EllipticConfig()
-    grid = problem.grid
-    res, res_norm = elliptic_residual(u, problem)
+    res, res_norm = elliptic_residual(u, problem) if residual is None else residual
     J = _assemble_jacobian(u, problem)
     rhs = -res.ravel()
-    step = spsolve(J.tocsc(), rhs)
+    try:
+        step = _solve_linear(J, rhs, problem.grid)
+    except RuntimeError as err:      # SuperLU: the factor is exactly singular
+        raise EllipticError(f"singular Jacobian at delta={problem.delta:g}",
+                            delta=problem.delta, iterate=u) from err
     lin_res = np.linalg.norm(J @ step - rhs)
     # allow for rounding noise of the matrix-vector check itself
     noise = 1e-13 * abs(J).sum(axis=1).max() * max(np.linalg.norm(step), 1.0)
@@ -383,9 +426,11 @@ def newton_step(u, problem: EllipticProblem, config: EllipticConfig = None):
     alpha = 1.0
     for _ in range(config.max_backtracks):
         trial = u + alpha * step
-        _, trial_norm = elliptic_residual(trial, problem)
-        if trial_norm <= (1.0 - 1e-4 * alpha) * res_norm or trial_norm < config.newton_tolerance:
-            return trial, float(np.max(np.abs(alpha * step)))
+        trial_residual = elliptic_residual(trial, problem)
+        if (trial_residual[1] <= (1.0 - 1e-4 * alpha) * res_norm
+                or trial_residual[1] < config.newton_tolerance):
+            result = (trial, float(np.max(np.abs(alpha * step))))
+            return result if residual is None else result + (trial_residual,)
         alpha *= 0.5
     raise EllipticError(f"Armijo backtracking failed at delta={problem.delta:g} "
                         f"(residual {res_norm:.3e})", delta=problem.delta, iterate=u)
@@ -410,16 +455,15 @@ def recover_density(u, reference: ReferenceMeasure, eps, grid: Grid) -> DensityP
 
 
 def _solve_at_delta(u, problem, config):
-    for it in range(1, config.max_newton_iterations + 1):
-        _, res_norm = elliptic_residual(u, problem)
-        if res_norm < config.newton_tolerance:
-            return u, it - 1
-        u, _ = newton_step(u, problem, config)
-    _, res_norm = elliptic_residual(u, problem)
-    if res_norm < config.newton_tolerance:
+    residual = elliptic_residual(u, problem)
+    for it in range(config.max_newton_iterations):
+        if residual[1] < config.newton_tolerance:
+            return u, it
+        u, _, residual = newton_step(u, problem, config, residual=residual)
+    if residual[1] < config.newton_tolerance:
         return u, config.max_newton_iterations
     raise EllipticError(f"Newton did not converge at delta={problem.delta:g} "
-                        f"(residual {res_norm:.3e})", delta=problem.delta, iterate=u)
+                        f"(residual {residual[1]:.3e})", delta=problem.delta, iterate=u)
 
 
 def solve_elliptic(problem: EllipticProblem, config: EllipticConfig = None):

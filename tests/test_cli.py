@@ -242,6 +242,36 @@ class TestRun:
         assert artifacts  # artifacts are still written for inspection
 
 
+    def test_heat_bound_entry_unchanged(self, tmp_path):
+        from otgeo.cli import _build_setup
+        from otgeo.diagnostics import CheckEntry, _digest, _grid_info
+        from otgeo.oracles import heat_competitor_bound
+        path, cfg = write_config(
+            tmp_path,
+            marginals={"family": "bump_pair", "width": 0.15, "centers": [0.1, 0.6]},
+            reference={"profile": "cosine", "amplitude": 0.3},
+            solver={"method": "elliptic", "eps": 0.1},
+            diagnostics={"checks": ["heat_bound"]},
+        )
+        code, _ = run(path)
+        assert code == EXIT_OK
+        out = Path(cfg["output"]["directory"])
+        [entry] = json.loads((out / "diagnostics.json").read_text())["entries"]
+        objective = json.loads(
+            (out / "solve_report.json").read_text())["solvers"]["elliptic"]["objective"]
+        # the entry as the CLI used to build it inline
+        grid, reference, m0, m1 = _build_setup(cfg)
+        bound, parts = heat_competitor_bound(m0, m1, reference, 0.1, grid, beta=2.0)
+        gap = bound - objective
+        expected = CheckEntry(
+            check="heat_bound", inputs_digest=_digest(m0, m1, 0.1),
+            grid_info=_grid_info(grid, 0.1),
+            threshold={"bound_minus_objective_min": -1e-6},
+            values={"bound": bound, "objective": objective, "margin": gap, **parts},
+            passed=bool(gap >= -1e-6), required=False)
+        assert json.dumps(entry, sort_keys=True) == json.dumps(expected.as_dict(), sort_keys=True)
+
+
 class TestCliEntry:
     def test_check_subcommand(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)

@@ -146,6 +146,60 @@ class TestNewton:
         assert norms[2] < 2.0 * norms[1] ** 2 or norms[2] < 1e-11
         assert norms[3] < 2.0 * norms[2] ** 2 or norms[3] < 1e-12
 
+    def test_residual_is_passed_through(self):
+        g, ref, ms, prob = cosine_setup(n=16, nt=8)
+        x = g.axis_coords()
+        u = 0.1 * np.sin(2 * np.pi * x)[None, :] * np.ones((9, 1))
+        u1, step1 = newton_step(u, prob)
+        u2, step2, (res2, norm2) = newton_step(u, prob, residual=elliptic_residual(u, prob))
+        assert u1.tobytes() == u2.tobytes() and step1 == step2
+        res, norm = elliptic_residual(u2, prob)
+        assert res.tobytes() == res2.tobytes() and norm == norm2
+
+    def test_each_newton_point_is_evaluated_once(self, monkeypatch):
+        import otgeo.elliptic as ell
+        g, ref, ms, prob = cosine_setup(n=16, nt=8)
+        prob = EllipticProblem(g, ref, 0.1, np.roll(ms, 4), ms, delta=0.25)
+        seen = []
+        original = ell.elliptic_residual
+
+        def counted(u, problem):
+            seen.append(np.asarray(u).tobytes())
+            return original(u, problem)
+
+        monkeypatch.setattr(ell, "elliptic_residual", counted)
+        _, steps = solve_elliptic_at_delta(prob)
+        assert steps >= 3
+        assert len(seen) == len(set(seen))
+
+
+class TestLinearSolve:
+    """The cached-order LU solve against scipy's own sparse direct solve."""
+
+    @pytest.mark.parametrize("delta", [1.0, 1e-3, 1e-6])
+    @pytest.mark.parametrize("case", ["1d-flat", "1d-conformal", "2d-varying-V"])
+    def test_matches_spsolve_bitwise(self, case, delta):
+        from scipy.sparse.linalg import spsolve
+        from otgeo.elliptic import _assemble_jacobian, _solve_linear
+        prob = jacobian_case(case, delta=delta)
+        u = 0.3 * np.random.default_rng(23).standard_normal(
+            (prob.grid.n_time + 1,) + prob.grid.space_shape)
+        J = _assemble_jacobian(u, prob)
+        rhs = -elliptic_residual(u, prob)[0].ravel()
+        x = _solve_linear(J, rhs, prob.grid)
+        assert x.tobytes() == spsolve(J.tocsc(), rhs).tobytes()
+
+    def test_structure_mismatch_raises(self):
+        from otgeo.elliptic import _assemble_jacobian, _solve_linear
+        prob = jacobian_case("1d-conformal")
+        u = np.zeros((prob.grid.n_time + 1,) + prob.grid.space_shape)
+        J = _assemble_jacobian(u, prob)
+        nnz = J.nnz
+        J.eliminate_zeros()     # entries that vanish at u = 0 leave the structure
+        assert J.nnz < nnz
+        with pytest.raises(EllipticError, match="structure"):
+            _solve_linear(J, np.ones(J.shape[0]), prob.grid)
+
 
 class TestRecoverDensity:
     def test_zero_potential_gives_uniform(self):
@@ -166,6 +220,40 @@ class TestRecoverDensity:
         u = np.linspace(0, -2000.0, 9)[:, None] * np.ones(16)
         with pytest.raises(EllipticError, match="larger eps"):
             recover_density(u, ref, 1e-3, g)
+
+
+def jacobian_case(case, delta=0.3):
+    """Small problems covering each branch of the Jacobian."""
+    if case.startswith("2d"):
+        g = build_grid(2, 6, 4, 0.9)
+        x = g.axis_coords()
+        V = 0.2 * np.cos(2 * np.pi * x)[:, None] + 0.1 * np.sin(2 * np.pi * x)[None, :]
+    elif case.startswith("1d-conformal"):
+        g = build_grid(1, 8, 4, 0.9, lambda x: 1 + 0.3 * np.sin(2 * np.pi * x))
+        V = 0.2 * np.cos(2 * np.pi * g.axis_coords())
+    else:
+        g = build_grid(1, 8, 4, 0.9)
+        V = 0.2 * np.cos(2 * np.pi * g.axis_coords())
+    ref = ReferenceMeasure.from_potential(V, g)
+    m0 = np.exp(0.4 * np.sin(2 * np.pi * g.axis_coords()))
+    if g.dim == 2:
+        m0 = np.add.outer(m0, 0.5 * m0)
+    m0 /= integrate(m0, g)
+    rho = 0.4 if case.endswith("rho") else 0.0
+    return EllipticProblem(g, ref, 0.15, m0, np.roll(m0, 3, axis=0), delta=delta, rho=rho)
+
+
+def assert_jacobian_matches_finite_differences(u, prob):
+    from otgeo.elliptic import _assemble_jacobian
+    J = _assemble_jacobian(u, prob).toarray()
+    h = 1e-6
+    for col, ix in enumerate(np.ndindex(u.shape)):
+        up, um = u.copy(), u.copy()
+        up[ix] += h
+        um[ix] -= h
+        fd = ((elliptic_residual(up, prob)[0] - elliptic_residual(um, prob)[0])
+              / (2 * h)).ravel()
+        assert np.max(np.abs(fd - J[:, col])) < 5e-6
 
 
 def solve_elliptic_at_delta(problem, config=None):
@@ -265,16 +353,14 @@ class TestSolveElliptic:
         m0 /= integrate(m0, g)
         prob = EllipticProblem(g, ref, 0.15, m0, np.roll(m0, 3), delta=0.3)
         u = 0.3 * rng.standard_normal((5, 8))
-        from otgeo.elliptic import _assemble_jacobian
-        J = _assemble_jacobian(u, prob).toarray()
-        h = 1e-6
-        for col, ix in enumerate(np.ndindex(u.shape)):
-            up, um = u.copy(), u.copy()
-            up[ix] += h
-            um[ix] -= h
-            fd = ((elliptic_residual(up, prob)[0] - elliptic_residual(um, prob)[0])
-                  / (2 * h)).ravel()
-            assert np.max(np.abs(fd - J[:, col])) < 5e-6
+        assert_jacobian_matches_finite_differences(u, prob)
+
+    @pytest.mark.parametrize("case", ["2d-varying-V", "1d-conformal-rho", "2d-varying-V-rho"])
+    def test_jacobian_matches_finite_differences(self, case):
+        prob = jacobian_case(case)
+        u = 0.3 * np.random.default_rng(22).standard_normal(
+            (prob.grid.n_time + 1,) + prob.grid.space_shape)
+        assert_jacobian_matches_finite_differences(u, prob)
 
     def test_local_density_bound_constant_stable(self):
         # eps(log m + V) + kappa |grad u|^2 <= K / distances^2 with a fitted K
