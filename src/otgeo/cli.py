@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import build_grid, covariant_gradient, write_field
-from .transport import MomentumField, ReferenceMeasure
+from .grid import build_grid, write_field
+from .transport import ReferenceMeasure, dual_momentum
 from .prox import ProxConfig, ProxError, solve_prox
 from .elliptic import EllipticConfig, EllipticError, EllipticProblem, solve_elliptic
 from .oracles import heat_competitor_bound
@@ -251,10 +251,7 @@ def run(config, out_dir=None, verbose=False):
             problem = EllipticProblem(grid, reference, eps, m0, m1, rho=rho)
             ue, me, repe = solve_elliptic(problem, ell_cfg)
             solve_reports["elliptic"] = repe
-            u_mid = 0.5 * (ue.values[:-1] + ue.values[1:])
-            mbar = 0.5 * (me.values[:-1] + me.values[1:])
-            we = MomentumField(mbar[..., None] * covariant_gradient(u_mid, grid), grid)
-            fields["elliptic"] = (me, we, ue)
+            fields["elliptic"] = (me, dual_momentum(me, ue), ue)
         if method == "both":
             l1 = float(np.sum(np.abs(fields["prox"][0].values
                                      - fields["elliptic"][0].values)

@@ -24,10 +24,12 @@ from .transport import (
     MomentumField,
     Potential,
     ReferenceMeasure,
+    energy_profile,
+    entropy_density,
     functional_value,
     relative_entropy,
 )
-from .prox import ProxConfig, solve_prox, _hj_residual, _energy_profile
+from .prox import ProxConfig, solve_prox, _hj_residual
 from .oracles import circular_w2_oracle, flow_w2_oracle, mccann_midpoint
 
 
@@ -154,7 +156,7 @@ def check_energy(m: DensityPath, u: Potential, reference: ReferenceMeasure, eps,
     relative entropy, and (when a competitor upper bound is supplied) the
     uniform ceiling E <= bound/T + 2 eps log Z.
     """
-    energies = _energy_profile(u.values, np.maximum(m.values, 0.0), reference, eps, grid)
+    energies = energy_profile(DensityPath(np.maximum(m.values, 0.0), grid), u, reference, eps)
     mean_e = float(np.mean(energies))
     drift = float(np.max(np.abs(energies - mean_e)))
     tol = drift_factor * (1.0 + abs(mean_e))
@@ -162,10 +164,8 @@ def check_energy(m: DensityPath, u: Potential, reference: ReferenceMeasure, eps,
 
     values = {"energies": energies, "mean_energy": mean_e, "drift": drift}
     if objective is not None:
-        weights = np.full(grid.n_time + 1, grid.tau)
-        weights[0] = weights[-1] = 0.5 * grid.tau
         ent = sum(wk * relative_entropy(np.maximum(sl, 0.0), reference, grid)
-                  for wk, sl in zip(weights, m.values))
+                  for wk, sl in zip(grid.time_weights(), m.values))
         identity = objective / grid.horizon - 2.0 * eps / grid.horizon * ent
         values["identity_defect"] = abs(mean_e - identity)
     if upper_bound is not None:
@@ -213,17 +213,9 @@ def check_heat_bound(m0, m1, eps, grid: Grid, objective, bound, parts,
 # ---------------------------------------------------------------------------
 
 def entropy_profile(m: DensityPath, grid: Grid, V=None):
-    """phi(t_k) = int m log m  (plus V-weighting when V is given)."""
-    out = np.empty(grid.n_time + 1)
-    for k, sl in enumerate(m.values):
-        sl = np.maximum(sl, 0.0)
-        term = np.zeros_like(sl)
-        pos = sl > 0
-        term[pos] = sl[pos] * np.log(sl[pos])
-        if V is not None:
-            term += sl * V
-        out[k] = integrate(term, grid)
-    return out
+    """phi(t_k) = int m (log m + V), or int m log m when V is not given."""
+    density = entropy_density(np.maximum(m.values, 0.0), 0.0 if V is None else V)
+    return np.array([integrate(sl, grid) for sl in density])
 
 
 def calibrate_tol_conv(reference: ReferenceMeasure, eps, grid: Grid,
@@ -336,7 +328,7 @@ def check_duality(u: Potential, m: DensityPath, w: MomentumField,
             "c_hat": max(c_lower, c_upper),
             "hj_residual_sup_positive": hj_sup_pos,
             "hj_residual_l2m": hj_l2m,
-            "terminal_pairing": integrate(u.values[-1] * m.values[-1], grid),
+            "terminal_pairing": u.terminal_pairing(m.values[-1]),
         },
         passed=bool(gap <= tol),
         required=required,
@@ -530,15 +522,10 @@ def interior_quantities(m: DensityPath, u: Potential, eps, grid: Grid, window):
         gs = covariant_gradient(np.sqrt(mk), grid)
         grad_sqrt_m += tau * integrate(metric_norm_sq(gs, grid), grid)
     global_energy = 0.0
-    for k in range(grid.n_time + 1):
-        wk = 0.5 * tau if k in (0, grid.n_time) else tau
-        gu = covariant_gradient(u.values[k], grid)
-        mk = np.maximum(m.values[k], 0.0)
-        ent = np.zeros_like(mk)
-        pos = mk > 0
-        ent[pos] = mk[pos] * np.log(mk[pos])
+    for wk, mk, uk in zip(grid.time_weights(), np.maximum(m.values, 0.0), u.values):
+        gu = covariant_gradient(uk, grid)
         global_energy += wk * (integrate(mk * metric_norm_sq(gu, grid), grid)
-                               + eps * integrate(ent, grid))
+                               + eps * integrate(entropy_density(mk), grid))
     return {"sup_m": sup_m, "grad_u_sq": grad_u_sq,
             "eps_log_m_l1": eps * log_m_l1, "grad_sqrt_m_sq": grad_sqrt_m,
             "global_energy": global_energy}

@@ -36,8 +36,15 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .grid import Grid, covariant_gradient, integrate, metric_dot, metric_norm_sq, _dc
-from .transport import DensityPath, Potential, ReferenceMeasure
-from .prox import SolveReport, _energy_profile, _objective
+from .transport import (
+    DensityPath,
+    Potential,
+    ReferenceMeasure,
+    dual_momentum,
+    energy_profile,
+    functional_value,
+)
+from .prox import SolveReport
 
 
 class EllipticError(Exception):
@@ -455,13 +462,14 @@ def recover_density(u, reference: ReferenceMeasure, eps, grid: Grid) -> DensityP
 
 
 def _solve_at_delta(u, problem, config):
+    """Newton from ``u`` at one ``delta``; returns ``(u, steps, residual_norm)``."""
     residual = elliptic_residual(u, problem)
     for it in range(config.max_newton_iterations):
         if residual[1] < config.newton_tolerance:
-            return u, it
+            return u, it, residual[1]
         u, _, residual = newton_step(u, problem, config, residual=residual)
     if residual[1] < config.newton_tolerance:
-        return u, config.max_newton_iterations
+        return u, config.max_newton_iterations, residual[1]
     raise EllipticError(f"Newton did not converge at delta={problem.delta:g} "
                         f"(residual {residual[1]:.3e})", delta=problem.delta, iterate=u)
 
@@ -485,11 +493,11 @@ def solve_elliptic(problem: EllipticProblem, config: EllipticConfig = None):
 
     first = problem.with_delta(config.delta_start)
     try:
-        u, its = _solve_at_delta(u, first, config)
+        u, its, res_norm = _solve_at_delta(u, first, config)
     except EllipticError:
         first = problem.with_delta(0.25)
         u = np.zeros_like(u)
-        u, its = _solve_at_delta(u, first, config)
+        u, its, res_norm = _solve_at_delta(u, first, config)
     total_newton += its
     delta = first.delta
 
@@ -498,7 +506,8 @@ def solve_elliptic(problem: EllipticProblem, config: EllipticConfig = None):
         attempt, u_last = target, u
         for _ in range(config.max_bisections + 1):
             try:
-                u, its = _solve_at_delta(u_last, problem.with_delta(attempt), config)
+                u, its, res_norm = _solve_at_delta(u_last, problem.with_delta(attempt),
+                                                   config)
                 total_newton += its
                 break
             except EllipticError as err:
@@ -512,20 +521,15 @@ def solve_elliptic(problem: EllipticProblem, config: EllipticConfig = None):
                                 delta=delta, iterate=u_last)
         delta = attempt
 
-    final = problem.with_delta(delta)
-    _, res_norm = elliptic_residual(u, final)
     m_path = recover_density(u, problem.reference, problem.eps, grid)
-    u = u - integrate(u[-1] * np.asarray(problem.m1, dtype=float), grid)
+    m1 = np.asarray(problem.m1, dtype=float)
+    u = Potential(u, grid).normalize(m1)
+    objective = functional_value(m_path, dual_momentum(m_path, u), problem.reference,
+                                 problem.eps)
+    cross = (integrate(u.values[0] * np.asarray(problem.m0, float), grid)
+             - integrate(u.values[-1] * m1, grid))
 
-    u_mid = 0.5 * (u[:-1] + u[1:])
-    grad_mid = covariant_gradient(u_mid, grid)
-    mbar = 0.5 * (m_path.values[:-1] + m_path.values[1:])
-    w = mbar[..., None] * grad_mid
-    objective = _objective(m_path.values, w, problem.reference, problem.eps, grid)
-    cross = (integrate(u[0] * np.asarray(problem.m0, float), grid)
-             - integrate(u[-1] * np.asarray(problem.m1, float), grid))
-
-    energy = _energy_profile(u, m_path.values, problem.reference, problem.eps, grid)
+    energy = energy_profile(m_path, u, problem.reference, problem.eps)
     drift = float(np.max(np.abs(energy - np.mean(energy)))) if energy.size else 0.0
 
     report = SolveReport(
@@ -538,4 +542,4 @@ def solve_elliptic(problem: EllipticProblem, config: EllipticConfig = None):
         wall_time=time.perf_counter() - t0,
         converged=True,
     )
-    return Potential(u, grid), m_path, report
+    return u, m_path, report

@@ -95,6 +95,12 @@ class Grid:
     def time_nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_time + 1)
 
+    def time_weights(self) -> np.ndarray:
+        """Trapezoid weights of the ``Nt + 1`` time nodes."""
+        weights = np.full(self.n_time + 1, self.tau)
+        weights[0] = weights[-1] = 0.5 * self.tau
+        return weights
+
     def time_midpoints(self) -> np.ndarray:
         return (np.arange(self.n_time) + 0.5) * self.tau
 

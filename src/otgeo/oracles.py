@@ -17,8 +17,9 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .grid import Grid, build_grid, integrate
+from .grid import Grid, build_grid, covariant_gradient, integrate
 from .transport import DensityPath, MomentumField, ReferenceMeasure, functional_value
+from .prox import _space_symbol
 
 
 def _check_probability(m, grid, name):
@@ -232,16 +233,13 @@ def momentum_from_density_steps(m_path, grid: Grid):
         raise ValueError("flux construction implemented for flat metrics")
     m_path = np.asarray(m_path, dtype=float)
     rhs = (m_path[1:] - m_path[:-1]) / grid.tau
-    f = np.fft.fftfreq(grid.n_space)
-    lam_axis = (np.sin(2.0 * np.pi * f) / grid.h) ** 2
-    sym = lam_axis if grid.dim == 1 else lam_axis[:, None] + lam_axis[None, :]
+    sym = _space_symbol(grid)
     inv = np.zeros_like(sym)
     mask = sym > 1e-13 * max(sym.max(), 1.0)
     inv[mask] = 1.0 / sym[mask]
     axes = tuple(range(1, 1 + grid.dim))
     phi_hat = np.fft.fftn(rhs, axes=axes) * (-inv)
     phi = np.fft.ifftn(phi_hat, axes=axes).real
-    from .grid import covariant_gradient
     return covariant_gradient(phi, grid)
 
 

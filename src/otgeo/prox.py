@@ -35,6 +35,7 @@ the duality identity  int u(0) m0 - int u(T) m1 = F_eps(m, w).
 from __future__ import annotations
 
 import functools
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -56,7 +57,10 @@ from .transport import (
     MomentumField,
     Potential,
     ReferenceMeasure,
-    relative_entropy,
+    continuity_residual,
+    energy_profile,
+    functional_value,
+    spacetime_norm,
     velocity_from_momentum,
 )
 
@@ -88,6 +92,11 @@ class ProxConfig:
         for name in ("constraint_tolerance", "objective_stagnation"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name, least in (("max_outer_iterations", 1), ("stagnation_window", 1),
+                            ("min_iterations", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         return self
 
 
@@ -432,14 +441,6 @@ def spacetime_poisson(rhs, grid: Grid, weighted=False):
 # Continuity projections
 # ---------------------------------------------------------------------------
 
-def _residual(m_full, w_values, grid: Grid):
-    return (m_full[1:] - m_full[:-1]) / grid.tau - divergence_g(w_values, grid)
-
-
-def _spacetime_norm(field, grid: Grid):
-    return float(np.sqrt(np.sum(field * field * grid.cell_volume) * grid.tau))
-
-
 def _apply_correction(m_full, w_values, phi, grid: Grid):
     """Subtract the adjoint correction (B* phi) from a staggered pair."""
     tau = grid.tau
@@ -464,7 +465,7 @@ def project_continuity(m: DensityPath, w: MomentumField, m0, m1, grid: Grid):
     m_full = m.values.copy()
     m_full[0] = m0
     m_full[-1] = m1
-    r = _residual(m_full, w.values, grid)
+    r, _ = continuity_residual(DensityPath(m_full, grid), w)
     phi = spacetime_poisson(r, grid, weighted=False)
     m_new, w_new = _apply_correction(m_full, w.values, phi, grid)
     return (DensityPath(m_new, grid), MomentumField(w_new, grid),
@@ -515,7 +516,7 @@ def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid):
     m_cand[-1] = m1
     m_cand[1:-1] = _interior_coupling_solve(rhs_m, grid.n_time)
 
-    r = _residual(m_cand, qb, grid)
+    r, _ = continuity_residual(DensityPath(m_cand, grid), MomentumField(qb, grid))
     phi = spacetime_poisson(r, grid, weighted=True)
 
     m_new = m_cand.copy()
@@ -528,31 +529,6 @@ def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid):
 # ---------------------------------------------------------------------------
 # ADMM driver
 # ---------------------------------------------------------------------------
-
-def _objective(m_full, w_values, reference: ReferenceMeasure, eps, grid: Grid):
-    """Fast vectorized evaluation of the discrete functional."""
-    tau = grid.tau
-    mbar = 0.5 * (m_full[:-1] + m_full[1:])
-    wsq = metric_norm_sq(w_values, grid)
-    dead = mbar <= 0
-    if np.any(dead & (wsq > 0)):
-        return np.inf
-    kin = np.zeros_like(mbar)
-    live = ~dead
-    kin[live] = wsq[live] / (2.0 * mbar[live])
-    total = tau * float(np.sum(kin * grid.cell_volume))
-    if np.any(m_full < 0):
-        return np.inf
-    ent = np.zeros_like(m_full)
-    pos = m_full > 0
-    ent[pos] = m_full[pos] * (np.log(m_full[pos]) + np.broadcast_to(
-        reference.potential_V, m_full.shape)[pos])
-    weights = np.full(grid.n_time + 1, tau)
-    weights[0] = weights[-1] = 0.5 * tau
-    total += eps * float(np.sum(weights.reshape((-1,) + (1,) * grid.dim) * ent
-                                * grid.cell_volume))
-    return total
-
 
 def _potential_from_multiplier(phi_scaled, m_full, w_values, reference, eps, grid: Grid):
     """Assemble node-based u from the constraint multiplier.
@@ -586,9 +562,7 @@ def _potential_from_multiplier(phi_scaled, m_full, w_values, reference, eps, gri
         return float(np.sum(res ** 2 * weight))
 
     candidates = [assemble(+1.0), assemble(-1.0)]
-    u = min(candidates, key=hj_score)
-    u = u - integrate(u[-1] * m_full[-1], grid)
-    return u
+    return Potential(min(candidates, key=hj_score), grid).normalize(m_full[-1])
 
 
 def _hj_residual(u, m_full, reference, eps, grid: Grid):
@@ -598,16 +572,6 @@ def _hj_residual(u, m_full, reference, eps, grid: Grid):
     with np.errstate(divide="ignore"):
         logm = np.log(np.maximum(m_full[1:-1], 1e-300))
     return -du_dt + 0.5 * metric_norm_sq(gu, grid) - eps * (logm + reference.potential_V)
-
-
-def _energy_profile(u, m_full, reference, eps, grid: Grid):
-    """E(t_k) at interior nodes from node slices of (m, u)."""
-    out = np.empty(grid.n_time - 1)
-    for j in range(1, grid.n_time):
-        gu = covariant_gradient(u[j], grid)
-        kin = 0.5 * integrate(m_full[j] * metric_norm_sq(gu, grid), grid)
-        out[j - 1] = kin - eps * relative_entropy(np.maximum(m_full[j], 0.0), reference, grid)
-    return out
 
 
 def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
@@ -645,7 +609,8 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     frac = (np.arange(Nt + 1) / Nt).reshape((-1,) + (1,) * grid.dim)
     m_full = (1.0 - frac) * m0 + frac * m1
     w = np.zeros((Nt,) + grid.space_shape + (grid.dim,))
-    phi0 = spacetime_poisson(_residual(m_full, w, grid), grid, weighted=False)
+    r0, _ = continuity_residual(DensityPath(m_full, grid), MomentumField(w, grid))
+    phi0 = spacetime_poisson(r0, grid, weighted=False)
     m_full, w = _apply_correction(m_full, w, phi0, grid)
 
     za = 0.5 * (m_full[:-1] + m_full[1:])      # a-part of the centered image L z
@@ -698,7 +663,8 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
 
         consensus = consensus_norm(za - a, w - b, m_full[1:-1] - c)
         res_history.append(consensus)
-        obj = _objective(np.maximum(m_full, 0.0), w, reference, eps, grid)
+        obj = functional_value(DensityPath(np.maximum(m_full, 0.0), grid),
+                               MomentumField(w, grid), reference, eps)
         obj_history.append(obj)
 
         if it >= max(config.min_iterations, config.stagnation_window):
@@ -719,20 +685,21 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
 
     u = _potential_from_multiplier(r * phi, m_full, w, reference, eps, grid)
 
-    m_clip = np.maximum(m_full, 0.0)
-    objective = _objective(m_clip, w, reference, eps, grid)
-    cross = integrate(u[0] * m0, grid) - integrate(u[-1] * m1, grid)
+    m_clip = DensityPath(np.maximum(m_full, 0.0), grid)
+    mom = MomentumField(w, grid)
+    objective = functional_value(m_clip, mom, reference, eps)
+    cross = integrate(u.values[0] * m0, grid) - integrate(u.values[-1] * m1, grid)
     duality_gap = abs(cross - objective)
-    energy = _energy_profile(u, m_clip, reference, eps, grid)
+    energy = energy_profile(m_clip, u, reference, eps)
     drift = float(np.max(np.abs(energy - np.mean(energy)))) if energy.size else 0.0
 
     mbar = 0.5 * (m_full[:-1] + m_full[1:])
     v = velocity_from_momentum(w, mbar)
     grad_u_mid = covariant_gradient(-r * phi, grid)
-    vdisc = _spacetime_norm(np.sqrt(np.maximum(metric_norm_sq(v - grad_u_mid, grid), 0.0)
-                                    * np.maximum(mbar, 0.0)), grid)
+    vdisc = spacetime_norm(np.sqrt(np.maximum(metric_norm_sq(v - grad_u_mid, grid), 0.0)
+                                   * np.maximum(mbar, 0.0)), grid)
 
-    final_res = _spacetime_norm(_residual(m_full, w, grid), grid)
+    _, final_res = continuity_residual(DensityPath(m_full, grid), mom)
     report = SolveReport(
         iterations=it,
         final_residual=final_res,
@@ -746,5 +713,4 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         objective_history=obj_history,
         converged=converged,
     )
-    return (DensityPath(m_full, grid), MomentumField(w, grid),
-            Potential(u, grid), report)
+    return DensityPath(m_full, grid), mom, u, report

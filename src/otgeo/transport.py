@@ -11,8 +11,14 @@ on the staggered layout: densities at the ``Nt + 1`` time nodes, momenta at
 the ``Nt`` interval midpoints, ``mbar[k] = (m[k] + m[k+1]) / 2``.  The
 kernel ``Psi_g(p, m) = |p|_g^2 / (2m)`` is jointly convex with the closure
 ``Psi(0, 0) = 0`` and ``+inf`` whenever ``m <= 0`` with ``p != 0``; the
-infinite branch is reported through an explicit flag, never a NaN, so
-solver line searches stay deterministic.
+infinite branch is reported as ``inf``, never a NaN, so solver line
+searches stay deterministic.
+
+This module is the one implementation of the discrete quantities both
+solvers and the diagnostics share: ``F_eps`` itself, the entropy density
+``m (log m + V)``, the invariant energy and its profile in time, the
+continuity residual and its space-time norm, and the momentum
+``w = mbar grad u`` that a potential induces.
 """
 
 from __future__ import annotations
@@ -100,8 +106,7 @@ class Potential:
 
     def normalize(self, m1) -> "Potential":
         """Shift so the terminal trace pairs to zero against ``m1``."""
-        shift = integrate(self.values[-1] * m1, self.grid)
-        return Potential(self.values - shift, self.grid)
+        return Potential(self.values - self.terminal_pairing(m1), self.grid)
 
     def terminal_pairing(self, m1) -> float:
         return integrate(self.values[-1] * m1, self.grid)
@@ -125,6 +130,17 @@ def bb_kernel(p, m):
     return psq / (2.0 * m)
 
 
+def entropy_density(m, V=0.0):
+    """Pointwise ``m (log m + V)`` with ``0 log 0 = 0``, for ``m >= 0``.
+
+    ``V`` broadcasts against ``m`` (a slice or a whole path).
+    """
+    out = np.zeros_like(m)
+    pos = m > 0
+    out[pos] = m[pos] * (np.log(m[pos]) + np.broadcast_to(V, m.shape)[pos])
+    return out
+
+
 def relative_entropy(m_slice, reference: ReferenceMeasure, grid: Grid) -> float:
     """Relative entropy ``H(m; nu) = integrate(m (log m + V))``.
 
@@ -135,25 +151,7 @@ def relative_entropy(m_slice, reference: ReferenceMeasure, grid: Grid) -> float:
     m = np.asarray(m_slice, dtype=float)
     if np.any(m < 0):
         raise ValueError("relative_entropy needs m >= 0")
-    out = np.zeros_like(m)
-    pos = m > 0
-    out[pos] = m[pos] * (np.log(m[pos]) + reference.potential_V[pos])
-    return integrate(out, grid)
-
-
-def kinetic_term(w_values, mbar, grid: Grid):
-    """Kinetic integrand ``Psi_g(w, mbar)`` per staggered cell.
-
-    Returns ``(field, infeasible)`` where ``infeasible`` is True when some
-    cell has ``mbar <= 0`` with ``w != 0`` (the +inf branch).
-    """
-    wsq = metric_norm_sq(w_values, grid)
-    dead = mbar <= 0
-    infeasible = bool(np.any(dead & (wsq > 0)))
-    field = np.zeros_like(mbar)
-    live = ~dead
-    field[live] = wsq[live] / (2.0 * mbar[live])
-    return field, infeasible
+    return integrate(entropy_density(m, reference.potential_V), grid)
 
 
 def functional_value(m: DensityPath, w: MomentumField, reference: ReferenceMeasure,
@@ -162,24 +160,26 @@ def functional_value(m: DensityPath, w: MomentumField, reference: ReferenceMeasu
 
     Kinetic action by the midpoint rule over staggered cells, entropy by
     the trapezoid rule over time nodes (endpoint entropies included, as
-    they are in the continuum functional).
+    they are in the continuum functional).  Negative densities are a
+    domain error.
     """
     grid = m.grid
     if w.grid is not grid and w.grid != grid:
         raise ValueError("density and momentum live on different grids")
-    tau = grid.tau
     mbar = m.midpoints()
-    total = 0.0
-    for k in range(grid.n_time):
-        cell, infeasible = kinetic_term(w.values[k], mbar[k], grid)
-        if infeasible:
-            return INFEASIBLE
-        total += tau * integrate(cell, grid)
-    weights = np.full(grid.n_time + 1, tau)
-    weights[0] = weights[-1] = 0.5 * tau
-    for k in range(grid.n_time + 1):
-        total += eps * weights[k] * relative_entropy(m.values[k], reference, grid)
-    return total
+    wsq = metric_norm_sq(w.values, grid)
+    dead = mbar <= 0
+    if np.any(dead & (wsq > 0)):
+        return INFEASIBLE
+    kin = np.zeros_like(mbar)
+    live = ~dead
+    kin[live] = wsq[live] / (2.0 * mbar[live])
+    if np.any(m.values < 0):
+        raise ValueError("functional_value needs m >= 0")
+    ent = entropy_density(m.values, reference.potential_V)
+    weights = grid.time_weights().reshape((-1,) + (1,) * grid.dim)
+    return (grid.tau * float(np.sum(kin * grid.cell_volume))
+            + eps * float(np.sum(weights * ent * grid.cell_volume)))
 
 
 def energy_slice(m_slice, u_slice, reference: ReferenceMeasure, eps: float,
@@ -190,17 +190,35 @@ def energy_slice(m_slice, u_slice, reference: ReferenceMeasure, eps: float,
     return kinetic - eps * relative_entropy(m_slice, reference, grid)
 
 
+def energy_profile(m: DensityPath, u: Potential, reference: ReferenceMeasure,
+                   eps: float) -> np.ndarray:
+    """:func:`energy_slice` at the interior time nodes ``t_1 .. t_{Nt-1}``."""
+    grid = m.grid
+    return np.array([energy_slice(m.values[j], u.values[j], reference, eps, grid)
+                     for j in range(1, grid.n_time)])
+
+
+def spacetime_norm(field, grid: Grid) -> float:
+    """Volume-weighted L2 norm of an interval-midpoint space-time field."""
+    return float(np.sqrt(np.sum(field * field * grid.cell_volume) * grid.tau))
+
+
 def continuity_residual(m: DensityPath, w: MomentumField):
     """Residual of the staggered continuity equation and its L2 norm.
 
     ``r[k] = (m[k+1] - m[k]) / tau - div_g(w[k+1/2])`` per interval; the
-    norm is volume-weighted over space-time.
+    norm is :func:`spacetime_norm`.
     """
     grid = m.grid
-    tau = grid.tau
-    r = (m.values[1:] - m.values[:-1]) / tau - divergence_g(w.values, grid)
-    norm = float(np.sqrt(np.sum(r * r * grid.cell_volume) * tau))
-    return r, norm
+    r = (m.values[1:] - m.values[:-1]) / grid.tau - divergence_g(w.values, grid)
+    return r, spacetime_norm(r, grid)
+
+
+def dual_momentum(m: DensityPath, u: Potential) -> MomentumField:
+    """Momentum ``w[k] = mbar[k] grad((u[k] + u[k+1]) / 2)`` of a node potential."""
+    grid = m.grid
+    u_mid = 0.5 * (u.values[:-1] + u.values[1:])
+    return MomentumField(m.midpoints()[..., None] * covariant_gradient(u_mid, grid), grid)
 
 
 def velocity_from_momentum(w_values, mbar, floor=1e-14):

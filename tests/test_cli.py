@@ -125,6 +125,16 @@ class TestConfigValidation:
          "solver.prox.penalty"),
         ({"solver": {"method": "elliptic", "eps": 0.1, "elliptic": {"newton_steps": 5}}},
          "solver.elliptic.newton_steps"),
+        ({"solver": {"method": "prox", "eps": 0.1, "prox": {"stagnation_window": 0}}},
+         "solver.prox.stagnation_window"),
+        ({"solver": {"method": "prox", "eps": 0.1, "prox": {"stagnation_window": -3}}},
+         "solver.prox.stagnation_window"),
+        ({"solver": {"method": "prox", "eps": 0.1, "prox": {"stagnation_window": 2.5}}},
+         "solver.prox.stagnation_window"),
+        ({"solver": {"method": "prox", "eps": 0.1, "prox": {"max_outer_iterations": 0}}},
+         "solver.prox.max_outer_iterations"),
+        ({"solver": {"method": "prox", "eps": 0.1, "prox": {"min_iterations": -1}}},
+         "solver.prox.min_iterations"),
     ])
     def test_invalid_configs_name_the_field(self, tmp_path, patch, field):
         path, _ = write_config(tmp_path, **patch)

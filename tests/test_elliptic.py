@@ -112,7 +112,7 @@ class TestNewton:
     def test_step_from_exact_solution_is_tiny(self):
         g, ref, ms, prob = cosine_setup(n=32, nt=16)
         prob = prob.with_delta(0.25)
-        u, _ = solve_elliptic_at_delta(prob)
+        u, _, _ = solve_elliptic_at_delta(prob)
         u, _ = newton_step(u, prob)   # polish to rounding level
         _, step = newton_step(u, prob)
         assert step <= 1e-10
@@ -131,7 +131,7 @@ class TestNewton:
     def test_quadratic_contraction_near_solution(self):
         g, ref, ms, prob = cosine_setup(n=32, nt=16)
         prob = prob.with_delta(0.25)
-        u, _ = solve_elliptic_at_delta(prob)
+        u, _, _ = solve_elliptic_at_delta(prob)
         x = g.axis_coords()
         t = g.time_nodes()[:, None]
         # smooth perturbation inside the Newton basin
@@ -168,9 +168,27 @@ class TestNewton:
             return original(u, problem)
 
         monkeypatch.setattr(ell, "elliptic_residual", counted)
-        _, steps = solve_elliptic_at_delta(prob)
+        _, steps, _ = solve_elliptic_at_delta(prob)
         assert steps >= 3
         assert len(seen) == len(set(seen))
+
+    def test_solve_evaluates_each_point_once(self, monkeypatch):
+        import otgeo.elliptic as ell
+        g, ref, ms, _ = cosine_setup(n=16, nt=8)
+        prob = EllipticProblem(g, ref, 0.1, np.roll(ms, 4), ms)
+        seen = []
+        original = ell.elliptic_residual
+
+        def counted(u, problem):
+            out = original(u, problem)
+            seen.append((np.asarray(u).tobytes(), problem.delta, out[1]))
+            return out
+
+        monkeypatch.setattr(ell, "elliptic_residual", counted)
+        _, _, rep = solve_elliptic(prob)
+        assert len(seen) == len({(u, delta) for u, delta, _ in seen})
+        # the last point evaluated is the final iterate
+        assert rep.final_residual == seen[-1][2]
 
 
 class TestLinearSolve:

@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
+from otgeo.elliptic import EllipticProblem, solve_elliptic
+from otgeo.families import make_marginals
 from otgeo.grid import build_grid, integrate
 from otgeo.oracles import momentum_from_density_steps
+from otgeo.prox import solve_prox
 from otgeo.transport import (
     DensityPath,
     MomentumField,
     ReferenceMeasure,
     bb_kernel,
     continuity_residual,
+    dual_momentum,
     energy_slice,
     functional_value,
     relative_entropy,
@@ -133,6 +137,43 @@ class TestFunctionalValue:
                                MomentumField(-wv[::-1].copy(), flat64),
                                cosine_reference, 0.07)
         assert fwd == pytest.approx(rev, rel=1e-12)
+
+    def test_matches_cell_loop_reference(self):
+        # second implementation: bb_kernel per cell and relative_entropy per node
+        g = build_grid(1, 24, 6, 1.0, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
+        ref = ReferenceMeasure.from_potential(0.3 * np.cos(2 * np.pi * g.axis_coords()), g)
+        rng = np.random.default_rng(8)
+        vals = rng.random((7, 24)) + 0.1
+        vals[2, 3] = 0.0                     # 0 log 0 = 0
+        wv = rng.standard_normal((6, 24, 1))
+        eps, tau = 0.07, g.tau
+        kinetic = sum(tau * g.cell_volume[i]
+                      * bb_kernel(g.sqrt_g[i] * wv[k, i], 0.5 * (vals[k, i] + vals[k + 1, i]))
+                      for k in range(6) for i in range(24))
+        entropy = sum((0.5 if k in (0, 6) else 1.0) * tau * relative_entropy(vals[k], ref, g)
+                      for k in range(7))
+        got = functional_value(DensityPath(vals, g), MomentumField(wv, g), ref, eps)
+        assert got == pytest.approx(kinetic + eps * entropy, rel=1e-13)
+
+    def test_negative_density_rejected(self, flat64, cosine_reference):
+        vals = np.ones((17, 64))
+        vals[3, 5] = -1e-3
+        with pytest.raises(ValueError, match="m >= 0"):
+            functional_value(DensityPath(vals, flat64),
+                             MomentumField(np.zeros((16, 64, 1)), flat64), cosine_reference, 0.1)
+
+    @pytest.mark.parametrize("route", ["prox", "elliptic"])
+    def test_solver_objective_is_functional_value(self, route):
+        # both solvers report F_eps through functional_value itself, bit for bit
+        g = build_grid(1, 32, 16, 1.0, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
+        ref = ReferenceMeasure.from_potential(0.0, g)
+        m0, m1 = make_marginals("bump_pair", {"width": 0.15}, g)
+        if route == "prox":
+            m, w, _, rep = solve_prox(m0, m1, ref, 0.1, g)
+        else:
+            u, m, rep = solve_elliptic(EllipticProblem(g, ref, 0.1, m0, m1))
+            w = dual_momentum(m, u)
+        assert rep.objective == functional_value(m, w, ref, 0.1)
 
 
 class TestEnergySlice:
