@@ -15,6 +15,7 @@ from .transport import (
     ReferenceMeasure,
     bb_kernel,
     continuity_residual,
+    dual_value,
     energy_slice,
     functional_value,
     relative_entropy,
@@ -26,8 +27,8 @@ from .oracles import circular_w2_oracle, flow_w2_oracle, heat_competitor_bound
 __all__ = [
     "Grid", "build_grid", "covariant_gradient", "divergence_g", "integrate",
     "laplace_beltrami", "DensityPath", "MomentumField", "Potential",
-    "ReferenceMeasure", "bb_kernel", "continuity_residual", "energy_slice",
-    "functional_value", "relative_entropy", "ProxConfig", "SolveReport",
+    "ReferenceMeasure", "bb_kernel", "continuity_residual", "dual_value",
+    "energy_slice", "functional_value", "relative_entropy", "ProxConfig", "SolveReport",
     "solve_prox", "EllipticConfig", "EllipticProblem", "solve_elliptic",
     "circular_w2_oracle", "flow_w2_oracle", "heat_competitor_bound",
 ]

@@ -148,11 +148,7 @@ def validate_config(cfg):
         if not isinstance(e, (int, float)) or e <= 0:
             raise ConfigError("solver.eps values must be positive numbers")
 
-    prox_cfg, _ = _solver_configs(cfg)
-    try:
-        prox_cfg.validate()
-    except ValueError as err:
-        raise ConfigError(f"solver.prox: {err}")
+    _solver_configs(cfg)
 
     for item in cfg.get("diagnostics", {}).get("checks", []):
         cid = item if isinstance(item, str) else item.get("id")
@@ -190,10 +186,15 @@ def _solver_configs(cfg):
     # rho is a problem parameter, not a Newton setting
     se = {k: v for k, v in cfg["solver"].get("elliptic", {}).items() if k != "rho"}
     try:
-        prox_cfg = ProxConfig(**sp) if sp else ProxConfig()
-        ell_cfg = EllipticConfig(**se) if se else EllipticConfig()
+        prox_cfg = ProxConfig(**sp)
+        ell_cfg = EllipticConfig(**se)
     except TypeError as err:
         raise ConfigError(f"solver block: {err}")
+    for block, solver_cfg in (("prox", prox_cfg), ("elliptic", ell_cfg)):
+        try:
+            solver_cfg.validate()
+        except ValueError as err:
+            raise ConfigError(f"solver.{block}: {err}")
     return prox_cfg, ell_cfg
 
 

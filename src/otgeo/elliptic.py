@@ -28,6 +28,7 @@ as whole-array stencil coefficients and factors them in the cached order.
 from __future__ import annotations
 
 import functools
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -65,6 +66,18 @@ class EllipticConfig:
     delta_final: float = 1e-6
     max_bisections: int = 6
     linear_tolerance: float = 1e-10
+
+    def validate(self):
+        for name in ("newton_tolerance", "delta_start", "delta_final", "linear_tolerance"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or value <= 0:
+                raise ValueError(f"{name} must be a positive number, got {value!r}")
+        for name, least in (("max_newton_iterations", 1), ("max_backtracks", 1),
+                            ("max_bisections", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        return self
 
 
 @dataclass
@@ -483,7 +496,7 @@ def solve_elliptic(problem: EllipticProblem, config: EllipticConfig = None):
     potential is shifted so its terminal trace pairs to zero against the
     terminal marginal.
     """
-    config = config or EllipticConfig()
+    config = (config or EllipticConfig()).validate()
     problem.validate()
     grid = problem.grid
     t0 = time.perf_counter()

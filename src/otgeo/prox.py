@@ -26,10 +26,21 @@ real root of the Benamou-Brenier cubic, and ``c`` carries only the entropy,
 so it is a Wright omega value.  The safeguarded Newton root ``_prox_root``
 of the mixed cell serves ``pointwise_prox`` and is the tests' reference.
 
+The stop is certified by weak duality.  With ``phi`` the last weighted
+projection's solution, ``r phi`` is a multiplier of the continuity
+constraint, and the closed-form dual ``G = transport.dual_value`` satisfies
+``G(r phi) <= min F_eps <= F_eps(m, w)`` at the projected (feasible) pair.
+Once every ``stagnation_window`` iterations from ``min_iterations`` on, the
+solver evaluates both and stops when
+``0 <= F_eps - G <= gap_tolerance (1 + |F_eps|)``; the gap is reported as
+``certified_gap`` (Boyd et al. 2011, section 3.3, for the relative test).
+
 The projection multiplier converges to the adjoint state of the coupled
-optimality system; after a sign fix and a linear-in-time gauge shift it is
+optimality system; after a sign flip and a linear-in-time gauge shift it is
 returned as the potential ``u`` whose traces certify the objective through
-the duality identity  int u(0) m0 - int u(T) m1 = F_eps(m, w).
+the duality identity  int u(0) m0 - int u(T) m1 = F_eps(m, w).  That
+identity's defect, ``duality_gap``, carries the reconstruction error of
+``u``: it is not a bound, and it closes less tightly than ``certified_gap``.
 """
 
 from __future__ import annotations
@@ -57,7 +68,9 @@ from .transport import (
     MomentumField,
     Potential,
     ReferenceMeasure,
+    continuity_defect,
     continuity_residual,
+    dual_value,
     energy_profile,
     functional_value,
     spacetime_norm,
@@ -79,19 +92,21 @@ class ProxError(Exception):
 
 @dataclass
 class ProxConfig:
+    """ADMM settings.  The solve stops at the first gap check, one every
+    ``stagnation_window`` iterations from ``min_iterations`` on, where the
+    certified gap ``F - G`` lies in ``[0, gap_tolerance (1 + |F|)]``."""
+
     penalty: float = 1.0
     max_outer_iterations: int = 30000
-    constraint_tolerance: float = 1e-7
-    stagnation_window: int = 50
-    objective_stagnation: float = 1e-9
+    gap_tolerance: float = 1e-10
+    stagnation_window: int = 10
     min_iterations: int = 100
 
     def validate(self):
-        if self.penalty <= 0:
-            raise ValueError("penalty must be positive")
-        for name in ("constraint_tolerance", "objective_stagnation"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("penalty", "gap_tolerance"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or value <= 0:
+                raise ValueError(f"{name} must be a positive number, got {value!r}")
         for name, least in (("max_outer_iterations", 1), ("stagnation_window", 1),
                             ("min_iterations", 0)):
             value = getattr(self, name)
@@ -110,6 +125,7 @@ class SolveReport:
     energy_drift: float
     wall_time: float
     velocity_discrepancy: float = 0.0
+    certified_gap: float = None
     residual_history: np.ndarray = field(default=None, repr=False)
     objective_history: np.ndarray = field(default=None, repr=False)
     converged: bool = True
@@ -125,6 +141,8 @@ class SolveReport:
             "velocity_discrepancy": float(self.velocity_discrepancy),
             "converged": bool(self.converged),
         }
+        if self.certified_gap is not None:
+            out["certified_gap"] = float(self.certified_gap)
         if include_volatile:
             out["wall_time"] = float(self.wall_time)
         return out
@@ -465,7 +483,7 @@ def project_continuity(m: DensityPath, w: MomentumField, m0, m1, grid: Grid):
     m_full = m.values.copy()
     m_full[0] = m0
     m_full[-1] = m1
-    r, _ = continuity_residual(DensityPath(m_full, grid), w)
+    r = continuity_defect(DensityPath(m_full, grid), w)
     phi = spacetime_poisson(r, grid, weighted=False)
     m_new, w_new = _apply_correction(m_full, w.values, phi, grid)
     return (DensityPath(m_new, grid), MomentumField(w_new, grid),
@@ -516,7 +534,7 @@ def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid):
     m_cand[-1] = m1
     m_cand[1:-1] = _interior_coupling_solve(rhs_m, grid.n_time)
 
-    r, _ = continuity_residual(DensityPath(m_cand, grid), MomentumField(qb, grid))
+    r = continuity_defect(DensityPath(m_cand, grid), MomentumField(qb, grid))
     phi = spacetime_poisson(r, grid, weighted=True)
 
     m_new = m_cand.copy()
@@ -537,41 +555,21 @@ def _potential_from_multiplier(phi_scaled, m_full, w_values, reference, eps, gri
     the derivative of m log m).  Interior nodes average the neighbors; the
     endpoint traces follow a half-step of the Hamilton-Jacobi equation
     evaluated with the endpoint marginals, which makes the discrete
-    duality identity exact at convergence.  The sign is fixed by the
-    smaller HJ residual in L2(m), the gauge by int u(T) m1 = 0.
+    duality identity exact at convergence.  The gauge is int u(T) m1 = 0.
     """
     t_mid = grid.time_midpoints().reshape((-1,) + (1,) * grid.dim)
     mbar = 0.5 * (m_full[:-1] + m_full[1:])
     vsq = metric_norm_sq(velocity_from_momentum(w_values, mbar), grid)
     V = reference.potential_V
-
-    def assemble(sign):
-        u_mid = sign * (-phi_scaled) + eps * t_mid
-        u = np.empty((grid.n_time + 1,) + grid.space_shape)
-        u[1:-1] = 0.5 * (u_mid[:-1] + u_mid[1:])
-        with np.errstate(divide="ignore"):
-            log_m0 = np.where(m_full[0] > 0, np.log(np.maximum(m_full[0], 1e-300)), -690.0)
-            log_m1 = np.where(m_full[-1] > 0, np.log(np.maximum(m_full[-1], 1e-300)), -690.0)
-        u[0] = u_mid[0] - 0.5 * grid.tau * (0.5 * vsq[0] - eps * (log_m0 + V))
-        u[-1] = u_mid[-1] + 0.5 * grid.tau * (0.5 * vsq[-1] - eps * (log_m1 + V))
-        return u
-
-    def hj_score(u):
-        res = _hj_residual(u, m_full, reference, eps, grid)
-        weight = m_full[1:-1] * grid.cell_volume
-        return float(np.sum(res ** 2 * weight))
-
-    candidates = [assemble(+1.0), assemble(-1.0)]
-    return Potential(min(candidates, key=hj_score), grid).normalize(m_full[-1])
-
-
-def _hj_residual(u, m_full, reference, eps, grid: Grid):
-    """-d_t u + |grad u|^2 / 2 - eps (log m + V) at interior nodes."""
-    du_dt = (u[2:] - u[:-2]) / (2.0 * grid.tau)
-    gu = covariant_gradient(u[1:-1], grid)
+    u_mid = eps * t_mid - phi_scaled
+    u = np.empty((grid.n_time + 1,) + grid.space_shape)
+    u[1:-1] = 0.5 * (u_mid[:-1] + u_mid[1:])
     with np.errstate(divide="ignore"):
-        logm = np.log(np.maximum(m_full[1:-1], 1e-300))
-    return -du_dt + 0.5 * metric_norm_sq(gu, grid) - eps * (logm + reference.potential_V)
+        log_m0 = np.where(m_full[0] > 0, np.log(np.maximum(m_full[0], 1e-300)), -690.0)
+        log_m1 = np.where(m_full[-1] > 0, np.log(np.maximum(m_full[-1], 1e-300)), -690.0)
+    u[0] = u_mid[0] - 0.5 * grid.tau * (0.5 * vsq[0] - eps * (log_m0 + V))
+    u[-1] = u_mid[-1] + 0.5 * grid.tau * (0.5 * vsq[-1] - eps * (log_m1 + V))
+    return Potential(u, grid).normalize(m_full[-1])
 
 
 def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
@@ -582,6 +580,9 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     density path is the projected (feasible to machine precision) copy;
     the potential is the constraint multiplier, sign-fixed and shifted so
     that its terminal trace pairs to zero against ``m1``.
+
+    ``report.objective_history`` holds ``F_eps`` at each gap check and
+    ``report.residual_history`` the consensus at every iteration.
 
     Raises ``ValueError`` for marginals with zero cells (pre-smooth them
     or use the elliptic path) and ``ProxError`` when the iteration budget
@@ -609,7 +610,7 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     frac = (np.arange(Nt + 1) / Nt).reshape((-1,) + (1,) * grid.dim)
     m_full = (1.0 - frac) * m0 + frac * m1
     w = np.zeros((Nt,) + grid.space_shape + (grid.dim,))
-    r0, _ = continuity_residual(DensityPath(m_full, grid), MomentumField(w, grid))
+    r0 = continuity_defect(DensityPath(m_full, grid), MomentumField(w, grid))
     phi0 = spacetime_poisson(r0, grid, weighted=False)
     m_full, w = _apply_correction(m_full, w, phi0, grid)
 
@@ -623,7 +624,7 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     sigma = 1.0 / r
     res_history = []
     obj_history = []
-    consensus = np.inf
+    consensus = gap = np.inf
 
     weight_scalar = grid.cell_volume * tau
 
@@ -663,15 +664,16 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
 
         consensus = consensus_norm(za - a, w - b, m_full[1:-1] - c)
         res_history.append(consensus)
-        obj = functional_value(DensityPath(np.maximum(m_full, 0.0), grid),
-                               MomentumField(w, grid), reference, eps)
-        obj_history.append(obj)
 
-        if it >= max(config.min_iterations, config.stagnation_window):
-            stale = obj_history[-config.stagnation_window]
-            if (consensus < config.constraint_tolerance
-                    and np.isfinite(obj) and np.isfinite(stale)
-                    and abs(obj - stale) <= config.objective_stagnation * (1.0 + abs(obj))):
+        # 4. certified stop: F at the feasible pair against G at the multiplier
+        since = it - config.min_iterations
+        if since >= 0 and since % config.stagnation_window == 0:
+            m_clip = DensityPath(np.maximum(m_full, 0.0), grid)
+            mom = MomentumField(w, grid)
+            obj = functional_value(m_clip, mom, reference, eps)
+            gap = obj - dual_value(r * phi, m0, m1, reference, eps, grid)
+            obj_history.append(obj)
+            if np.isfinite(obj) and 0.0 <= gap <= config.gap_tolerance * (1.0 + abs(obj)):
                 converged = True
                 break
 
@@ -680,16 +682,13 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     if not converged:
         raise ProxError(
             f"no convergence in {config.max_outer_iterations} iterations "
-            f"(consensus gap {consensus:.3e})",
+            f"(consensus gap {consensus:.3e}, certified gap {gap:.3e})",
             best=(m_full, w), history=res_history)
 
     u = _potential_from_multiplier(r * phi, m_full, w, reference, eps, grid)
 
-    m_clip = DensityPath(np.maximum(m_full, 0.0), grid)
-    mom = MomentumField(w, grid)
-    objective = functional_value(m_clip, mom, reference, eps)
     cross = integrate(u.values[0] * m0, grid) - integrate(u.values[-1] * m1, grid)
-    duality_gap = abs(cross - objective)
+    duality_gap = abs(cross - obj)
     energy = energy_profile(m_clip, u, reference, eps)
     drift = float(np.max(np.abs(energy - np.mean(energy)))) if energy.size else 0.0
 
@@ -705,10 +704,11 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         final_residual=final_res,
         consensus_gap=consensus,
         duality_gap=duality_gap,
-        objective=objective,
+        objective=obj,
         energy_drift=drift,
         wall_time=time.perf_counter() - t0,
         velocity_discrepancy=vdisc,
+        certified_gap=gap,
         residual_history=res_history,
         objective_history=obj_history,
         converged=converged,

@@ -17,8 +17,9 @@ searches stay deterministic.
 This module is the one implementation of the discrete quantities both
 solvers and the diagnostics share: ``F_eps`` itself, the entropy density
 ``m (log m + V)``, the invariant energy and its profile in time, the
-continuity residual and its space-time norm, and the momentum
-``w = mbar grad u`` that a potential induces.
+continuity residual and its space-time norm, the momentum
+``w = mbar grad u`` that a potential induces, and the closed-form discrete
+dual ``G(phi)`` that bounds ``F_eps`` from below.
 """
 
 from __future__ import annotations
@@ -203,15 +204,40 @@ def spacetime_norm(field, grid: Grid) -> float:
     return float(np.sqrt(np.sum(field * field * grid.cell_volume) * grid.tau))
 
 
-def continuity_residual(m: DensityPath, w: MomentumField):
-    """Residual of the staggered continuity equation and its L2 norm.
+def continuity_defect(m: DensityPath, w: MomentumField) -> np.ndarray:
+    """Residual field of the staggered continuity equation,
+    ``r[k] = (m[k+1] - m[k]) / tau - div_g(w[k+1/2])`` per interval."""
+    return (m.values[1:] - m.values[:-1]) / m.grid.tau - divergence_g(w.values, m.grid)
 
-    ``r[k] = (m[k+1] - m[k]) / tau - div_g(w[k+1/2])`` per interval; the
-    norm is :func:`spacetime_norm`.
+
+def continuity_residual(m: DensityPath, w: MomentumField):
+    """:func:`continuity_defect` and its :func:`spacetime_norm`."""
+    r = continuity_defect(m, w)
+    return r, spacetime_norm(r, m.grid)
+
+
+def dual_value(phi, m0, m1, reference: ReferenceMeasure, eps: float, grid: Grid) -> float:
+    """Closed-form discrete dual ``G(phi)`` of ``F_eps`` under the continuity
+    constraint, for a multiplier ``phi`` at the ``Nt`` interval midpoints.
+
+    ``G`` is the minimum over ``(m, w)`` of the Lagrangian
+    ``F_eps + tau sum_k integrate(phi[k] r[k])`` with ``r`` the
+    :func:`continuity_defect` and the endpoints pinned to ``m0``, ``m1``: the
+    momentum is ``w[k] = -mbar[k] grad phi[k]`` and the interior density
+    ``m[j] = exp(s[j] / eps - V - 1)``, where
+    ``s[j] = (phi[j] - phi[j-1]) / tau + (|grad phi[j-1]|^2 + |grad phi[j]|^2) / 4``.
+    By weak duality ``G(phi) <= min F_eps <= F_eps(m, w)`` for every ``phi``
+    and every feasible pair, so ``F_eps - G`` certifies optimality.
     """
-    grid = m.grid
-    r = (m.values[1:] - m.values[:-1]) / grid.tau - divergence_g(w.values, grid)
-    return r, spacetime_norm(r, grid)
+    tau, cv, V = grid.tau, grid.cell_volume, reference.potential_V
+    gsq = metric_norm_sq(covariant_gradient(phi, grid), grid)
+    s = (phi[1:] - phi[:-1]) / tau + 0.25 * (gsq[:-1] + gsq[1:])
+    with np.errstate(over="ignore"):
+        m_int = np.exp(s / eps - V - 1.0)
+    ends = phi[-1] * m1 - phi[0] * m0 - 0.25 * tau * (m0 * gsq[0] + m1 * gsq[-1])
+    entropy = entropy_density(m0, V) + entropy_density(m1, V)
+    return float(np.sum((ends + 0.5 * tau * eps * entropy) * cv)
+                 - tau * eps * np.sum(m_int * cv))
 
 
 def dual_momentum(m: DensityPath, u: Potential) -> MomentumField:

@@ -205,10 +205,10 @@ def test_criterion_6_heat_competitor_upper_bound(grid64, flat_reference, two_bum
     h_end = relative_entropy(p0, flat_reference, grid64)
     logn = np.log(grid64.n_space)
     assert 0.5 * logn <= h_end <= 1.5 * logn, f"endpoint entropy {h_end} vs log n {logn}"
-    # the near-vacuum cells make the splitting crawl at the last digits of
-    # feasibility; a looser consensus stop is fine because the duality gap
-    # still certifies the objective far below its own tolerance
-    loose = ProxConfig(constraint_tolerance=5e-6, max_outer_iterations=20000)
+    # the near-vacuum cells make the splitting crawl at the last digits; a
+    # looser gap stop still certifies the objective far below the 1e-6 slack
+    # of the comparison with the bound
+    loose = ProxConfig(gap_tolerance=1e-6, max_outer_iterations=20000)
     _, _, _, rep_point = solve_prox(p0, p1, flat_reference, EPS, grid64, loose)
     assert rep_point.duality_gap <= 1e-4 * (1 + abs(rep_point.objective))
     bound_point, _ = heat_competitor_bound(p0, p1, flat_reference, EPS, grid64)

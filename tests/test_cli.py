@@ -135,11 +135,37 @@ class TestConfigValidation:
          "solver.prox.max_outer_iterations"),
         ({"solver": {"method": "prox", "eps": 0.1, "prox": {"min_iterations": -1}}},
          "solver.prox.min_iterations"),
+        ({"solver": {"method": "prox", "eps": 0.1, "prox": {"gap_tolerance": 0.0}}},
+         "solver.prox.gap_tolerance"),
+        # removed when the certified gap stop replaced the stagnation rule
+        ({"solver": {"method": "prox", "eps": 0.1, "prox": {"constraint_tolerance": 1e-7}}},
+         "solver.prox.constraint_tolerance"),
+        ({"solver": {"method": "prox", "eps": 0.1, "prox": {"objective_stagnation": 1e-9}}},
+         "solver.prox.objective_stagnation"),
+        ({"solver": {"method": "elliptic", "eps": 0.1,
+                     "elliptic": {"max_newton_iterations": 0}}},
+         "solver.elliptic.max_newton_iterations"),
+        ({"solver": {"method": "elliptic", "eps": 0.1,
+                     "elliptic": {"max_newton_iterations": 2.5}}},
+         "solver.elliptic.max_newton_iterations"),
+        ({"solver": {"method": "elliptic", "eps": 0.1, "elliptic": {"max_bisections": -1}}},
+         "solver.elliptic.max_bisections"),
+        ({"solver": {"method": "elliptic", "eps": 0.1, "elliptic": {"max_backtracks": 0}}},
+         "solver.elliptic.max_backtracks"),
+        ({"solver": {"method": "both", "eps": 0.1, "elliptic": {"delta_final": -1e-6}}},
+         "solver.elliptic.delta_final"),
+        ({"solver": {"method": "both", "eps": 0.1, "elliptic": {"newton_tolerance": 0.0}}},
+         "solver.elliptic.newton_tolerance"),
+        ({"solver": {"method": "prox", "eps": 0.1, "prox": {"penalty": "1"}}},
+         "solver.prox.penalty"),
+        ({"solver": {"method": "both", "eps": 0.1, "elliptic": {"linear_tolerance": "1e-10"}}},
+         "solver.elliptic.linear_tolerance"),
     ])
     def test_invalid_configs_name_the_field(self, tmp_path, patch, field):
         path, _ = write_config(tmp_path, **patch)
         with pytest.raises(ConfigError, match=field.split(".")[-1]):
             load_config(path)
+        assert main(["check", str(path)]) == EXIT_CONFIG
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):

@@ -34,6 +34,12 @@ def smooth_pair(grid, width=0.08):
     return align_null_moments(q, np.roll(q, grid.n_space // 2), grid)
 
 
+def assert_certified(rep, config=None):
+    """The certified gap F - G of a returned solve lies in its stop window."""
+    scale = 1.0 + abs(rep.objective)
+    assert -1e-12 * scale <= rep.certified_gap <= (config or ProxConfig()).gap_tolerance * scale
+
+
 def off_kernel(grid):
     """Projector off the sqrt(g)-orthonormalized kernel of the space-time operator."""
     wgt = np.broadcast_to(grid.sqrt_g, (grid.n_time,) + grid.space_shape)
@@ -318,6 +324,7 @@ class TestSolveProx:
         m0, m1 = smooth_pair(g)
         m, w, u, rep = solve_prox(m0, m1, ref, 0.1, g)
         assert rep.duality_gap <= 1e-4 * (1.0 + abs(rep.objective))
+        assert_certified(rep)
         assert rep.final_residual < 1e-10
         assert np.min(m.values[1:-1]) > 0
         assert abs(u.terminal_pairing(m1)) < 1e-10
@@ -363,6 +370,7 @@ class TestSolveProx:
         for rep in reports:
             assert rep.converged
             assert rep.duality_gap <= 1e-4 * (1.0 + abs(rep.objective))
+            assert_certified(rep)
 
     def test_conformal_metric_solve(self):
         g = build_grid(1, 32, 16, 1.0, CONFORMAL)
@@ -371,6 +379,7 @@ class TestSolveProx:
         m, w, u, rep = solve_prox(m0, m1, ref, 0.1, g)
         assert rep.converged
         assert rep.duality_gap <= 1e-4 * (1.0 + abs(rep.objective))
+        assert_certified(rep)
 
     def test_2d_torus_solve(self):
         from otgeo.families import make_marginals
@@ -381,4 +390,5 @@ class TestSolveProx:
         assert rep.converged
         assert rep.final_residual < 1e-10
         assert rep.duality_gap <= 1e-4 * (1.0 + abs(rep.objective))
+        assert_certified(rep)
         assert np.min(m.values[1:-1]) > 0

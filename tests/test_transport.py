@@ -5,9 +5,9 @@ import pytest
 
 from otgeo.elliptic import EllipticProblem, solve_elliptic
 from otgeo.families import make_marginals
-from otgeo.grid import build_grid, integrate
+from otgeo.grid import build_grid, covariant_gradient, integrate, metric_norm_sq
 from otgeo.oracles import momentum_from_density_steps
-from otgeo.prox import solve_prox
+from otgeo.prox import align_null_moments, project_continuity, solve_prox
 from otgeo.transport import (
     DensityPath,
     MomentumField,
@@ -15,6 +15,7 @@ from otgeo.transport import (
     bb_kernel,
     continuity_residual,
     dual_momentum,
+    dual_value,
     energy_slice,
     functional_value,
     relative_entropy,
@@ -232,6 +233,81 @@ class TestContinuityResidual:
                 assert ri == pytest.approx(r[k, i], rel=1e-12, abs=1e-12)
                 acc += ri * ri * h * tau
         assert norm == pytest.approx(np.sqrt(acc), rel=1e-12)
+
+
+DUAL_CASES = {
+    "flat-1d": (1, 16, 6, None),
+    "conformal-1d": (1, 13, 6, lambda x: 1.0 + 0.4 * np.cos(2 * np.pi * x)),
+    "flat-2d": (2, 6, 4, None),
+}
+
+
+def dual_instance(case, seed):
+    """A grid, a cosine reference and an aligned marginal pair."""
+    dim, n, nt, metric = DUAL_CASES[case]
+    g = build_grid(dim, n, nt, 1.0, metric)
+    x = g.axis_coords()
+    ref = ReferenceMeasure.from_potential(
+        0.3 * np.cos(2 * np.pi * (x if dim == 1 else x[:, None] + x[None, :])), g)
+    rng = np.random.default_rng(seed)
+    m0, m1 = (1.0 + 0.5 * rng.random(g.space_shape) for _ in range(2))
+    m0, m1 = align_null_moments(m0 / integrate(m0, g), m1 / integrate(m1, g), g)
+    return g, ref, m0, m1, rng
+
+
+class TestDualValue:
+    @pytest.mark.parametrize("case", sorted(DUAL_CASES))
+    def test_weak_duality(self, case):
+        # G(phi) <= F(m, w) for every phi and every feasible pair
+        g, ref, m0, m1, rng = dual_instance(case, 11)
+        shape = (g.n_time,) + g.space_shape
+        for trial in range(4):
+            frac = np.linspace(0.0, 1.0, g.n_time + 1).reshape((-1,) + (1,) * g.dim)
+            vals = (1.0 - frac) * m0 + frac * m1 + 0.05 * rng.random((g.n_time + 1,) + shape[1:])
+            wv = 0.1 * rng.standard_normal(shape + (g.dim,))
+            m, w, _ = project_continuity(DensityPath(vals, g), MomentumField(wv, g), m0, m1, g)
+            assert np.min(m.values) > 0 and continuity_residual(m, w)[1] < 1e-12
+            F = functional_value(m, w, ref, 0.1)
+            for amplitude in (0.0, 0.01, 0.1, 1.0):
+                G = dual_value(amplitude * rng.standard_normal(shape), m0, m1, ref, 0.1, g)
+                assert G <= F
+
+    @pytest.mark.parametrize("case", sorted(DUAL_CASES))
+    def test_gradient_is_continuity_residual(self, case):
+        # the cv-weighted gradient of G is tau times the continuity residual of
+        # the Lagrangian's minimizer m = exp(s / eps - V - 1), w = -mbar grad phi
+        g, ref, m0, m1, rng = dual_instance(case, 12)
+        eps, tau = 0.1, g.tau
+        phi = 0.05 * rng.standard_normal((g.n_time,) + g.space_shape)
+        grad = covariant_gradient(phi, g)
+        gsq = metric_norm_sq(grad, g)
+        s = (phi[1:] - phi[:-1]) / tau + 0.25 * (gsq[:-1] + gsq[1:])
+        m = np.concatenate([m0[None], np.exp(s / eps - ref.potential_V - 1.0), m1[None]])
+        mbar = 0.5 * (m[:-1] + m[1:])
+        r, _ = continuity_residual(DensityPath(m, g), MomentumField(-mbar[..., None] * grad, g))
+        cv = np.broadcast_to(g.cell_volume, g.space_shape)
+        h = 1e-6
+        fd = np.empty_like(phi)
+        for idx in np.ndindex(phi.shape):
+            step = np.zeros_like(phi)
+            step[idx] = h
+            fd[idx] = (dual_value(phi + step, m0, m1, ref, eps, g)
+                       - dual_value(phi - step, m0, m1, ref, eps, g)) / (2 * h) / cv[idx[1:]]
+        assert np.max(np.abs(fd - tau * r)) <= 1e-6 * np.max(np.abs(tau * r))
+
+    def test_no_gap_on_the_rest_curve(self):
+        # no duality gap at the optimum: between equal stationary marginals the
+        # rest curve is optimal, and phi_k = k tau eps (1 - log Z) reproduces it
+        # through s = eps (log m_s + V + 1)
+        g = build_grid(1, 32, 8, 1.0)
+        x = g.axis_coords()
+        ref = ReferenceMeasure.from_potential(0.3 * np.cos(2 * np.pi * x), g)
+        ms = ref.stationary_density(g)
+        F = functional_value(DensityPath(np.tile(ms, (9, 1)), g),
+                             MomentumField(np.zeros((8, 32, 1)), g), ref, 0.1)
+        phi = np.tile((0.1 * (1.0 - ref.log_normalizer) * g.tau * np.arange(8))[:, None],
+                      (1, 32))
+        assert dual_value(phi, ms, ms, ref, 0.1, g) == pytest.approx(F, rel=1e-12, abs=1e-14)
 
 
 class TestValidation:
