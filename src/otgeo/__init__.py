@@ -1,8 +1,8 @@
 """Entropy-regularized dynamical optimal transport on periodic domains.
 
 Two independent solvers for the same variational problem (a proximal
-splitting of the kinetic + entropy action, and a Newton continuation on the
-equivalent quasilinear space-time equation), plus ground-truth oracles and
+splitting of the kinetic + entropy action, and damped Newton on its
+closed-form discrete dual), plus ground-truth oracles and
 structural diagnostics: energy conservation, duality identity, displacement
 convexity, interior bounds, and the vanishing-regularization limit.
 """

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import build_grid, write_field
-from .transport import ReferenceMeasure, dual_momentum
+from .transport import ReferenceMeasure, dual_pair
 from .prox import ProxConfig, ProxError, solve_prox
 from .elliptic import EllipticConfig, EllipticError, EllipticProblem, solve_elliptic
 from .oracles import heat_competitor_bound
@@ -183,8 +183,7 @@ def _build_setup(cfg):
 
 def _solver_configs(cfg):
     sp = cfg["solver"].get("prox", {})
-    # rho is a problem parameter, not a Newton setting
-    se = {k: v for k, v in cfg["solver"].get("elliptic", {}).items() if k != "rho"}
+    se = cfg["solver"].get("elliptic", {})
     try:
         prox_cfg = ProxConfig(**sp)
         ell_cfg = EllipticConfig(**se)
@@ -248,11 +247,11 @@ def run(config, out_dir=None, verbose=False):
             fields["prox"] = (m, w, u)
         if method in ("elliptic", "both"):
             log(f"elliptic solve at eps={eps}")
-            rho = cfg["solver"].get("elliptic", {}).get("rho", 0.0)
-            problem = EllipticProblem(grid, reference, eps, m0, m1, rho=rho)
+            problem = EllipticProblem(grid, reference, eps, m0, m1)
             ue, me, repe = solve_elliptic(problem, ell_cfg)
             solve_reports["elliptic"] = repe
-            fields["elliptic"] = (me, dual_momentum(me, ue), ue)
+            _, we = dual_pair(repe.multiplier, m0, m1, reference, eps, grid)
+            fields["elliptic"] = (me, we, ue)
         if method == "both":
             l1 = float(np.sum(np.abs(fields["prox"][0].values
                                      - fields["elliptic"][0].values)
@@ -268,7 +267,7 @@ def run(config, out_dir=None, verbose=False):
 
     try:
         _run_checks(cfg, report, grid, reference, m0, m1, m, w, u, objective,
-                    eps, eps_list, prox_cfg, log, prox_certified="prox" in fields)
+                    eps, eps_list, prox_cfg, log)
     except (ProxError, EllipticError) as err:
         print(f"solver error during diagnostics: {err}", file=sys.stderr)
         return EXIT_SOLVER, []
@@ -284,7 +283,7 @@ def run(config, out_dir=None, verbose=False):
 
 
 def _run_checks(cfg, report, grid, reference, m0, m1, m, w, u, objective,
-                eps, eps_list, prox_cfg, log, prox_certified=True):
+                eps, eps_list, prox_cfg, log):
     for cid, opts in _check_specs(cfg):
         required = opts.get("required", DEFAULT_REQUIRED.get(cid, False))
         log(f"diagnostic: {cid}")
@@ -295,11 +294,8 @@ def _run_checks(cfg, report, grid, reference, m0, m1, m, w, u, objective,
             report.add(check_energy(m, u, reference, eps, grid, objective=objective,
                                     upper_bound=bound, required=required))
         elif cid == "duality":
-            # the 1e-4 identity gap is the primal solver's certificate; a pair
-            # reconstructed from the elliptic solve carries discretization error
-            gap_factor = opts.get("gap_factor", 1e-4 if prox_certified else 5e-2)
-            report.add(check_duality(u, m, w, reference, eps, grid,
-                                     objective=objective, gap_factor=gap_factor,
+            report.add(check_duality(u, m, w, reference, eps, grid, objective=objective,
+                                     gap_factor=opts.get("gap_factor", 1e-4),
                                      required=required))
         elif cid == "displacement_convexity":
             tol = opts.get("tol_conv")

@@ -73,6 +73,7 @@ from .transport import (
     dual_value,
     energy_profile,
     functional_value,
+    potential_from_multiplier,
     spacetime_norm,
     velocity_from_momentum,
 )
@@ -128,6 +129,8 @@ class SolveReport:
     certified_gap: float = None
     residual_history: np.ndarray = field(default=None, repr=False)
     objective_history: np.ndarray = field(default=None, repr=False)
+    # the dual route's final multiplier phi; transport.dual_pair gives its pair
+    multiplier: np.ndarray = field(default=None, repr=False)
     converged: bool = True
 
     def as_dict(self, include_volatile=False):
@@ -548,30 +551,6 @@ def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid):
 # ADMM driver
 # ---------------------------------------------------------------------------
 
-def _potential_from_multiplier(phi_scaled, m_full, w_values, reference, eps, grid: Grid):
-    """Assemble node-based u from the constraint multiplier.
-
-    Interval values are u_mid = -phi + eps t (the linear drift comes from
-    the derivative of m log m).  Interior nodes average the neighbors; the
-    endpoint traces follow a half-step of the Hamilton-Jacobi equation
-    evaluated with the endpoint marginals, which makes the discrete
-    duality identity exact at convergence.  The gauge is int u(T) m1 = 0.
-    """
-    t_mid = grid.time_midpoints().reshape((-1,) + (1,) * grid.dim)
-    mbar = 0.5 * (m_full[:-1] + m_full[1:])
-    vsq = metric_norm_sq(velocity_from_momentum(w_values, mbar), grid)
-    V = reference.potential_V
-    u_mid = eps * t_mid - phi_scaled
-    u = np.empty((grid.n_time + 1,) + grid.space_shape)
-    u[1:-1] = 0.5 * (u_mid[:-1] + u_mid[1:])
-    with np.errstate(divide="ignore"):
-        log_m0 = np.where(m_full[0] > 0, np.log(np.maximum(m_full[0], 1e-300)), -690.0)
-        log_m1 = np.where(m_full[-1] > 0, np.log(np.maximum(m_full[-1], 1e-300)), -690.0)
-    u[0] = u_mid[0] - 0.5 * grid.tau * (0.5 * vsq[0] - eps * (log_m0 + V))
-    u[-1] = u_mid[-1] + 0.5 * grid.tau * (0.5 * vsq[-1] - eps * (log_m1 + V))
-    return Potential(u, grid).normalize(m_full[-1])
-
-
 def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
                config: ProxConfig = None):
     """Minimize the discrete functional over continuity-feasible pairs.
@@ -685,7 +664,7 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
             f"(consensus gap {consensus:.3e}, certified gap {gap:.3e})",
             best=(m_full, w), history=res_history)
 
-    u = _potential_from_multiplier(r * phi, m_full, w, reference, eps, grid)
+    u = potential_from_multiplier(r * phi, m_full, w, reference, eps, grid)
 
     cross = integrate(u.values[0] * m0, grid) - integrate(u.values[-1] * m1, grid)
     duality_gap = abs(cross - obj)

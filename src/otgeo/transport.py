@@ -17,9 +17,9 @@ searches stay deterministic.
 This module is the one implementation of the discrete quantities both
 solvers and the diagnostics share: ``F_eps`` itself, the entropy density
 ``m (log m + V)``, the invariant energy and its profile in time, the
-continuity residual and its space-time norm, the momentum
-``w = mbar grad u`` that a potential induces, and the closed-form discrete
-dual ``G(phi)`` that bounds ``F_eps`` from below.
+continuity residual and its space-time norm, the closed-form discrete
+dual ``G(phi)`` that bounds ``F_eps`` from below, the pair ``(m, w)`` that
+attains it, and the node potential ``u`` that a multiplier ``phi`` carries.
 """
 
 from __future__ import annotations
@@ -216,35 +216,74 @@ def continuity_residual(m: DensityPath, w: MomentumField):
     return r, spacetime_norm(r, m.grid)
 
 
+def _dual_minimizer(phi, reference: ReferenceMeasure, eps: float, grid: Grid):
+    """Gradient of the multiplier, its squared metric length, and the interior
+    density ``exp(s / eps - V - 1)`` that minimize the Lagrangian at ``phi``."""
+    grad = covariant_gradient(phi, grid)
+    gsq = metric_norm_sq(grad, grid)
+    s = (phi[1:] - phi[:-1]) / grid.tau + 0.25 * (gsq[:-1] + gsq[1:])
+    with np.errstate(over="ignore"):
+        m_int = np.exp(s / eps - reference.potential_V - 1.0)
+    return grad, gsq, m_int
+
+
 def dual_value(phi, m0, m1, reference: ReferenceMeasure, eps: float, grid: Grid) -> float:
     """Closed-form discrete dual ``G(phi)`` of ``F_eps`` under the continuity
     constraint, for a multiplier ``phi`` at the ``Nt`` interval midpoints.
 
     ``G`` is the minimum over ``(m, w)`` of the Lagrangian
     ``F_eps + tau sum_k integrate(phi[k] r[k])`` with ``r`` the
-    :func:`continuity_defect` and the endpoints pinned to ``m0``, ``m1``: the
-    momentum is ``w[k] = -mbar[k] grad phi[k]`` and the interior density
-    ``m[j] = exp(s[j] / eps - V - 1)``, where
-    ``s[j] = (phi[j] - phi[j-1]) / tau + (|grad phi[j-1]|^2 + |grad phi[j]|^2) / 4``.
-    By weak duality ``G(phi) <= min F_eps <= F_eps(m, w)`` for every ``phi``
-    and every feasible pair, so ``F_eps - G`` certifies optimality.
+    :func:`continuity_defect` and the endpoints pinned to ``m0``, ``m1``; the
+    minimizer is :func:`dual_pair`.  By weak duality
+    ``G(phi) <= min F_eps <= F_eps(m, w)`` for every ``phi`` and every
+    feasible pair, so ``F_eps - G`` certifies optimality.  ``G`` is concave,
+    and its cell-volume-weighted gradient is ``tau`` times the continuity
+    defect of :func:`dual_pair`.
     """
     tau, cv, V = grid.tau, grid.cell_volume, reference.potential_V
-    gsq = metric_norm_sq(covariant_gradient(phi, grid), grid)
-    s = (phi[1:] - phi[:-1]) / tau + 0.25 * (gsq[:-1] + gsq[1:])
-    with np.errstate(over="ignore"):
-        m_int = np.exp(s / eps - V - 1.0)
+    _, gsq, m_int = _dual_minimizer(phi, reference, eps, grid)
     ends = phi[-1] * m1 - phi[0] * m0 - 0.25 * tau * (m0 * gsq[0] + m1 * gsq[-1])
     entropy = entropy_density(m0, V) + entropy_density(m1, V)
     return float(np.sum((ends + 0.5 * tau * eps * entropy) * cv)
                  - tau * eps * np.sum(m_int * cv))
 
 
-def dual_momentum(m: DensityPath, u: Potential) -> MomentumField:
-    """Momentum ``w[k] = mbar[k] grad((u[k] + u[k+1]) / 2)`` of a node potential."""
-    grid = m.grid
-    u_mid = 0.5 * (u.values[:-1] + u.values[1:])
-    return MomentumField(m.midpoints()[..., None] * covariant_gradient(u_mid, grid), grid)
+def dual_pair(phi, m0, m1, reference: ReferenceMeasure, eps: float, grid: Grid):
+    """The pair ``(m, w)`` that minimizes the Lagrangian of :func:`dual_value`
+    at the multiplier ``phi``: the endpoints are ``m0`` and ``m1``, the
+    interior density is ``m[j] = exp(s[j] / eps - V - 1)`` with
+    ``s[j] = (phi[j] - phi[j-1]) / tau + (|grad phi[j-1]|^2 + |grad phi[j]|^2) / 4``,
+    and the momentum is ``w[k] = -mbar[k] grad phi[k]``.
+    """
+    grad, _, m_int = _dual_minimizer(phi, reference, eps, grid)
+    m = np.concatenate([np.asarray(m0, float)[None], m_int, np.asarray(m1, float)[None]])
+    mbar = 0.5 * (m[:-1] + m[1:])
+    return DensityPath(m, grid), MomentumField(-mbar[..., None] * grad, grid)
+
+
+def potential_from_multiplier(phi, m_full, w_values, reference: ReferenceMeasure, eps,
+                              grid: Grid) -> Potential:
+    """Assemble node-based u from the constraint multiplier.
+
+    Interval values are u_mid = -phi + eps t (the linear drift comes from
+    the derivative of m log m).  Interior nodes average the neighbors; the
+    endpoint traces follow a half-step of the Hamilton-Jacobi equation
+    evaluated with the endpoint marginals, which makes the discrete
+    duality identity exact at convergence.  The gauge is int u(T) m1 = 0.
+    """
+    t_mid = grid.time_midpoints().reshape((-1,) + (1,) * grid.dim)
+    mbar = 0.5 * (m_full[:-1] + m_full[1:])
+    vsq = metric_norm_sq(velocity_from_momentum(w_values, mbar), grid)
+    V = reference.potential_V
+    u_mid = eps * t_mid - phi
+    u = np.empty((grid.n_time + 1,) + grid.space_shape)
+    u[1:-1] = 0.5 * (u_mid[:-1] + u_mid[1:])
+    with np.errstate(divide="ignore"):
+        log_m0 = np.where(m_full[0] > 0, np.log(np.maximum(m_full[0], 1e-300)), -690.0)
+        log_m1 = np.where(m_full[-1] > 0, np.log(np.maximum(m_full[-1], 1e-300)), -690.0)
+    u[0] = u_mid[0] - 0.5 * grid.tau * (0.5 * vsq[0] - eps * (log_m0 + V))
+    u[-1] = u_mid[-1] + 0.5 * grid.tau * (0.5 * vsq[-1] - eps * (log_m1 + V))
+    return Potential(u, grid).normalize(m_full[-1])
 
 
 def velocity_from_momentum(w_values, mbar, floor=1e-14):

@@ -160,6 +160,11 @@ class TestConfigValidation:
          "solver.prox.penalty"),
         ({"solver": {"method": "both", "eps": 0.1, "elliptic": {"linear_tolerance": "1e-10"}}},
          "solver.elliptic.linear_tolerance"),
+        # removed with the delta continuation; rho has no counterpart in F_eps
+        ({"solver": {"method": "elliptic", "eps": 0.1, "elliptic": {"rho": 0.5}}},
+         "solver.elliptic.rho"),
+        ({"solver": {"method": "both", "eps": 0.1, "elliptic": {"delta_start": 1.0}}},
+         "solver.elliptic.delta_start"),
     ])
     def test_invalid_configs_name_the_field(self, tmp_path, patch, field):
         path, _ = write_config(tmp_path, **patch)
@@ -256,6 +261,21 @@ class TestRun:
         payload = json.loads((Path(cfg["output"]["directory"]) / "solve_report.json").read_text())
         assert "prox" in payload["solvers"] and "elliptic" in payload["solvers"]
         assert payload["solvers"]["cross_method_l1"] < 0.1
+
+    def test_readme_config_exits_zero(self, tmp_path):
+        # the README quick-start config; both routes agree to solver precision
+        path, cfg = write_config(
+            tmp_path,
+            grid={"dim": 1, "n_space": 64, "n_time": 32, "horizon": 1.0},
+            marginals={"family": "bump_pair", "width": 0.08, "centers": [0.0, 0.5]},
+            reference={"profile": "cosine", "amplitude": 0.3},
+            solver={"method": "both", "eps": 0.1},
+            diagnostics={"checks": ["energy", "duality", "heat_bound"]},
+        )
+        code, _ = run(path)
+        assert code == EXIT_OK
+        payload = json.loads((Path(cfg["output"]["directory"]) / "solve_report.json").read_text())
+        assert payload["solvers"]["cross_method_l1"] < 1e-5
 
     def test_point_like_prox_gets_mandatory_smoothing(self, tmp_path):
         path, cfg = write_config(

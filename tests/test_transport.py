@@ -14,7 +14,7 @@ from otgeo.transport import (
     ReferenceMeasure,
     bb_kernel,
     continuity_residual,
-    dual_momentum,
+    dual_pair,
     dual_value,
     energy_slice,
     functional_value,
@@ -173,7 +173,7 @@ class TestFunctionalValue:
             m, w, _, rep = solve_prox(m0, m1, ref, 0.1, g)
         else:
             u, m, rep = solve_elliptic(EllipticProblem(g, ref, 0.1, m0, m1))
-            w = dual_momentum(m, u)
+            _, w = dual_pair(rep.multiplier, m0, m1, ref, 0.1, g)
         assert rep.objective == functional_value(m, w, ref, 0.1)
 
 
@@ -294,6 +294,18 @@ class TestDualValue:
             fd[idx] = (dual_value(phi + step, m0, m1, ref, eps, g)
                        - dual_value(phi - step, m0, m1, ref, eps, g)) / (2 * h) / cv[idx[1:]]
         assert np.max(np.abs(fd - tau * r)) <= 1e-6 * np.max(np.abs(tau * r))
+
+    @pytest.mark.parametrize("case", sorted(DUAL_CASES))
+    def test_pair_attains_the_dual_value(self, case):
+        # G is the Lagrangian F + tau sum_k integrate(phi[k] r[k]) at dual_pair
+        g, ref, m0, m1, rng = dual_instance(case, 13)
+        phi = 0.05 * rng.standard_normal((g.n_time,) + g.space_shape)
+        m, w = dual_pair(phi, m0, m1, ref, 0.1, g)
+        assert m.values[0].tobytes() == m0.tobytes() and m.values[-1].tobytes() == m1.tobytes()
+        r, _ = continuity_residual(m, w)
+        lagrangian = functional_value(m, w, ref, 0.1) + g.tau * np.sum(phi * r * g.cell_volume)
+        G = dual_value(phi, m0, m1, ref, 0.1, g)
+        assert G == pytest.approx(lagrangian, rel=1e-12, abs=1e-13)
 
     def test_no_gap_on_the_rest_curve(self):
         # no duality gap at the optimum: between equal stationary marginals the
