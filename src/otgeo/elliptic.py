@@ -32,7 +32,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .grid import Grid, _dc, covariant_gradient, integrate
+from .grid import Grid, _dc, centred_kernel, covariant_gradient, integrate
 from .transport import (
     ReferenceMeasure,
     continuity_defect,
@@ -42,7 +42,7 @@ from .transport import (
     functional_value,
     potential_from_multiplier,
 )
-from .prox import SolveReport, _space_null_modes
+from .prox import SolveReport
 
 # Armijo's sufficient-increase fraction, also the defect decrease a step
 # needs when the change in G is at rounding level
@@ -103,7 +103,7 @@ class EllipticProblem:
             raise ValueError("eps must be positive")
         # G is linear along the kernel modes with these moments as slopes
         diff = (np.asarray(self.m1, float) - np.asarray(self.m0, float)) * self.grid.cell_volume
-        worst = max(abs(float(np.sum(z * diff))) for z in _space_null_modes(self.grid))
+        worst = max(abs(float(np.sum(z * diff))) for z in centred_kernel(self.grid)[0])
         if worst > 1e-12:
             raise ValueError(f"the marginals' masses or null moments differ by {worst:.2e}; "
                              "pass them through align_null_moments")
@@ -114,8 +114,9 @@ class EllipticProblem:
 def _operators(grid: Grid):
     """Sparse operators on the free entries of a flattened midpoint field,
     cached per grid: the time difference and the neighbour sum onto the
-    interior nodes, and the centred difference along each axis.  The pinned
-    entries (the kernel's gauge) are left out of the columns."""
+    interior nodes, and the centred difference along each axis.  The entries
+    at ``centred_kernel``'s nodes of level 0 (the kernel's gauge) are left
+    out of the columns."""
     nt, n = grid.n_time, grid.n_space
     nsp = n ** grid.dim
     space = sparse.identity(nsp, format="csr")
@@ -124,10 +125,7 @@ def _operators(grid: Grid):
         axes = [d1]
     else:
         axes = [sparse.kron(d1, sparse.identity(n)), sparse.kron(sparse.identity(n), d1)]
-    pinned = [0, 1] if n % 2 == 0 else [0]
-    if grid.dim == 2:
-        pinned = [i * n + j for i in pinned for j in pinned]
-    free = np.setdiff1d(np.arange(nt * nsp), pinned)
+    free = np.setdiff1d(np.arange(nt * nsp), centred_kernel(grid)[1])
     keep = sparse.identity(nt * nsp, format="csr")[:, free]
     shift = sparse.diags([-1.0, 1.0], [0, 1], shape=(nt - 1, nt))
     diff = sparse.kron(shift / grid.tau, space, format="csr") @ keep

@@ -154,6 +154,30 @@ def _dc(a, axis, h):
     return (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2.0 * h)
 
 
+def centred_kernel(grid: Grid):
+    """Spatial kernel of the centred difference and the nodes that fix it.
+
+    Returns ``(modes, nodes)``: the null modes (constant plus, on even
+    grids, the per-axis alternating modes) and the flat spatial indices of
+    the nodes ``(0..1)^dim`` (node 0 on odd grids), where the modes' values
+    form an invertible matrix, so pinning a field there removes its kernel
+    component.
+    """
+    n = grid.n_space
+    corner = [0, 1] if n % 2 == 0 else [0]
+    modes = [np.ones(grid.space_shape)]
+    if n % 2 == 0:
+        alt = np.cos(np.pi * np.arange(n))
+        if grid.dim == 1:
+            modes.append(alt)
+        else:
+            modes.extend([np.tile(alt[:, None], (1, n)), np.tile(alt[None, :], (n, 1)),
+                          alt[:, None] * alt[None, :]])
+    if grid.dim == 2:
+        corner = [i * n + j for i in corner for j in corner]
+    return modes, corner
+
+
 def covariant_gradient(field, grid: Grid) -> np.ndarray:
     """Covariant gradient with raised index: ``(grad u)^i = g^{ij} u_{x_j}``.
 

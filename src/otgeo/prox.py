@@ -57,6 +57,7 @@ from scipy.special import wrightomega
 
 from .grid import (
     Grid,
+    centred_kernel,
     covariant_gradient,
     divergence_g,
     integrate,
@@ -344,7 +345,7 @@ def _spectral_inverse(grid: Grid, weighted: bool):
     inv = np.zeros_like(sym)
     mask = sym > 1e-12 * sym.max()
     inv[mask] = 1.0 / sym[mask]
-    masked, kernel = mask.size - np.count_nonzero(mask), len(_space_null_modes(grid))
+    masked, kernel = mask.size - np.count_nonzero(mask), len(centred_kernel(grid)[0])
     if masked != kernel:
         raise ProxError(f"{masked} masked modes, expected the {kernel} kernel modes")
     inv.flags.writeable = False
@@ -372,22 +373,7 @@ def _kernel_basis(grid: Grid):
     """Constant-in-time kernel modes of the space-time operator, cached per
     grid as read-only views."""
     return tuple(np.broadcast_to(m, (grid.n_time,) + grid.space_shape)
-                 for m in _space_null_modes(grid))
-
-
-def _space_null_modes(grid: Grid):
-    """Spatial null modes of the centered-difference stencil (constant plus,
-    on even grids, the per-axis alternating modes)."""
-    n = grid.n_space
-    modes = [np.ones(grid.space_shape)]
-    if n % 2 == 0:
-        alt = np.cos(np.pi * np.arange(n))
-        if grid.dim == 1:
-            modes.append(alt)
-        else:
-            modes.extend([np.tile(alt[:, None], (1, n)), np.tile(alt[None, :], (n, 1)),
-                          alt[:, None] * alt[None, :]])
-    return modes
+                 for m in centred_kernel(grid)[0])
 
 
 def align_null_moments(m0, m1, grid: Grid, max_rounds=4):
@@ -402,7 +388,7 @@ def align_null_moments(m0, m1, grid: Grid, max_rounds=4):
     """
     m0 = np.asarray(m0, dtype=float).copy()
     m1 = np.asarray(m1, dtype=float).copy()
-    modes = _space_null_modes(grid)[1:]
+    modes = centred_kernel(grid)[0][1:]
     if not modes:
         return m0, m1
     w = grid.cell_volume

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from otgeo.grid import (
+    _dc,
     build_grid,
+    centred_kernel,
     covariant_gradient,
     divergence_g,
     integrate,
@@ -73,6 +75,19 @@ class TestGradient:
         got = covariant_gradient(np.sin(2 * np.pi * x), g)[..., 0]
         exact = 2 * np.pi * np.cos(2 * np.pi * x) / CONFORMAL(x)
         assert np.max(np.abs(got - exact)) < 60.0 * g.h ** 2
+
+
+class TestCentredKernel:
+    @pytest.mark.parametrize("dim,n,count", [(1, 12, 2), (1, 13, 1), (2, 8, 4), (2, 7, 1)])
+    def test_modes_are_annihilated_and_fixed_by_the_nodes(self, dim, n, count):
+        g = build_grid(dim, n, 4, 1.0)
+        modes, nodes = centred_kernel(g)
+        assert len(modes) == len(nodes) == count
+        for z in modes:
+            for axis in range(dim):
+                assert np.max(np.abs(_dc(z, axis, g.h))) == 0.0
+        values = np.array([z.ravel()[nodes] for z in modes])
+        assert np.linalg.matrix_rank(values) == count
 
 
 class TestDivergence:

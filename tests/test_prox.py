@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from otgeo.grid import build_grid, integrate
+from otgeo.grid import build_grid, centred_kernel, integrate
 from otgeo.transport import DensityPath, MomentumField, ReferenceMeasure, continuity_residual
 from otgeo.prox import (
     ProxConfig,
@@ -13,7 +13,6 @@ from otgeo.prox import (
     _kernel_basis,
     _kinetic_prox,
     _prox_root,
-    _space_null_modes,
     _spectral_inverse,
     _time_symbol,
     align_null_moments,
@@ -200,7 +199,7 @@ class TestSpacetimePoisson:
         g = build_grid(1, n, 8, 1.0, CONFORMAL)
         for weighted in (False, True):
             inv = _spectral_inverse(g, weighted)
-            assert np.count_nonzero(inv == 0.0) == len(_space_null_modes(g)) == 2 - n % 2
+            assert np.count_nonzero(inv == 0.0) == len(centred_kernel(g)[0]) == 2 - n % 2
 
     def test_failed_spectral_checks_raise(self, monkeypatch):
         import otgeo.prox as prox
@@ -210,7 +209,7 @@ class TestSpacetimePoisson:
         with pytest.raises(ProxError, match="inaccurate"):
             prox._space_eigenbasis(g)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        monkeypatch.setattr(prox, "_space_null_modes", lambda grid: [np.ones(grid.space_shape)])
+        monkeypatch.setattr(prox, "centred_kernel", lambda grid: ([np.ones(grid.space_shape)], [0]))
         with pytest.raises(ProxError, match="masked modes"):
             spacetime_poisson(np.zeros((8, 14)), g, weighted=True)
 
