@@ -10,8 +10,7 @@ regularization-sweep mode.
 Every artifact embeds the SHA-256 digest of the canonical config; nothing
 volatile (wall time, hostnames) is persisted, so two runs of the same
 config are bitwise identical.  Exit codes: 0 success, 2 config error,
-3 solver error, 4 required-diagnostic failure.  ``OTGEO_THREADS`` caps the
-worker pool used for independent sweep entries.
+3 solver error, 4 required-diagnostic failure.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -335,14 +333,7 @@ def _run_checks(cfg, report, grid, reference, m0, m1, m, w, u, objective,
                 family=cfg["marginals"]["family"],
                 family_params={k: v for k, v in cfg["marginals"].items() if k != "family"},
                 grid=grid, solver_config=prox_cfg)
-            report.add(epsilon_sweep(spec, required=required, workers=_workers(len(spec.eps_list))))
-
-
-def _workers(n_tasks):
-    cap = os.environ.get("OTGEO_THREADS")
-    if cap is None:
-        return 1
-    return max(1, min(n_tasks, int(cap)))
+            report.add(epsilon_sweep(spec, required=required))
 
 
 def _write_artifacts(out: Path, digest, formats, grid, fields, solve_reports,

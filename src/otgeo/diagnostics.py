@@ -24,6 +24,7 @@ from .transport import (
     MomentumField,
     Potential,
     ReferenceMeasure,
+    energy_drift,
     energy_profile,
     entropy_density,
     functional_value,
@@ -158,7 +159,7 @@ def check_energy(m: DensityPath, u: Potential, reference: ReferenceMeasure, eps,
     """
     energies = energy_profile(DensityPath(np.maximum(m.values, 0.0), grid), u, reference, eps)
     mean_e = float(np.mean(energies))
-    drift = float(np.max(np.abs(energies - mean_e)))
+    drift = energy_drift(energies)
     tol = drift_factor * (1.0 + abs(mean_e))
     passed = drift <= tol
 
@@ -309,8 +310,7 @@ def check_duality(u: Potential, m: DensityPath, w: MomentumField,
     B = objective if objective is not None else functional_value(m, w, reference, eps)
     # the identity is shift-invariant, the barrier fits are not: pin the gauge
     u = u.normalize(m.values[-1])
-    cross = integrate(u.values[0] * m.values[0], grid) \
-        - integrate(u.values[-1] * m.values[-1], grid)
+    cross = u.cross_pairing(m.values[0], m.values[-1])
     gap = abs(cross - B)
     tol = gap_factor * (1.0 + abs(B))
 
@@ -367,7 +367,7 @@ class SweepSpec:
         return self
 
 
-def epsilon_sweep(spec: SweepSpec, required=False, workers=1) -> CheckEntry:
+def epsilon_sweep(spec: SweepSpec, required=False) -> CheckEntry:
     """Convergence of the regularized minimum to the geodesic energy.
 
     Solves the same marginal pair for each regularization strength,
@@ -405,12 +405,7 @@ def epsilon_sweep(spec: SweepSpec, required=False, workers=1) -> CheckEntry:
         return entry
 
     eps_list = list(spec.eps_list)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_eps = list(pool.map(solve_one, eps_list))
-    else:
-        per_eps = [solve_one(e) for e in eps_list]
+    per_eps = [solve_one(e) for e in eps_list]
 
     res = np.array([p["residual"] for p in per_eps])
     eps_arr = np.array(eps_list)

@@ -32,12 +32,13 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .grid import Grid, _dc, centred_kernel, covariant_gradient, integrate
+from .grid import Grid, _dc, centred_kernel, covariant_gradient
 from .transport import (
     ReferenceMeasure,
     continuity_defect,
     dual_pair,
     dual_value,
+    energy_drift,
     energy_profile,
     functional_value,
     potential_from_multiplier,
@@ -240,10 +241,8 @@ def solve_elliptic(problem: EllipticProblem, config: EllipticConfig = None):
     reference, eps = problem.reference, problem.eps
     u = potential_from_multiplier(phi, m.values, w.values, reference, eps, grid)
     objective = functional_value(m, w, reference, eps)
-    cross = (integrate(u.values[0] * m.values[0], grid)
-             - integrate(u.values[-1] * m.values[-1], grid))
-    energy = energy_profile(m, u, reference, eps)
-    drift = float(np.max(np.abs(energy - np.mean(energy)))) if energy.size else 0.0
+    cross = u.cross_pairing(m.values[0], m.values[-1])
+    drift = energy_drift(energy_profile(m, u, reference, eps))
 
     report = SolveReport(
         iterations=len(residuals) - 1,

@@ -1,7 +1,7 @@
 """Ground-truth oracles, independent of the solvers they check.
 
 * exact squared 2-Wasserstein distance of grid measures on the circle
-  (brute-force over cut points, monotone CDF matching per cut);
+  (monotone CDF matching at the optimal CDF offset, found by bisection);
 * exact discrete Kantorovich cost on the 2-D torus via the transportation
   linear program (vertex solution of the HiGHS simplex);
 * a feasible-curve upper bound for the regularized action built from the
@@ -64,53 +64,57 @@ def _shift_cost(cp, cq, xs, L, alpha):
     return float(np.sum(lengths * (x - y) ** 2))
 
 
-def _optimal_shift(p, q, xs, L):
-    """Exact minimizer of the quantile cost over the circular CDF offset.
+def _shift_slope(cp, cq, alpha):
+    """Right-hand slope of the shift cost at ``alpha``, in units of ``h^2``.
 
-    The cost is piecewise quadratic and convex in the offset (squared
-    ground cost), so scanning every quantile-alignment breakpoint and
-    golden-section refining between the neighbors of the best one is
-    exact to rounding.
+    Atom boundary ``j`` of the second measure sits at quantile level
+    ``t_j = cq[j] + alpha - k_j`` of the first, ``k_j = floor(cq[j] + alpha)``.
+    Raising ``alpha`` moves the mass at ``t_j`` from the unwrapped node
+    ``y_j = j - k_j n`` to ``y_j + 1``, so with ``x_j`` the node of the first
+    measure at ``t_j`` the slope is ``sum_j (x_j - y_j)^2 - (x_j - y_j - 1)^2
+    = sum_j 2 (x_j - y_j) - 1``: an integer, its sign exact.  Atoms sit at
+    the nodes ``i L / n``; ``x_j`` is clamped as in ``_coupling_segments``.
+    """
+    n = len(cp)
+    s = cq + alpha
+    k = np.floor(s)
+    x = np.minimum(np.searchsorted(cp, s - k), n - 1)
+    return int(np.sum(2.0 * (x - np.arange(n) + k * n) - 1.0))
+
+
+def _optimal_shift(p, q, xs, L):
+    """Smallest minimizer of the quantile cost over the circular CDF offset.
+
+    The cost is convex and linear between breakpoints, the offsets where
+    quantile levels of the two measures align (Delon, Salomon & Sobolevski
+    2010), so bisection finds the first breakpoint with nonnegative
+    right-hand slope.  No optimal coupling moves mass farther than ``L/2``,
+    so ``|mean(q) - mean(p) - alpha L| <= L/2`` puts every minimizer in
+    ``(-3/2, 3/2)``: the search covers the breakpoints of ``[-2, 2)``.
     """
     cp = np.cumsum(p)
     cq = np.cumsum(q)
-    alphas = np.unique((cp[:, None] - cq[None, :]).ravel() % 1.0)
-    alphas = np.concatenate([alphas, alphas - 1.0])
-    costs = np.array([_shift_cost(cp, cq, xs, L, a) for a in alphas])
-    order = np.argsort(alphas)
-    alphas, costs = alphas[order], costs[order]
-    ibest = int(np.argmin(costs))
-    lo = alphas[max(ibest - 1, 0)]
-    hi = alphas[min(ibest + 1, len(alphas) - 1)]
-    golden = 0.5 * (np.sqrt(5.0) - 1.0)
-    a, b = lo, hi
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    fc, fd = _shift_cost(cp, cq, xs, L, c), _shift_cost(cp, cq, xs, L, d)
-    for _ in range(90):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = _shift_cost(cp, cq, xs, L, c)
+    base = np.unique((cp[:, None] - cq[None, :]).ravel() % 1.0)
+    breaks = np.concatenate([base - 2.0, base - 1.0, base, base + 1.0, base[:1] + 2.0])
+    lo, hi = 0, len(breaks) - 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _shift_slope(cp, cq, 0.5 * (breaks[mid] + breaks[mid + 1])) >= 0:
+            hi = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = _shift_cost(cp, cq, xs, L, d)
-        if b - a < 1e-14:
-            break
-    cands = [(costs[ibest], alphas[ibest]), (fc, c), (fd, d)]
-    best = min(cands)
-    return best[1], best[0], cp, cq
+            lo = mid + 1
+    return breaks[lo], _shift_cost(cp, cq, xs, L, breaks[lo]), cp, cq
 
 
 def circular_w2_oracle(m0, m1, grid: Grid) -> float:
     """Exact squared 2-Wasserstein distance of two grid measures on the circle.
 
     The circle problem reduces to a one-parameter family of flat-line
-    quantile costs indexed by the cut (equivalently the CDF offset); the
-    cost is convex in the offset, and minimizing over every quantile
-    breakpoint plus a golden-section refinement gives the exact optimum
-    of the grid measure (atoms of mass ``m_i h`` at the nodes).  Flat 1-D
+    quantile costs indexed by the cut (equivalently the CDF offset), whose
+    minimum, at a quantile breakpoint, is the exact optimum of the grid
+    measure (atoms of mass ``m_i h`` at the nodes).  On ties, as for
+    antipodal pairs, the smallest optimal offset is taken: the distance does
+    not depend on it, the coupling (``mccann_midpoint``) does.  Flat 1-D
     grids only.
     """
     if grid.dim != 1 or not grid.flat:

@@ -72,6 +72,7 @@ from .transport import (
     continuity_defect,
     continuity_residual,
     dual_value,
+    energy_drift,
     energy_profile,
     functional_value,
     potential_from_multiplier,
@@ -549,9 +550,9 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     ``report.objective_history`` holds ``F_eps`` at each gap check and
     ``report.residual_history`` the consensus at every iteration.
 
-    Raises ``ValueError`` for marginals with zero cells (pre-smooth them
-    or use the elliptic path) and ``ProxError`` when the iteration budget
-    is exhausted, carrying the best iterate and the residual history.
+    Raises ``ValueError`` for marginals with zero cells (pre-smooth them)
+    and ``ProxError`` when the iteration budget is exhausted, carrying the
+    best iterate and the residual history.
     """
     config = (config or ProxConfig()).validate()
     m0 = np.asarray(m0, dtype=float)
@@ -560,7 +561,7 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         if marg.shape != grid.space_shape:
             raise ValueError(f"{name} shape {marg.shape} != {grid.space_shape}")
         if np.any(marg <= 0):
-            raise ValueError(f"{name} has a zero cell; pre-smooth or use the elliptic solver")
+            raise ValueError(f"{name} has a zero cell; pre-smooth it")
         if abs(integrate(marg, grid) - 1.0) > 1e-8:
             raise ValueError(f"{name} mass deviates from 1 by more than 1e-8")
     if eps <= 0:
@@ -652,10 +653,8 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
 
     u = potential_from_multiplier(r * phi, m_full, w, reference, eps, grid)
 
-    cross = integrate(u.values[0] * m0, grid) - integrate(u.values[-1] * m1, grid)
-    duality_gap = abs(cross - obj)
-    energy = energy_profile(m_clip, u, reference, eps)
-    drift = float(np.max(np.abs(energy - np.mean(energy)))) if energy.size else 0.0
+    duality_gap = abs(u.cross_pairing(m0, m1) - obj)
+    drift = energy_drift(energy_profile(m_clip, u, reference, eps))
 
     mbar = 0.5 * (m_full[:-1] + m_full[1:])
     v = velocity_from_momentum(w, mbar)

@@ -112,6 +112,10 @@ class Potential:
     def terminal_pairing(self, m1) -> float:
         return integrate(self.values[-1] * m1, self.grid)
 
+    def cross_pairing(self, m0, m1) -> float:
+        """Duality pairing ``int u(0) m0 - int u(T) m1``."""
+        return integrate(self.values[0] * m0, self.grid) - self.terminal_pairing(m1)
+
 
 def bb_kernel(p, m):
     """Benamou-Brenier kernel ``|p|^2 / (2m)`` with its convex closure.
@@ -197,6 +201,11 @@ def energy_profile(m: DensityPath, u: Potential, reference: ReferenceMeasure,
     grid = m.grid
     return np.array([energy_slice(m.values[j], u.values[j], reference, eps, grid)
                      for j in range(1, grid.n_time)])
+
+
+def energy_drift(energies) -> float:
+    """Largest deviation of an energy profile from its mean; 0 when it is empty."""
+    return float(np.max(np.abs(energies - np.mean(energies)))) if energies.size else 0.0
 
 
 def spacetime_norm(field, grid: Grid) -> float:

@@ -73,8 +73,10 @@ class TestMakeMarginals:
         ref = ReferenceMeasure.from_potential(0.0, g)
         m0, m1 = make_marginals("point_like", {"smoothing_steps": 0}, g)
         assert np.min(m0) == 0.0
-        with pytest.raises(ValueError, match="zero cell"):
+        with pytest.raises(ValueError, match="zero cell") as primal:
             solve_prox(m0, m1, ref, 0.1, g)
+        # the elliptic path rejects the same marginal, so the advice must not point there
+        assert "elliptic" not in str(primal.value)
         with pytest.raises(ValueError, match="strictly positive"):
             solve_elliptic(EllipticProblem(g, ref, 0.1, m0, m1))
 
@@ -350,18 +352,6 @@ class TestCliEntry:
         assert main(["sweep", str(path), "--out", str(tmp_path / "sw")]) == EXIT_OK
         diag = json.loads((tmp_path / "sw" / "diagnostics.json").read_text())
         assert any(e["check"] == "epsilon_sweep" for e in diag["entries"])
-
-
-class TestWorkerPool:
-    def test_env_var_caps_pool(self, monkeypatch):
-        from otgeo.cli import _workers
-        monkeypatch.delenv("OTGEO_THREADS", raising=False)
-        assert _workers(4) == 1
-        monkeypatch.setenv("OTGEO_THREADS", "3")
-        assert _workers(4) == 3
-        assert _workers(2) == 2
-        monkeypatch.setenv("OTGEO_THREADS", "0")
-        assert _workers(4) == 1
 
 
 class TestEmitPlots:

@@ -36,6 +36,50 @@ def lp_circle_w2(m0, m1, grid):
     return res.fun
 
 
+def _density(cells, g):
+    m = np.asarray(cells, dtype=float)
+    return m / integrate(m, g)
+
+
+def _lp_instances(kind):
+    """Marginal pairs ``(m0, m1, grid)`` of one kind, for the LP comparison."""
+    rng = np.random.default_rng(12)
+    if kind == "smooth":
+        g = build_grid(1, 32, 4, 1.0)
+        x = g.axis_coords()
+        return [(_density(np.exp(rng.standard_normal() * np.sin(2 * np.pi * x)
+                                 + 0.4 * rng.standard_normal() * np.cos(4 * np.pi * x)), g),
+                 _density(np.exp(0.6 * np.cos(2 * np.pi * (x - rng.random()))), g), g)
+                for _ in range(4)]
+    if kind == "zero_cells":
+        g = build_grid(1, 32, 4, 1.0)
+        return [(_density(rng.random(32) * (rng.random(32) < 0.5), g),
+                 _density(rng.random(32) * (rng.random(32) < 0.5), g), g) for _ in range(4)]
+    if kind == "point_masses":
+        g = build_grid(1, 40, 4, 1.0)
+        pairs = (({0}, {28}), ({3}, {35}), ({0, 5}, {28}), ({0, 20}, {10, 30}))
+        return [(_density(np.isin(np.arange(40), list(a)), g),
+                 _density(np.isin(np.arange(40), list(b)), g), g) for a, b in pairs]
+    if kind == "odd_n":
+        g = build_grid(1, 33, 4, 1.0)
+        return [(_density(rng.random(33) + 0.01, g), _density(rng.random(33) + 0.01, g), g)
+                for _ in range(4)]
+    # antipodal_tie: a plateau of optimal offsets
+    from otgeo.families import make_marginals
+    grids = [build_grid(1, n, 4, 1.0) for n in (16, 32)]
+    return [make_marginals("bump_pair", {}, g) + (g,) for g in grids]
+
+
+def _breakpoint_costs(p, q, g):
+    """The shift cost at every breakpoint in ``[-2, 2)``, found by brute force."""
+    from otgeo.oracles import _shift_cost
+    cp, cq = np.cumsum(p), np.cumsum(q)
+    base = np.unique((cp[:, None] - cq[None, :]).ravel() % 1.0)
+    alphas = np.concatenate([base + k for k in (-2.0, -1.0, 0.0, 1.0)])
+    xs = np.arange(g.n_space) * g.h
+    return alphas, np.array([_shift_cost(cp, cq, xs, g.length, a) for a in alphas])
+
+
 class TestCircularW2:
     def test_identical_measures(self):
         g = build_grid(1, 32, 4, 1.0)
@@ -50,6 +94,8 @@ class TestCircularW2:
         m1 = np.zeros(40)
         m1[12] = 1.0 / g.h
         assert circular_w2_oracle(m0, m1, g) == pytest.approx(0.09, abs=1e-12)
+        # the same arc the other way round, where the optimal CDF offset is 1
+        assert circular_w2_oracle(m0, np.roll(m1, 16), g) == pytest.approx(0.09, abs=1e-12)
 
     def test_point_masses_antipodal(self):
         g = build_grid(1, 40, 4, 1.0)
@@ -59,18 +105,64 @@ class TestCircularW2:
         m1[20] = 1.0 / g.h
         assert circular_w2_oracle(m0, m1, g) == pytest.approx(0.25, abs=1e-12)
 
-    def test_matches_transportation_lp_on_random_instances(self):
-        rng = np.random.default_rng(12)
-        g = build_grid(1, 32, 4, 1.0)
-        x = g.axis_coords()
-        for _ in range(4):
-            m0 = np.exp(rng.standard_normal() * np.sin(2 * np.pi * x)
-                        + 0.4 * rng.standard_normal() * np.cos(4 * np.pi * x))
-            m0 /= integrate(m0, g)
-            m1 = np.exp(0.6 * np.cos(2 * np.pi * (x - rng.random())))
-            m1 /= integrate(m1, g)
+    @pytest.mark.parametrize(
+        "kind", ["smooth", "zero_cells", "point_masses", "odd_n", "antipodal_tie"])
+    def test_matches_transportation_lp_on_random_instances(self, kind):
+        for m0, m1, g in _lp_instances(kind):
             assert circular_w2_oracle(m0, m1, g) == pytest.approx(
                 lp_circle_w2(m0, m1, g), abs=1e-10)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_antipodal_tie_returns_the_smallest_minimizer(self, n):
+        # antipodal bumps have a plateau of optimal offsets; the search takes its left end
+        from otgeo.families import make_marginals
+        from otgeo.oracles import _optimal_shift
+        g = build_grid(1, n, 4, 1.0)
+        p, q = (m / m.sum() for m in make_marginals("bump_pair", {}, g))
+        alphas, costs = _breakpoint_costs(p, q, g)
+        plateau = alphas[costs <= costs.min() + 1e-13]
+        assert plateau.max() - plateau.min() > 0.04
+        alpha, best, _, _ = _optimal_shift(p, q, np.arange(n) * g.h, g.length)
+        assert alpha == pytest.approx(plateau.min(), abs=1e-12)
+        assert best == pytest.approx(costs.min(), abs=1e-15)
+
+    def test_search_cost_is_logarithmic(self, monkeypatch):
+        from otgeo import oracles
+        from otgeo.families import make_marginals
+        calls = {"slope": 0, "cost": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(oracles, "_shift_slope", counted("slope", oracles._shift_slope))
+        monkeypatch.setattr(oracles, "_shift_cost", counted("cost", oracles._shift_cost))
+        for n in (33, 64):
+            g = build_grid(1, n, 4, 1.0)
+            m0, m1 = make_marginals("bump_pair", {"centers": [0.1, 0.7]}, g)
+            calls.update(slope=0, cost=0)
+            circular_w2_oracle(m0, m1, g)
+            assert calls["slope"] <= 2 * int(np.ceil(np.log2(2 * n * n)))
+            assert calls["cost"] == 1
+
+    def test_shift_slope_matches_central_differences(self):
+        from otgeo.oracles import _shift_cost, _shift_slope
+        rng = np.random.default_rng(14)
+        n = 24
+        xs = np.arange(n) / n
+        for _ in range(10):
+            p = rng.random(n) * (rng.random(n) < 0.7)
+            q = rng.random(n) + 0.01
+            cp, cq = np.cumsum(p / p.sum()), np.cumsum(q / q.sum())
+            base = np.unique((cp[:, None] - cq[None, :]).ravel() % 1.0)
+            breaks = np.concatenate([base - 1.0, base, base + 1.0])
+            for i in np.argsort(np.diff(breaks))[-5:]:
+                a, d = 0.5 * (breaks[i] + breaks[i + 1]), 0.25 * (breaks[i + 1] - breaks[i])
+                fd = (_shift_cost(cp, cq, xs, 1.0, a + d)
+                      - _shift_cost(cp, cq, xs, 1.0, a - d)) / (2 * d)
+                assert _shift_slope(cp, cq, a) / n ** 2 == pytest.approx(fd, abs=1e-10)
 
     def test_cdf_ending_just_below_one(self):
         # these marginals' cumulative sums end below 1 by a rounding error
@@ -82,7 +174,7 @@ class TestCircularW2:
         assert integrate(mccann_midpoint(m0, m1, g), g) == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_cost_is_convex_in_the_offset(self):
-        # the refinement step relies on convexity of the quantile cost
+        # the bisection on the sign of the slope relies on convexity of the quantile cost
         from otgeo.oracles import _shift_cost
         rng = np.random.default_rng(13)
         g = build_grid(1, 24, 4, 1.0)
@@ -116,6 +208,8 @@ class TestMcCannMidpoint:
         p = np.roll(q, 5)
         back = mccann_midpoint(q, p, g, t=0.0)
         assert np.max(np.abs(back - q)) < 1e-10
+        forward = mccann_midpoint(q, p, g, t=1.0)
+        assert np.max(np.abs(forward - p)) < 1e-10
 
 
 class TestFlowW2:
