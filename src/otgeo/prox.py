@@ -26,14 +26,25 @@ real root of the Benamou-Brenier cubic, and ``c`` carries only the entropy,
 so it is a Wright omega value.  The safeguarded Newton root ``_prox_root``
 of the mixed cell serves ``pointwise_prox`` and is the tests' reference.
 
-The stop is certified by weak duality.  With ``phi`` the last weighted
-projection's solution, ``r phi`` is a multiplier of the continuity
+Steps 1-3 form a map ``T`` of the state ``x = (interior m, w, lambda)``,
+and the loop runs ``T`` under safeguarded type-II Anderson acceleration
+(``anderson_fixed_point``, memory ``ANDERSON_MEMORY = 5``; Zhang,
+O'Donoghue & Boyd 2020, Fu, Zhang & Boyd 2020): each step extrapolates
+from the last few residuals ``x - T(x)`` and keeps the extrapolated point
+only if its residual is no larger than the current one; otherwise the
+memory is cleared and the loop goes on from the plain image ``T(x)``.
+``iterations``, ``residual_history`` and ``max_outer_iterations`` all
+count evaluations of ``T``, that is weighted projections.
+
+The stop is certified by weak duality.  With ``phi`` the solution of a
+weighted projection, ``r phi`` is a multiplier of the continuity
 constraint, and the closed-form dual ``G = transport.dual_value`` satisfies
-``G(r phi) <= min F_eps <= F_eps(m, w)`` at the projected (feasible) pair.
-Once every ``stagnation_window`` iterations from ``min_iterations`` on, the
-solver evaluates both and stops when
-``0 <= F_eps - G <= gap_tolerance (1 + |F_eps|)``; the gap is reported as
-``certified_gap`` (Boyd et al. 2011, section 3.3, for the relative test).
+``G(r phi) <= min F_eps <= F_eps(m, w)`` at that projection's pair, which
+is feasible whenever its density is nonnegative.  Once every
+``stagnation_window`` projections, the solver evaluates both at the latest
+projection and stops when ``0 <= F_eps - G <= gap_tolerance (1 + |F_eps|)``;
+the gap is reported as ``certified_gap`` (Boyd et al. 2011, section 3.3,
+for the relative test).  A pair with a negative density is not checked.
 
 The projection multiplier converges to the adjoint state of the coupled
 optimality system; after a sign flip and a linear-in-time gauge shift it is
@@ -82,6 +93,8 @@ from .transport import (
 
 # Over-relaxation factor of the ADMM splitting; 1 is plain ADMM.
 RELAXATION = 1.5
+# Number of past steps the Anderson acceleration of the ADMM map mixes.
+ANDERSON_MEMORY = 5
 
 
 class ProxError(Exception):
@@ -96,14 +109,16 @@ class ProxError(Exception):
 @dataclass
 class ProxConfig:
     """ADMM settings.  The solve stops at the first gap check, one every
-    ``stagnation_window`` iterations from ``min_iterations`` on, where the
-    certified gap ``F - G`` lies in ``[0, gap_tolerance (1 + |F|)]``."""
+    ``stagnation_window`` projections (from ``min_iterations`` on, which
+    defaults to the start), where the certified gap ``F - G`` lies in
+    ``[0, gap_tolerance (1 + |F|)]``; ``max_outer_iterations`` bounds the
+    number of projections."""
 
     penalty: float = 1.0
     max_outer_iterations: int = 30000
     gap_tolerance: float = 1e-10
     stagnation_window: int = 10
-    min_iterations: int = 100
+    min_iterations: int = 0
 
     def validate(self):
         for name in ("penalty", "gap_tolerance"):
@@ -535,8 +550,58 @@ def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid):
 
 
 # ---------------------------------------------------------------------------
-# ADMM driver
+# Anderson acceleration and the ADMM driver
 # ---------------------------------------------------------------------------
+
+def anderson_fixed_point(apply, x, max_evaluations):
+    """Safeguarded type-II Anderson acceleration of a fixed-point map.
+
+    ``apply(x)`` returns ``(T(x), stop)`` for a flat array ``x``; the loop
+    ends at the first ``stop`` or after ``max_evaluations`` calls and
+    returns ``(evaluations, stop)``.  Each step extrapolates
+    ``x~ = T(x) - dF gamma`` from the last ``ANDERSON_MEMORY`` differences
+    ``dG`` of the residuals ``g = x - T(x)`` and ``dF`` of the images, with
+    ``gamma`` minimizing ``|g - dG gamma|`` through the normal equations: the
+    Gram matrix ``dG dG^T`` gains one row per step and a ridge of ``1e-12``
+    times its trace.  ``x~`` is kept only when ``|T(x~) - x~| <= |T(x) - x|``;
+    otherwise the memory is cleared and the iteration continues from the
+    plain image ``T(x)`` (Fu, Zhang & Boyd 2020).  With an empty memory, or
+    differences that are all zero, the step is the plain image.
+    """
+    memory = ANDERSON_MEMORY
+    d_g = np.empty((memory, x.size))
+    d_f = np.empty((memory, x.size))
+    gram = np.zeros((memory, memory))
+    count = slot = evaluations = 0
+
+    def evaluate(y):
+        nonlocal evaluations
+        image, stop = apply(y)
+        evaluations += 1
+        residual = y - image
+        return image, residual, np.linalg.norm(residual), stop
+
+    fx, g, g_norm, stop = evaluate(x)
+    while not stop and evaluations < max_evaluations:
+        trial = fx
+        trace = np.trace(gram[:count, :count])
+        extrapolated = trace > 0
+        if extrapolated:
+            gamma = np.linalg.solve(gram[:count, :count] + 1e-12 * trace * np.eye(count),
+                                    d_g[:count] @ g)
+            trial = fx - gamma @ d_f[:count]
+        f_trial, g_trial, g_trial_norm, stop = evaluate(trial)
+        if extrapolated and g_trial_norm > g_norm and not stop and evaluations < max_evaluations:
+            count = slot = 0
+            f_trial, g_trial, g_trial_norm, stop = evaluate(fx)
+        d_g[slot] = g_trial - g
+        d_f[slot] = f_trial - fx
+        count = min(count + 1, memory)
+        gram[slot, :count] = gram[:count, slot] = d_g[:count] @ d_g[slot]
+        slot = (slot + 1) % memory
+        fx, g, g_norm = f_trial, g_trial, g_trial_norm
+    return evaluations, stop
+
 
 def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
                config: ProxConfig = None):
@@ -547,12 +612,13 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     the potential is the constraint multiplier, sign-fixed and shifted so
     that its terminal trace pairs to zero against ``m1``.
 
-    ``report.objective_history`` holds ``F_eps`` at each gap check and
-    ``report.residual_history`` the consensus at every iteration.
+    ``report.iterations`` counts weighted projections, that is evaluations
+    of the ADMM map; ``report.residual_history`` holds the consensus of each
+    and ``report.objective_history`` ``F_eps`` at each gap check.
 
     Raises ``ValueError`` for marginals with zero cells (pre-smooth them)
-    and ``ProxError`` when the iteration budget is exhausted, carrying the
-    best iterate and the residual history.
+    and ``ProxError`` when the projection budget is exhausted, carrying the
+    last projected pair and the residual history.
     """
     config = (config or ProxConfig()).validate()
     m0 = np.asarray(m0, dtype=float)
@@ -580,19 +646,25 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     phi0 = spacetime_poisson(r0, grid, weighted=False)
     m_full, w = _apply_correction(m_full, w, phi0, grid)
 
-    za = 0.5 * (m_full[:-1] + m_full[1:])      # a-part of the centered image L z
-    lam_a = np.zeros_like(za)
-    lam_b = np.zeros_like(w)
-    lam_c = np.zeros_like(m_full[1:-1])
+    # the map's state x = (interior m, w, lam_a, lam_b, lam_c), packed flat
+    interior, mid = m_full[1:-1].shape, (Nt,) + grid.space_shape
+    shapes = (interior, w.shape, mid, w.shape, interior)
+    bounds = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
+
+    def unpack(state):
+        return [state[lo:hi].reshape(shape)
+                for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+
+    x = np.concatenate((m_full[1:-1].ravel(), w.ravel(), np.zeros(bounds[-1] - bounds[2])))
 
     sqrt_g = grid.sqrt_g
     V = reference.potential_V
     sigma = 1.0 / r
     res_history = []
     obj_history = []
-    consensus = gap = np.inf
-
     weight_scalar = grid.cell_volume * tau
+    path = m_full.copy()            # endpoints stay the marginals
+    last = {"gap": np.inf}
 
     def consensus_norm(da, db, dc):
         tot = np.sum(da * da * weight_scalar)
@@ -600,13 +672,15 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         tot += np.sum(dc * dc * weight_scalar)
         return float(np.sqrt(tot))
 
-    it = 0
-    converged = False
-    for it in range(1, config.max_outer_iterations + 1):
+    def admm_map(state):
+        m_int, w, lam_a, lam_b, lam_c = unpack(state)
+        path[1:-1] = m_int
+        za = 0.5 * (path[:-1] + path[1:])      # a-part of the centered image L z
+
         # 1. pointwise prox on the centered copies
         pa = za + lam_a / r
         pb = w + lam_b / r
-        pc = m_full[1:-1] + lam_c / r
+        pc = m_int + lam_c / r
 
         pb_frame = pb * sqrt_g[..., None] if grid.dim == 1 else pb
         bsq = np.sum(pb_frame * pb_frame, axis=-1)
@@ -618,53 +692,63 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         # 2. weighted continuity projection of the relaxed point
         ha = RELAXATION * a + (1.0 - RELAXATION) * za
         hb = RELAXATION * b + (1.0 - RELAXATION) * w
-        hc = RELAXATION * c + (1.0 - RELAXATION) * m_full[1:-1]
-        m_full, w, phi = _weighted_projection(ha - lam_a / r, hb - lam_b / r, hc - lam_c / r,
-                                              m0, m1, grid)
+        hc = RELAXATION * c + (1.0 - RELAXATION) * m_int
+        m_new, w_new, phi = _weighted_projection(ha - lam_a / r, hb - lam_b / r,
+                                                 hc - lam_c / r, m0, m1, grid)
 
         # 3. relaxed multiplier ascent; consensus is measured against y = (a, b, c)
-        za = 0.5 * (m_full[:-1] + m_full[1:])
-        lam_a += r * (za - ha)
-        lam_b += r * (w - hb)
-        lam_c += r * (m_full[1:-1] - hc)
+        out = np.empty_like(state)
+        out_m, out_w, out_a, out_b, out_c = unpack(out)
+        out_m[...] = m_new[1:-1]
+        out_w[...] = w_new
+        za_new = 0.5 * (m_new[:-1] + m_new[1:])
+        out_a[...] = lam_a + r * (za_new - ha)
+        out_b[...] = lam_b + r * (w_new - hb)
+        out_c[...] = lam_c + r * (out_m - hc)
+        res_history.append(consensus_norm(za_new - a, w_new - b, out_m - c))
+        last.update(m=m_new, w=w_new, phi=phi)
 
-        consensus = consensus_norm(za - a, w - b, m_full[1:-1] - c)
-        res_history.append(consensus)
+        # 4. certified stop: F at the projected pair against G at its multiplier;
+        # weak duality needs the pair feasible, so a negative density is not checked
+        since = len(res_history) - config.min_iterations
+        if since < 0 or since % config.stagnation_window or m_new.min() < 0:
+            return out, False
+        obj = functional_value(DensityPath(m_new, grid), MomentumField(w_new, grid),
+                               reference, eps)
+        gap = obj - dual_value(r * phi, m0, m1, reference, eps, grid)
+        obj_history.append(obj)
+        last.update(obj=obj, gap=gap)
+        return out, bool(np.isfinite(obj)
+                         and 0.0 <= gap <= config.gap_tolerance * (1.0 + abs(obj)))
 
-        # 4. certified stop: F at the feasible pair against G at the multiplier
-        since = it - config.min_iterations
-        if since >= 0 and since % config.stagnation_window == 0:
-            m_clip = DensityPath(np.maximum(m_full, 0.0), grid)
-            mom = MomentumField(w, grid)
-            obj = functional_value(m_clip, mom, reference, eps)
-            gap = obj - dual_value(r * phi, m0, m1, reference, eps, grid)
-            obj_history.append(obj)
-            if np.isfinite(obj) and 0.0 <= gap <= config.gap_tolerance * (1.0 + abs(obj)):
-                converged = True
-                break
-
+    iterations, converged = anderson_fixed_point(admm_map, x, config.max_outer_iterations)
     res_history = np.asarray(res_history)
     obj_history = np.asarray(obj_history)
+    m_full, w, phi = last["m"], last["w"], last["phi"]
+    consensus, gap = res_history[-1], last["gap"]
     if not converged:
         raise ProxError(
-            f"no convergence in {config.max_outer_iterations} iterations "
+            f"no convergence in {config.max_outer_iterations} projections "
             f"(consensus gap {consensus:.3e}, certified gap {gap:.3e})",
             best=(m_full, w), history=res_history)
 
+    obj = last["obj"]
+    m = DensityPath(m_full, grid)
+    mom = MomentumField(w, grid)
     u = potential_from_multiplier(r * phi, m_full, w, reference, eps, grid)
 
     duality_gap = abs(u.cross_pairing(m0, m1) - obj)
-    drift = energy_drift(energy_profile(m_clip, u, reference, eps))
+    drift = energy_drift(energy_profile(m, u, reference, eps))
 
     mbar = 0.5 * (m_full[:-1] + m_full[1:])
     v = velocity_from_momentum(w, mbar)
     grad_u_mid = covariant_gradient(-r * phi, grid)
     vdisc = spacetime_norm(np.sqrt(np.maximum(metric_norm_sq(v - grad_u_mid, grid), 0.0)
-                                   * np.maximum(mbar, 0.0)), grid)
+                                   * mbar), grid)
 
-    _, final_res = continuity_residual(DensityPath(m_full, grid), mom)
+    _, final_res = continuity_residual(m, mom)
     report = SolveReport(
-        iterations=it,
+        iterations=iterations,
         final_residual=final_res,
         consensus_gap=consensus,
         duality_gap=duality_gap,
@@ -677,4 +761,4 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         objective_history=obj_history,
         converged=converged,
     )
-    return DensityPath(m_full, grid), mom, u, report
+    return m, mom, u, report

@@ -274,17 +274,26 @@ def potential_from_multiplier(phi, m_full, w_values, reference: ReferenceMeasure
                               grid: Grid) -> Potential:
     """Assemble node-based u from the constraint multiplier.
 
-    Interval values are u_mid = -phi + eps t (the linear drift comes from
-    the derivative of m log m).  Interior nodes average the neighbors; the
-    endpoint traces follow a half-step of the Hamilton-Jacobi equation
-    evaluated with the endpoint marginals, which makes the discrete
-    duality identity exact at convergence.  The gauge is int u(T) m1 = 0.
+    Interval values are u_mid = c(t) - phi.  The drift c rises by
+    eps tau times the mass of the dual density ``m(phi)`` (the interior
+    density of :func:`dual_pair`) at each interior node, from eps tau / 2
+    on the first interval; that mass is 1 at the dual optimum, where
+    c = eps t (the drift comes from the derivative of m log m).  With it
+    the duality pairing carries the entropy term of :func:`dual_value`, so
+    its defect is not of first order in the multiplier's error.  Interior
+    nodes average the neighbors; the endpoint traces follow a half-step of
+    the Hamilton-Jacobi equation evaluated with the endpoint marginals,
+    which makes the discrete duality identity exact at convergence.  The
+    gauge is int u(T) m1 = 0.
     """
-    t_mid = grid.time_midpoints().reshape((-1,) + (1,) * grid.dim)
+    space_axes = tuple(range(1, 1 + grid.dim))
+    mass = np.sum(_dual_minimizer(phi, reference, eps, grid)[2] * grid.cell_volume,
+                  axis=space_axes)
+    drift = eps * grid.tau * (0.5 + np.concatenate(([0.0], np.cumsum(mass))))
     mbar = 0.5 * (m_full[:-1] + m_full[1:])
     vsq = metric_norm_sq(velocity_from_momentum(w_values, mbar), grid)
     V = reference.potential_V
-    u_mid = eps * t_mid - phi
+    u_mid = drift.reshape((-1,) + (1,) * grid.dim) - phi
     u = np.empty((grid.n_time + 1,) + grid.space_shape)
     u[1:-1] = 0.5 * (u_mid[:-1] + u_mid[1:])
     with np.errstate(divide="ignore"):

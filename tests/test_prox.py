@@ -5,6 +5,8 @@ import pytest
 
 from otgeo.grid import build_grid, centred_kernel, integrate
 from otgeo.transport import DensityPath, MomentumField, ReferenceMeasure, continuity_residual
+import otgeo.prox as prox
+from otgeo.families import make_marginals
 from otgeo.prox import (
     ProxConfig,
     ProxError,
@@ -16,6 +18,7 @@ from otgeo.prox import (
     _spectral_inverse,
     _time_symbol,
     align_null_moments,
+    anderson_fixed_point,
     pointwise_prox,
     project_continuity,
     solve_prox,
@@ -311,7 +314,7 @@ class TestSolveProx:
         g = build_grid(1, 32, 16, 1.0)
         ref = ReferenceMeasure.from_potential(0.0, g)
         m0, m1 = smooth_pair(g)
-        cfg = ProxConfig(max_outer_iterations=5, min_iterations=1, stagnation_window=2)
+        cfg = ProxConfig(max_outer_iterations=5, stagnation_window=2)
         with pytest.raises(ProxError) as err:
             solve_prox(m0, m1, ref, 0.1, g, cfg)
         assert err.value.best is not None
@@ -322,6 +325,7 @@ class TestSolveProx:
         ref = ReferenceMeasure.from_potential(0.0, g)
         m0, m1 = smooth_pair(g)
         m, w, u, rep = solve_prox(m0, m1, ref, 0.1, g)
+        assert rep.iterations <= 120
         assert rep.duality_gap <= 1e-4 * (1.0 + abs(rep.objective))
         assert_certified(rep)
         assert rep.final_residual < 1e-10
@@ -381,7 +385,6 @@ class TestSolveProx:
         assert_certified(rep)
 
     def test_2d_torus_solve(self):
-        from otgeo.families import make_marginals
         g = build_grid(2, 12, 8, 1.0)
         ref = ReferenceMeasure.from_potential(0.0, g)
         m0, m1 = make_marginals("bump_pair", {"width": 0.2}, g)
@@ -391,3 +394,63 @@ class TestSolveProx:
         assert rep.duality_gap <= 1e-4 * (1.0 + abs(rep.objective))
         assert_certified(rep)
         assert np.min(m.values[1:-1]) > 0
+
+    def test_2d_desk_case_certifies(self):
+        g = build_grid(2, 16, 8, 1.0)
+        ref = ReferenceMeasure.from_potential(0.0, g)
+        m0, m1 = make_marginals("bump_pair", {}, g)
+        rep = solve_prox(m0, m1, ref, 0.1, g)[3]
+        assert rep.iterations <= 300
+        assert_certified(rep)
+
+    @pytest.mark.parametrize("family,params,config", [
+        ("bump_pair", {"width": 0.12}, ProxConfig()),
+        ("point_like", {"smoothing_steps": 1}, ProxConfig(gap_tolerance=1e-6)),
+    ])
+    def test_iterations_count_projections(self, monkeypatch, family, params, config):
+        g = build_grid(1, 64, 32, 1.0)
+        ref = ReferenceMeasure.from_potential(0.0, g)
+        m0, m1 = make_marginals(family, params, g)
+        projections, points, images = [0], [], []
+        project, accelerate = prox._weighted_projection, prox.anderson_fixed_point
+
+        def counted(*args):
+            projections[0] += 1
+            return project(*args)
+
+        def recorded(apply, x, max_evaluations):
+            def record(y):
+                image, stop = apply(y)
+                points.append(y.copy())
+                images.append(image)
+                return image, stop
+            return accelerate(record, x, max_evaluations)
+
+        monkeypatch.setattr(prox, "_weighted_projection", counted)
+        monkeypatch.setattr(prox, "anderson_fixed_point", recorded)
+        rep = solve_prox(m0, m1, ref, 0.1, g, config)[3]
+        assert rep.iterations == len(rep.residual_history) == projections[0] == len(points)
+        assert_certified(rep, config)
+        # a rejected extrapolation is followed by the plain image of the step before
+        rejected = sum(np.array_equal(points[i], images[i - 2]) for i in range(2, len(points)))
+        assert rejected == 0 if family == "bump_pair" else rejected > 0
+
+
+class TestAnderson:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_linear_contraction(self, dim):
+        # on an affine map the extrapolation from dim differences is exact, so
+        # evaluation dim + 2 sits at the fixed point; one more absorbs the
+        # rounding of the normal equations
+        rng = np.random.default_rng(dim)
+        A = rng.standard_normal((dim, dim))
+        A *= 0.9 / np.linalg.norm(A, 2)
+        b = rng.standard_normal(dim)
+        fixed = np.linalg.solve(np.eye(dim) - A, b)
+
+        def apply(x):
+            image = A @ x + b
+            return image, np.linalg.norm(image - fixed) <= 1e-12
+
+        evaluations, stop = anderson_fixed_point(apply, np.zeros(dim), dim + 3)
+        assert stop
