@@ -34,6 +34,7 @@ from scipy.sparse.linalg import spsolve
 
 from .grid import Grid, _dc, centred_kernel, covariant_gradient
 from .transport import (
+    ROUNDING,
     ReferenceMeasure,
     continuity_defect,
     dual_pair,
@@ -48,7 +49,6 @@ from .prox import SolveReport
 # Armijo's sufficient-increase fraction, also the defect decrease a step
 # needs when the change in G is at rounding level
 ARMIJO = 1e-4
-ROUNDING = 1e-14
 
 
 class EllipticError(Exception):

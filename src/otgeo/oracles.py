@@ -19,7 +19,7 @@ from scipy.optimize import linprog
 
 from .grid import Grid, build_grid, covariant_gradient, integrate
 from .transport import DensityPath, MomentumField, ReferenceMeasure, functional_value
-from .prox import _space_symbol
+from .prox import _along_space, _pseudo_inverse, _space_eigenbasis
 
 
 def _check_probability(m, grid, name):
@@ -228,23 +228,18 @@ def momentum_from_density_steps(m_path, grid: Grid):
     """Momentum making the staggered continuity equation hold per interval.
 
     Solves the discrete flux problem ``div_g w[k] = (m[k+1] - m[k]) / tau``
-    in gradient form (``w = grad phi``) through the spectral pseudo-inverse
-    of the composed Laplacian; components of the density increments in the
-    kernel of the centered stencil are irreducible and left out.  Flat
-    grids only.
+    in gradient form (``w = grad phi``) through the pseudo-inverse of the
+    composed Laplacian in the spatial eigenbasis that the primal projection
+    caches; components of the density increments in the kernel of the
+    centered stencil are irreducible and left out.  Flat grids only.
     """
     if not grid.flat:
         raise ValueError("flux construction implemented for flat metrics")
     m_path = np.asarray(m_path, dtype=float)
     rhs = (m_path[1:] - m_path[:-1]) / grid.tau
-    sym = _space_symbol(grid)
-    inv = np.zeros_like(sym)
-    mask = sym > 1e-13 * max(sym.max(), 1.0)
-    inv[mask] = 1.0 / sym[mask]
-    axes = tuple(range(1, 1 + grid.dim))
-    phi_hat = np.fft.fftn(rhs, axes=axes) * (-inv)
-    phi = np.fft.ifftn(phi_hat, axes=axes).real
-    return covariant_gradient(phi, grid)
+    mu, Q = _space_eigenbasis(grid)
+    phi_hat = _along_space(rhs, Q, grid.dim) * -_pseudo_inverse(mu, grid)
+    return covariant_gradient(_along_space(phi_hat, Q.T, grid.dim), grid)
 
 
 def heat_competitor_bound(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,

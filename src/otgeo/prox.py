@@ -16,10 +16,10 @@ continuity set, and a multiplier enforces consensus between the two:
 Steps 2 and 3 are over-relaxed (Eckstein & Bertsekas 1992) with
 ``alpha = RELAXATION = 1.5``; ``L z`` is the centered image of the
 staggered copy before the projection and ``L z'`` after it.  The
-projection's space-time solve is direct on either metric: a cosine
-transform in time and, in space, a Fourier transform on the flat grids or
-a cached dense eigenbasis of the Laplace-Beltrami operator on the
-conformal circle.
+projection's space-time solve is direct on every grid, by matrix products
+with dense bases cached per grid: the cosine basis of the time midpoints,
+and the eigenbasis of the Laplace-Beltrami operator along each spatial
+axis.
 
 Step 1 is exact: ``(a, b)`` carry only the kinetic energy, so ``a`` is the
 real root of the Benamou-Brenier cubic, and ``c`` carries only the entropy,
@@ -42,9 +42,14 @@ constraint, and the closed-form dual ``G = transport.dual_value`` satisfies
 ``G(r phi) <= min F_eps <= F_eps(m, w)`` at that projection's pair, which
 is feasible whenever its density is nonnegative.  Once every
 ``stagnation_window`` projections, the solver evaluates both at the latest
-projection and stops when ``0 <= F_eps - G <= gap_tolerance (1 + |F_eps|)``;
+projection and stops when
+``-ROUNDING (1 + |F_eps|) <= F_eps - G <= gap_tolerance (1 + |F_eps|)``;
 the gap is reported as ``certified_gap`` (Boyd et al. 2011, section 3.3,
-for the relative test).  A pair with a negative density is not checked.
+for the relative test).  At the optimum ``F_eps = G`` up to the rounding of
+the two sums, so ``F_eps - G`` may come out slightly negative (-2e-16 on
+uniform marginals, where ``F_eps = G = 0``); such a gap is zero to
+rounding, ends the solve, and is reported as computed, sign included.  A
+pair with a negative density is not checked.
 
 The projection multiplier converges to the adjoint state of the coupled
 optimality system; after a sign flip and a linear-in-time gauge shift it is
@@ -62,12 +67,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct, idct
-from scipy.linalg import solve_banded
 from scipy.special import wrightomega
 
 from .grid import (
     Grid,
+    build_grid,
     centred_kernel,
     covariant_gradient,
     divergence_g,
@@ -76,6 +80,7 @@ from .grid import (
     metric_norm_sq,
 )
 from .transport import (
+    ROUNDING,
     DensityPath,
     MomentumField,
     Potential,
@@ -111,8 +116,8 @@ class ProxConfig:
     """ADMM settings.  The solve stops at the first gap check, one every
     ``stagnation_window`` projections (from ``min_iterations`` on, which
     defaults to the start), where the certified gap ``F - G`` lies in
-    ``[0, gap_tolerance (1 + |F|)]``; ``max_outer_iterations`` bounds the
-    number of projections."""
+    ``[-ROUNDING (1 + |F|), gap_tolerance (1 + |F|)]``;
+    ``max_outer_iterations`` bounds the number of projections."""
 
     penalty: float = 1.0
     max_outer_iterations: int = 30000
@@ -250,20 +255,21 @@ def _kinetic_prox(a, bsq, sigma):
     ``a + bsq / (2 sigma) <= 0`` sit at the boundary minimum ``m = 0``.
     """
     a = np.asarray(a, dtype=float)
-    s = a + sigma
-    q = 0.5 * sigma * bsq
+    s, q = np.broadcast_arrays(a + sigma, 0.5 * sigma * np.asarray(bsq, dtype=float))
     at_zero = (-a) / sigma - bsq / (2.0 * sigma ** 2) >= 0
     # depressed cubic y^3 + P y + Q = 0 for x = y + s/3, disc = (Q/2)^2 + (P/3)^3
     half_q = s ** 3 / 27.0 + 0.5 * q                         # -Q/2
     disc = q * (s ** 3 / 27.0 + 0.25 * q)
     u = np.cbrt(half_q + np.copysign(np.sqrt(np.maximum(disc, 0.0)), half_q))
     u = np.where(u == 0.0, 1.0, u)
-    cardano = u + s * s / (9.0 * u) + s / 3.0
-    r = np.abs(s) / 3.0
-    ratio = q / (4.0 * np.where(r > 0, r, 1.0) ** 3)
-    alpha = (2.0 / 3.0) * np.arcsin(np.sqrt(np.minimum(ratio, 1.0)))
-    trig = r * (np.sqrt(3.0) * np.sin(alpha) - 2.0 * np.sin(0.5 * alpha) ** 2)
-    m = np.maximum(np.where(disc < 0, trig, cardano) - sigma, 0.0)
+    x = np.asarray(u + s * s / (9.0 * u) + s / 3.0)         # Cardano
+    trig = disc < 0
+    if np.any(trig):
+        # there s < 0, so r > 0
+        r = np.abs(s[trig]) / 3.0
+        alpha = (2.0 / 3.0) * np.arcsin(np.sqrt(np.minimum(q[trig] / (4.0 * r ** 3), 1.0)))
+        x[trig] = r * (np.sqrt(3.0) * np.sin(alpha) - 2.0 * np.sin(0.5 * alpha) ** 2)
+    m = np.maximum(x - sigma, 0.0)
     ms = m + sigma
     m = m - ((m - a) * ms * ms - q) / (ms * (3.0 * m + sigma - 2.0 * a))
     return np.where(at_zero, 0.0, m)
@@ -302,21 +308,13 @@ def pointwise_prox(a, b, sigma, eps_cell, V_cell, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# Spectral space-time solves
+# The space-time kernel
 # ---------------------------------------------------------------------------
 
-def _space_symbol(grid: Grid):
-    """Fourier symbol of minus the composed (wide) flat Laplacian."""
-    f = np.fft.fftfreq(grid.n_space)
-    lam = (np.sin(2.0 * np.pi * f) / grid.h) ** 2
-    if grid.dim == 1:
-        return lam
-    return lam[:, None] + lam[None, :]
-
-
 def _time_symbol(grid: Grid, weighted: bool):
-    """DCT-II symbol of the time block of the projection operator, shaped
-    to broadcast against space-time fields.
+    """Eigenvalues of the time block of the projection operator in the
+    cosine basis of the interval midpoints, shaped to broadcast against
+    space-time fields.
 
     Plain projection: the 3-point Neumann Laplacian on the Nt interval
     midpoints.  Weighted projection (consensus coupling through midpoint
@@ -334,9 +332,18 @@ def _time_symbol(grid: Grid, weighted: bool):
 def _space_eigenbasis(grid: Grid):
     """Eigenpairs ``(mu, Q)`` of the symmetrized spatial operator
     ``S = omega^{1/2} (-div_g grad) omega^{-1/2}``, ``omega = sqrt(g)``, from
-    one dense ``eigh``; cached per grid and read-only.  Raises ``ProxError``
-    when the eigen-residual exceeds ``1e-12 |S|``.
+    one dense ``eigh`` along one axis; cached per grid and read-only.  The
+    flat 2-D operator is the Kronecker sum of two copies of its axis's:
+    there ``Q`` is the axis's eigenbasis, applied along each axis, and
+    ``mu[i, j]`` the sum of the axis eigenvalues ``i`` and ``j``.  Raises
+    ``ProxError`` when the eigen-residual exceeds ``1e-12 |S|``.
     """
+    if grid.dim == 2:
+        mu, Q = _space_eigenbasis(build_grid(1, grid.n_space, grid.n_time, grid.horizon,
+                                             length=grid.length))
+        mu = mu[:, None] + mu[None, :]
+        mu.flags.writeable = False
+        return mu, Q
     wroot = np.sqrt(grid.sqrt_g)
     # row i of -Lap_g(diag(omega^{-1/2})) is column i of -Lap_g omega^{-1/2}
     S = (-laplace_beltrami(np.diag(1.0 / wroot), grid) * wroot).T
@@ -348,16 +355,10 @@ def _space_eigenbasis(grid: Grid):
     return mu, Q
 
 
-@functools.lru_cache(maxsize=16)
-def _spectral_inverse(grid: Grid, weighted: bool):
-    """Pseudo-inverse symbol of (time block + spatial operator), cached per
-    grid and read-only.  The spatial symbol is the wide flat Laplacian's
-    Fourier symbol on a flat grid and the eigenvalues of
-    ``_space_eigenbasis`` otherwise; exactly the kernel modes are masked,
-    else ``ProxError``.
-    """
-    space = _space_symbol(grid) if grid.flat else _space_eigenbasis(grid)[0]
-    sym = _time_symbol(grid, weighted) + space
+def _pseudo_inverse(sym, grid: Grid):
+    """Reciprocal of a nonnegative symbol off its kernel, read-only: the
+    entries below ``1e-12`` of the largest are masked to 0, and they must be
+    exactly as many as the modes of ``centred_kernel``, else ``ProxError``."""
     inv = np.zeros_like(sym)
     mask = sym > 1e-12 * sym.max()
     inv[mask] = 1.0 / sym[mask]
@@ -368,28 +369,45 @@ def _spectral_inverse(grid: Grid, weighted: bool):
     return inv
 
 
-def _spectral_solve(rhs, grid: Grid, inv):
-    """Apply the pseudo-inverse symbol ``inv`` via DCT x FFT."""
-    axes = tuple(range(1, 1 + grid.dim))
-    hat = np.fft.fftn(dct(rhs, type=2, axis=0, norm="ortho"), axes=axes)
-    hat *= inv
-    return idct(np.fft.ifftn(hat, axes=axes).real, type=2, axis=0, norm="ortho")
-
-
-def _apply_operator(phi, grid: Grid, t_sym):
-    """Forward application of the space-time operator (any metric), with
-    ``t_sym = _time_symbol(grid, weighted)``."""
-    out = idct(t_sym * dct(phi, type=2, axis=0, norm="ortho"), type=2, axis=0, norm="ortho")
-    grad = covariant_gradient(phi, grid)
-    return out - divergence_g(grad, grid)
-
-
 @functools.lru_cache(maxsize=16)
-def _kernel_basis(grid: Grid):
-    """Constant-in-time kernel modes of the space-time operator, cached per
-    grid as read-only views."""
-    return tuple(np.broadcast_to(m, (grid.n_time,) + grid.space_shape)
-                 for m in centred_kernel(grid)[0])
+def _spacetime_kernel(grid: Grid, weighted: bool):
+    """The factors ``(C, forward, backward, inv)`` of ``spacetime_poisson``,
+    cached per grid and read-only: the orthonormal cosine basis ``C`` of the
+    Nt interval midpoints (one mode per row), the spatial eigenbasis with the
+    ``omega^{1/2}`` weights folded in, ``forward = diag(omega^{1/2}) Q`` and
+    ``backward = Q^T diag(omega^{-1/2})``, and the pseudo-inverse symbol of
+    (time block + spatial operator) in the product basis.
+    """
+    nt = grid.n_time
+    C = np.sqrt(2.0 / nt) * np.cos(np.pi * np.arange(nt)[:, None] * (np.arange(nt) + 0.5) / nt)
+    C[0] /= np.sqrt(2.0)
+    mu, Q = _space_eigenbasis(grid)
+    wroot = np.sqrt(grid.sqrt_g) if grid.dim == 1 else np.ones(grid.n_space)
+    forward = wroot[:, None] * Q
+    backward = Q.T / wroot
+    for matrix in (C, forward, backward):
+        matrix.flags.writeable = False
+    return C, forward, backward, _pseudo_inverse(_time_symbol(grid, weighted) + mu, grid)
+
+
+def _along_space(field, matrix, dim):
+    """Apply ``matrix`` along every spatial axis of a space-time field."""
+    if dim == 1:
+        return field @ matrix
+    return matrix.T @ field @ matrix
+
+
+def _apply_operator(phi, grid: Grid, weighted):
+    """Forward application of the space-time operator (any metric) by its
+    stencils: the time block is ``D^T K^{-1} D`` for the midpoint difference
+    ``D`` and, when ``weighted``, the coupling ``K`` (the identity otherwise)."""
+    psi = (phi[:-1] - phi[1:]) / grid.tau
+    if weighted:
+        psi = _interior_coupling_solve(psi, grid.n_time)
+    out = -divergence_g(covariant_gradient(phi, grid), grid)
+    out[:-1] += psi / grid.tau
+    out[1:] -= psi / grid.tau
+    return out
 
 
 def align_null_moments(m0, m1, grid: Grid, max_rounds=4):
@@ -436,28 +454,22 @@ def spacetime_poisson(rhs, grid: Grid, weighted=False):
     grids, the centered-stencil null modes) are removed and the solution
     carries none of them.
 
-    The operator is separable and both blocks are diagonalized directly.
-    Flat metric: a cosine transform in time and a Fourier transform in
-    space.  Conformal metric (1-D only): the cosine transform in time and
-    the cached eigenbasis of the sqrt(g)-symmetrized Laplace-Beltrami
-    operator in space, so the solution is sqrt(g)-orthogonal to the kernel.
+    The operator is separable and both blocks are diagonalized directly on
+    every grid, by dense bases cached per ``(grid, weighted)``: the cosine
+    basis of the midpoints in time, and in space the eigenbasis of the
+    sqrt(g)-symmetrized Laplace-Beltrami operator, applied along each axis
+    of the flat 2-D torus.  The solution is sqrt(g)-orthogonal to the
+    kernel, whose modes the pseudo-inverse masks.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (grid.n_time,) + grid.space_shape:
         raise ValueError(f"rhs shape {rhs.shape}, expected {(grid.n_time,) + grid.space_shape}")
 
-    inv = _spectral_inverse(grid, weighted)
-    if grid.flat:
-        kernel = _kernel_basis(grid)
-        b = rhs.copy()
-        for z in kernel:
-            b -= z * (np.sum(b * z) / np.sum(z * z))
-        return _spectral_solve(b, grid, inv)
-    Q = _space_eigenbasis(grid)[1]
-    wroot = np.sqrt(grid.sqrt_g)       # omega^{1/2} with omega = sqrt(g)
-    hat = dct(wroot * rhs, type=2, axis=0, norm="ortho") @ Q
+    C, forward, backward, inv = _spacetime_kernel(grid, weighted)
+    hat = _along_space((C @ rhs.reshape(grid.n_time, -1)).reshape(rhs.shape), forward, grid.dim)
     hat *= inv
-    return idct(hat @ Q.T, type=2, axis=0, norm="ortho") / wroot
+    phi = (C.T @ hat.reshape(grid.n_time, -1)).reshape(rhs.shape)
+    return _along_space(phi, backward, grid.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -505,21 +517,18 @@ def _midpoints_to_nodes(field_mid, grid: Grid):
 
 
 @functools.lru_cache(maxsize=16)
-def _coupling_band(n):
-    """Banded storage of the n x n coupling [1/4, 3/2, 1/4], read-only."""
-    ab = np.zeros((3, n))
-    ab[0, 1:] = 0.25
-    ab[1, :] = 1.5
-    ab[2, :-1] = 0.25
-    ab.flags.writeable = False
-    return ab
+def _coupling_inverse(n):
+    """Inverse of the n x n coupling [1/4, 3/2, 1/4], read-only.  The
+    coupling's eigenvalues lie in (1, 2), so the inverse is well conditioned."""
+    inverse = np.linalg.inv(1.5 * np.eye(n) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1)))
+    inverse.flags.writeable = False
+    return inverse
 
 
 def _interior_coupling_solve(rhs, n_time):
     """Solve the tridiagonal consensus coupling [1/4, 3/2, 1/4] in time."""
     n = n_time - 1
-    flat = rhs.reshape(n, -1)
-    return solve_banded((1, 1), _coupling_band(n), flat).reshape(rhs.shape)
+    return (_coupling_inverse(n) @ rhs.reshape(n, -1)).reshape(rhs.shape)
 
 
 def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid):
@@ -718,8 +727,9 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         gap = obj - dual_value(r * phi, m0, m1, reference, eps, grid)
         obj_history.append(obj)
         last.update(obj=obj, gap=gap)
+        scale = 1.0 + abs(obj)
         return out, bool(np.isfinite(obj)
-                         and 0.0 <= gap <= config.gap_tolerance * (1.0 + abs(obj)))
+                         and -ROUNDING * scale <= gap <= config.gap_tolerance * scale)
 
     iterations, converged = anderson_fixed_point(admm_map, x, config.max_outer_iterations)
     res_history = np.asarray(res_history)

@@ -37,6 +37,9 @@ from .grid import (
 )
 
 INFEASIBLE = np.inf
+# Relative size of rounding in a sum such as F_eps or G: a change, or an
+# F_eps - G, within ROUNDING (1 + |F_eps|) of zero is zero to both routes.
+ROUNDING = 1e-14
 
 
 @dataclass

@@ -77,6 +77,17 @@ class TestGradient:
         assert np.max(np.abs(got - exact)) < 60.0 * g.h ** 2
 
 
+class TestCentredDifference:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_slices_match_the_roll_formula_bitwise(self, dim, n):
+        g = build_grid(dim, n, 5, 1.0)
+        field = np.random.default_rng(n).standard_normal((5,) + g.space_shape)
+        for axis in range(-field.ndim, field.ndim):
+            rolled = (np.roll(field, -1, axis=axis) - np.roll(field, 1, axis=axis)) / (2.0 * g.h)
+            assert np.array_equal(_dc(field, axis, g.h), rolled)
+
+
 class TestCentredKernel:
     @pytest.mark.parametrize("dim,n,count", [(1, 12, 2), (1, 13, 1), (2, 8, 4), (2, 7, 1)])
     def test_modes_are_annihilated_and_fixed_by_the_nodes(self, dim, n, count):

@@ -12,11 +12,9 @@ from otgeo.prox import (
     ProxError,
     _apply_operator,
     _entropy_prox,
-    _kernel_basis,
     _kinetic_prox,
     _prox_root,
-    _spectral_inverse,
-    _time_symbol,
+    _spacetime_kernel,
     align_null_moments,
     anderson_fixed_point,
     pointwise_prox,
@@ -26,6 +24,10 @@ from otgeo.prox import (
 )
 
 CONFORMAL = lambda x: 1.0 + 0.4 * np.cos(2.0 * np.pi * x)
+# one space-time kernel serves every grid: flat 1-D (n even and odd), flat 2-D
+# and the conformal circle
+GRID_KINDS = [(1, 12, None), (1, 13, None), (2, 6, None), (1, 12, CONFORMAL), (1, 13, CONFORMAL)]
+GRID_KIND_IDS = ["flat-12", "flat-13", "flat2d-6", "conformal-12", "conformal-13"]
 
 
 def smooth_pair(grid, width=0.08):
@@ -46,8 +48,8 @@ def off_kernel(grid):
     """Projector off the sqrt(g)-orthonormalized kernel of the space-time operator."""
     wgt = np.broadcast_to(grid.sqrt_g, (grid.n_time,) + grid.space_shape)
     basis = []
-    for z in _kernel_basis(grid):
-        v = np.array(z, dtype=float)
+    for z in centred_kernel(grid)[0]:
+        v = np.broadcast_to(z, wgt.shape).copy()
         for q in basis:
             v -= q * np.sum(v * q * wgt)
         basis.append(v / np.sqrt(np.sum(v * v * wgt)))
@@ -110,6 +112,11 @@ class TestPointwiseProx:
         m = _kinetic_prox(aa, wide, 0.8)
         ref = _prox_root(aa, wide, 0.8, 0.0, 0.0)
         assert np.any(m == 0.0) and np.array_equal(m == 0.0, ref == 0.0)  # vacuum cells
+        # the cells mix both roots: Cardano's and, off the vacuum, the
+        # trigonometric one of a negative discriminant
+        s, q = aa + 0.8, 0.4 * wide
+        trig = q * (s ** 3 / 27.0 + 0.25 * q) < 0
+        assert np.any(trig & (ref > 0)) and np.any(~trig & (ref > 0))
         assert np.max(np.abs(residual(m, aa, wide, 0.0, 0.0))) <= 1e-12 and agrees(m, ref)
         for eps in (0.05, 0.3):
             m = _entropy_prox(a, 0.8, eps, V)
@@ -167,7 +174,7 @@ class TestSpacetimePoisson:
         # remove the kernel content so rhs is exactly solvable
         rhs = off_kernel(g)(rng.standard_normal((10,) + g.space_shape))
         phi = spacetime_poisson(rhs, g)
-        back = _apply_operator(phi, g, _time_symbol(g, weighted=False))
+        back = _apply_operator(phi, g, weighted=False)
         assert np.linalg.norm(back - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_shape_validation(self):
@@ -175,34 +182,34 @@ class TestSpacetimePoisson:
         with pytest.raises(ValueError):
             spacetime_poisson(np.zeros((9, 16)), g)
 
-    def test_conformal_direct_solve(self):
+    @pytest.mark.parametrize("dim,n,metric", GRID_KINDS, ids=GRID_KIND_IDS)
+    def test_direct_solve(self, dim, n, metric):
         rng = np.random.default_rng(3)
-        for n in (12, 13):
-            g = build_grid(1, n, 8, 1.0, CONFORMAL)
-            project = off_kernel(g)
-            wgt = np.broadcast_to(g.sqrt_g, (8, n))
-            wr = np.sqrt(wgt).ravel()
-            for weighted in (False, True):
-                t_sym = _time_symbol(g, weighted)
-                rhs = rng.standard_normal((8, n))
-                phi = spacetime_poisson(rhs, g, weighted=weighted)
-                res = project(_apply_operator(phi, g, t_sym) - rhs)
-                assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
-                # sqrt(g)-weighted pseudo-inverse of the operator, column by column
-                cols = [_apply_operator(e.reshape(8, n), g, t_sym).ravel() for e in np.eye(8 * n)]
-                sym = wr[:, None] * np.array(cols).T / wr[None, :]
-                expected = (np.linalg.pinv(sym) @ (wr * rhs.ravel()) / wr).reshape(8, n)
-                assert np.max(np.abs(phi - expected)) <= 1e-10 * np.max(np.abs(expected))
-                content = phi - project(phi)
-                assert (np.sqrt(np.sum(content ** 2 * wgt))
-                        <= 1e-13 * np.sqrt(np.sum(phi ** 2 * wgt)))
-
-    @pytest.mark.parametrize("n", [12, 13])
-    def test_masked_modes_are_the_kernel(self, n):
-        g = build_grid(1, n, 8, 1.0, CONFORMAL)
+        g = build_grid(dim, n, 8, 1.0, metric)
+        shape = (8,) + g.space_shape
+        project = off_kernel(g)
+        wgt = np.broadcast_to(g.sqrt_g, shape)
+        wr = np.sqrt(wgt).ravel()
         for weighted in (False, True):
-            inv = _spectral_inverse(g, weighted)
-            assert np.count_nonzero(inv == 0.0) == len(centred_kernel(g)[0]) == 2 - n % 2
+            rhs = rng.standard_normal(shape)
+            phi = spacetime_poisson(rhs, g, weighted=weighted)
+            res = project(_apply_operator(phi, g, weighted) - rhs)
+            assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
+            # sqrt(g)-weighted pseudo-inverse of the operator, column by column
+            cols = [_apply_operator(e.reshape(shape), g, weighted).ravel() for e in np.eye(wr.size)]
+            sym = wr[:, None] * np.array(cols).T / wr[None, :]
+            expected = (np.linalg.pinv(sym) @ (wr * rhs.ravel()) / wr).reshape(shape)
+            assert np.max(np.abs(phi - expected)) <= 1e-10 * np.max(np.abs(expected))
+            content = phi - project(phi)
+            assert (np.sqrt(np.sum(content ** 2 * wgt))
+                    <= 1e-13 * np.sqrt(np.sum(phi ** 2 * wgt)))
+
+    @pytest.mark.parametrize("dim,n,metric", GRID_KINDS, ids=GRID_KIND_IDS)
+    def test_masked_modes_are_the_kernel(self, dim, n, metric):
+        g = build_grid(dim, n, 8, 1.0, metric)
+        for weighted in (False, True):
+            inv = _spacetime_kernel(g, weighted)[-1]
+            assert np.count_nonzero(inv == 0.0) == len(centred_kernel(g)[0])
 
     def test_failed_spectral_checks_raise(self, monkeypatch):
         import otgeo.prox as prox
@@ -308,6 +315,33 @@ class TestSolveProx:
         ref = ReferenceMeasure.from_potential(0.0, g)
         with pytest.raises(ValueError, match="mass"):
             solve_prox(np.full(32, 1.5), np.ones(32), ref, 0.1, g)
+
+    @pytest.mark.parametrize("offset,stops", [(1e-16, True), (1e-10, False)])
+    def test_rounding_size_negative_gap_stops(self, monkeypatch, offset, stops):
+        # F = G at the optimum up to rounding, so a first gap check that reads
+        # F - G = -1e-16 must end the solve; -1e-10 is no rounding and must not
+        g = build_grid(1, 32, 16, 1.0)
+        ref = ReferenceMeasure.from_potential(0.0, g)
+        m0, m1 = smooth_pair(g, width=0.12)
+        objectives, value, dual = [], prox.functional_value, prox.dual_value
+
+        def recorded(*args):
+            objectives.append(value(*args))
+            return objectives[-1]
+
+        def shifted(*args):
+            return objectives[-1] + offset if len(objectives) == 1 else dual(*args)
+
+        monkeypatch.setattr(prox, "functional_value", recorded)
+        monkeypatch.setattr(prox, "dual_value", shifted)
+        rep = solve_prox(m0, m1, ref, 0.1, g)[3]
+        first = ProxConfig().stagnation_window
+        if stops:
+            assert rep.iterations == first and len(objectives) == 1
+            assert -2e-16 <= rep.certified_gap < 0.0
+        else:
+            assert rep.iterations > first and len(objectives) > 1
+            assert_certified(rep)
 
     def test_budget_exhaustion_carries_state(self):
         from otgeo.prox import ProxError
