@@ -1,9 +1,10 @@
 """A regularized geodesic between two bumps, with its optimality certificates.
 
 The primal solver splits the kinetic + entropy action over a staggered pair
-(density at time nodes, momentum at interval midpoints) and a centered copy,
-alternating a pointwise prox, a weighted continuity projection (one spectral
-space-time solve) and a multiplier ascent.  The projection multiplier is the
+(density at time nodes and cells, momentum at interval midpoints and cell
+faces) and a pointwise copy, alternating a prox per face and cell, a
+weighted continuity projection (two spectral space-time solves) and a
+multiplier ascent.  The projection multiplier is the
 adjoint state u, so the run certifies itself.  The solver stops once the
 objective is within a relative 1e-10 of the closed-form discrete dual at the
 multiplier (the certified gap, a true optimality bound); the duality identity

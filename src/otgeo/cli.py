@@ -63,18 +63,30 @@ def config_digest(cfg) -> str:
         json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
 
 
-def _need(cfg, path, typ=None):
+def _need(cfg, path, typ=None, default=...):
+    """The config field at the dotted ``path``, or ``default`` when the field
+    is absent and a default is given; a present value must be a ``typ``."""
     node = cfg
     trail = []
     for key in path.split("."):
         trail.append(key)
         if not isinstance(node, dict) or key not in node:
-            raise ConfigError(f"missing config field: {'.'.join(trail)}")
+            if default is ...:
+                raise ConfigError(f"missing config field: {'.'.join(trail)}")
+            return default
         node = node[key]
     if typ is not None and not isinstance(node, typ):
+        names = "/".join(t.__name__ for t in (typ if isinstance(typ, tuple) else (typ,)))
         raise ConfigError(f"config field {path} has wrong type "
-                          f"({type(node).__name__}, expected {typ.__name__})")
+                          f"({type(node).__name__}, expected {names})")
     return node
+
+
+# parameters of the marginal families and of the metric and reference profiles
+PARAMETER_TYPES = {"width": (int, float), "peak": (int, float), "floor": (int, float),
+                   "amplitude": (int, float), "frequency": (int, float),
+                   "smoothing_steps": int, "centers": list, "cells": list,
+                   "file0": str, "file1": str}
 
 
 METRIC_PROFILES = {
@@ -123,7 +135,7 @@ def validate_config(cfg):
         raise ConfigError("grid.n_time must be >= 2")
     if _need(cfg, "grid.horizon", (int, float)) <= 0:
         raise ConfigError("grid.horizon must be positive")
-    metric = cfg["grid"].get("metric_profile", {"id": "flat"})
+    metric = _need(cfg, "grid.metric_profile", dict, {})
     if metric.get("id", "flat") not in METRIC_PROFILES:
         raise ConfigError(f"grid.metric_profile.id unknown: {metric.get('id')!r}")
 
@@ -131,15 +143,18 @@ def validate_config(cfg):
     if family not in FAMILIES:
         raise ConfigError(f"marginals.family unknown: {family!r} (known: {sorted(FAMILIES)})")
 
-    ref = cfg.get("reference", {"profile": "zero"})
+    ref = _need(cfg, "reference", dict, {})
     if ref.get("profile", "zero") not in REFERENCE_PROFILES:
         raise ConfigError(f"reference.profile unknown: {ref.get('profile')!r}")
+    for block in ("grid.metric_profile", "marginals", "reference"):
+        for key, typ in PARAMETER_TYPES.items():
+            _need(cfg, f"{block}.{key}", typ, None)
 
     method = _need(cfg, "solver.method", str)
     if method not in ("prox", "elliptic", "both"):
         raise ConfigError("solver.method must be prox, elliptic or both")
     eps = cfg["solver"].get("eps")
-    eps_list = cfg["solver"].get("eps_list")
+    eps_list = _need(cfg, "solver.eps_list", (list, type(None)), None)
     if eps is None and eps_list is None:
         raise ConfigError("solver needs eps or eps_list")
     for e in ([eps] if eps is not None else []) + list(eps_list or []):
@@ -148,7 +163,11 @@ def validate_config(cfg):
 
     _solver_configs(cfg)
 
-    for item in cfg.get("diagnostics", {}).get("checks", []):
+    _need(cfg, "diagnostics", dict, {})
+    for item in _need(cfg, "diagnostics.checks", list, []):
+        if not isinstance(item, (str, dict)):
+            raise ConfigError("config field diagnostics.checks has an item of wrong type "
+                              f"({type(item).__name__}, expected str/dict)")
         cid = item if isinstance(item, str) else item.get("id")
         if cid not in KNOWN_CHECKS:
             raise ConfigError(f"diagnostics check unknown: {cid!r} (known: {KNOWN_CHECKS})")
@@ -169,13 +188,7 @@ def _build_setup(cfg):
 
     mblock = cfg["marginals"]
     params = {k: v for k, v in mblock.items() if k != "family"}
-    family = mblock["family"]
-    method = cfg["solver"]["method"]
-    if (family == "point_like" and method in ("prox", "both")
-            and int(params.get("smoothing_steps", 0)) < 1):
-        # the primal path cannot take zero cells; minimal mandatory smoothing
-        params["smoothing_steps"] = 1
-    m0, m1 = make_marginals(family, params, grid)
+    m0, m1 = make_marginals(mblock["family"], params, grid)
     return grid, reference, m0, m1
 
 

@@ -11,14 +11,15 @@ conservative form, with the marginals entering exactly.
 
 Newton runs from ``phi = 0`` on
 
-    -Hess G = (tau / eps) E^T diag(cv m) E + tau sum_k D^T diag(cv mbar_k / g) D,
+    -Hess G = (tau / eps) E^T diag(cv m) E + tau sum_k D^T diag(fv M_k / g_f) D,
 
-where ``E v = ds(v)`` linearizes the exponent of the interior density and
-``D`` is the centred difference, assembled per step on operators cached
-per grid and factored once.  Pinning ``phi`` at the nodes ``(0..1)^dim`` of
-the first level (one node on odd grids) removes the Hessian's kernel, the
-time-constant null modes of the centred stencil.  The line search is
-Armijo on ``G``.
+where ``E v = ds(v)`` linearizes the exponent of the interior density,
+``D`` is the forward difference onto the cell faces and ``M_k`` the face
+density, assembled per step on operators cached per grid and factored
+once.  The Hessian's kernel is the space-time constants, so pinning
+``phi`` at one node removes it.  The line search is Armijo on ``G``.  The
+marginals may have empty cells: every face density ``M_k`` touches an
+interior node, whose density is positive.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .grid import Grid, _dc, centred_kernel, covariant_gradient
+from .grid import Grid, covariant_gradient, face_average
 from .transport import (
     ROUNDING,
     ReferenceMeasure,
+    check_marginals,
     continuity_defect,
     dual_pair,
     dual_value,
@@ -94,20 +96,10 @@ class EllipticProblem:
     m1: np.ndarray
 
     def validate(self):
-        for name, marg in (("m0", self.m0), ("m1", self.m1)):
-            marg = np.asarray(marg, dtype=float)
-            if marg.shape != self.grid.space_shape:
-                raise ValueError(f"{name} shape {marg.shape} != {self.grid.space_shape}")
-            if np.min(marg) <= 0:
-                raise ValueError(f"{name} must be strictly positive for the elliptic path")
+        """``ValueError`` for a negative cell, a mass off 1 or ``eps <= 0``."""
+        check_marginals(self.m0, self.m1, self.grid)
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        # G is linear along the kernel modes with these moments as slopes
-        diff = (np.asarray(self.m1, float) - np.asarray(self.m0, float)) * self.grid.cell_volume
-        worst = max(abs(float(np.sum(z * diff))) for z in centred_kernel(self.grid)[0])
-        if worst > 1e-12:
-            raise ValueError(f"the marginals' masses or null moments differ by {worst:.2e}; "
-                             "pass them through align_null_moments")
         return self
 
 
@@ -115,25 +107,30 @@ class EllipticProblem:
 def _operators(grid: Grid):
     """Sparse operators on the free entries of a flattened midpoint field,
     cached per grid: the time difference and the neighbour sum onto the
-    interior nodes, and the centred difference along each axis.  The entries
-    at ``centred_kernel``'s nodes of level 0 (the kernel's gauge) are left
-    out of the columns."""
+    interior nodes, and per axis the forward difference onto the faces and
+    the sum over each cell's two faces per cell volume.  Entry 0, node 0 of
+    level 0 (the constants' gauge), is left out of the columns."""
     nt, n = grid.n_time, grid.n_space
     nsp = n ** grid.dim
     space = sparse.identity(nsp, format="csr")
-    d1 = sparse.csr_matrix(_dc(np.eye(n), 0, grid.h))
-    if grid.dim == 1:
-        axes = [d1]
-    else:
-        axes = [sparse.kron(d1, sparse.identity(n)), sparse.kron(sparse.identity(n), d1)]
-    free = np.setdiff1d(np.arange(nt * nsp), centred_kernel(grid)[1])
+    up = sparse.csr_matrix(np.roll(np.eye(n), 1, axis=1))       # (up u)_i = u_{i+1}
+    eye = sparse.identity(n, format="csr")
+
+    def axes(matrix):
+        """``matrix`` along each spatial axis, on every time level."""
+        per_axis = [matrix] if grid.dim == 1 else [sparse.kron(matrix, eye), sparse.kron(eye, matrix)]
+        return [sparse.kron(sparse.identity(nt), a, format="csr") for a in per_axis]
+
+    free = np.arange(1, nt * nsp)
     keep = sparse.identity(nt * nsp, format="csr")[:, free]
     shift = sparse.diags([-1.0, 1.0], [0, 1], shape=(nt - 1, nt))
     diff = sparse.kron(shift / grid.tau, space, format="csr") @ keep
     pair_sum = sparse.kron(abs(shift), space, format="csr")
-    centred = [sparse.kron(sparse.identity(nt), d, format="csr") @ keep for d in axes]
+    forward = [d @ keep for d in axes((up - eye) / grid.h)]
+    per_volume = sparse.diags(np.tile(1.0 / grid.cell_volume.ravel(), nt))
+    faces = [per_volume @ s for s in axes(eye + up.T)]
     free.flags.writeable = False
-    return free, diff, pair_sum, centred
+    return free, diff, pair_sum, forward, faces
 
 
 def _evaluate(phi, problem: EllipticProblem):
@@ -153,15 +150,20 @@ def _dual_hessian(phi, m, problem: EllipticProblem):
     density path at ``phi``."""
     grid = problem.grid
     tau = grid.tau
-    _, diff, pair_sum, centred = _operators(grid)
+    _, diff, pair_sum, forward, faces = _operators(grid)
     cv = np.broadcast_to(grid.cell_volume, phi.shape)
+    fv = grid.face_volume
     grad = covariant_gradient(phi, grid)
-    lin = diff + 0.5 * (pair_sum @ sum(sparse.diags(grad[..., a].ravel()) @ d
-                                       for a, d in enumerate(centred)))
+    # d|grad phi|^2 = cell_average(2 grad D dphi) per level; s takes a quarter
+    # of it from each adjacent level
+    dgsq = sum(faces[a] @ sparse.diags((fv[..., a] * grad[..., a]).ravel()) @ forward[a]
+               for a in range(grid.dim))
+    lin = diff + 0.25 * (pair_sum @ dgsq)
     hess = (tau / problem.eps) * (lin.T @ sparse.diags((cv[1:] * m.values[1:-1]).ravel())
                                   @ lin)
-    weight = (tau * cv * m.midpoints() / grid.metric).ravel()
-    return (hess + sum(d.T @ sparse.diags(weight) @ d for d in centred)).tocsr()
+    weight = tau * fv * face_average(m.midpoints(), grid) / grid.face_metric
+    return (hess + sum(d.T @ sparse.diags(weight[..., a].ravel()) @ d
+                       for a, d in enumerate(forward))).tocsr()
 
 
 def newton_step(phi, problem: EllipticProblem, config: EllipticConfig = None, point=None):
@@ -171,7 +173,9 @@ def newton_step(phi, problem: EllipticProblem, config: EllipticConfig = None, po
     a Newton loop evaluates each point once.  A trial step of length
     ``alpha`` is accepted when ``G`` rises by ``ARMIJO alpha`` times the
     predicted rise, or, when the change in ``G`` is at rounding level, when
-    the defect's max-norm falls by the factor ``1 - ARMIJO alpha``.
+    the defect's max-norm falls by the factor ``1 - ARMIJO alpha`` or lies
+    below ``ROUNDING max(m) / tau``, the rounding level of its time
+    difference.
     """
     config = config or EllipticConfig()
     point = _evaluate(phi, problem) if point is None else point
@@ -179,7 +183,9 @@ def newton_step(phi, problem: EllipticProblem, config: EllipticConfig = None, po
     free = _operators(problem.grid)[0]
     hess = _dual_hessian(phi, m, problem)
     rhs = (problem.grid.tau * problem.grid.cell_volume * defect).ravel()[free]
-    solution = spsolve(hess.tocsc(), rhs)
+    # the symmetric minimum-degree order fills less in 1-D, COLAMD in 2-D
+    order = "MMD_AT_PLUS_A" if problem.grid.dim == 1 else "COLAMD"
+    solution = spsolve(hess.tocsc(), rhs, permc_spec=order)
     lin_res = np.linalg.norm(hess @ solution - rhs)
     limit = config.linear_tolerance * np.linalg.norm(rhs)
     if not lin_res <= limit:
@@ -197,7 +203,10 @@ def newton_step(phi, problem: EllipticProblem, config: EllipticConfig = None, po
         trial_point = _evaluate(trial, problem)
         rise = trial_point[0] - value
         if abs(rise) <= ROUNDING * (1.0 + abs(value)):
-            accept = trial_point[-1] <= (1.0 - ARMIJO * alpha) * residual
+            # the defect must fall, unless it is at the rounding level of its
+            # time difference, where a step cannot lower it further
+            floor = ROUNDING * np.max(trial_point[1].values) / problem.grid.tau
+            accept = trial_point[-1] <= max((1.0 - ARMIJO * alpha) * residual, floor)
         else:
             accept = rise >= ARMIJO * alpha * slope
         if accept:
@@ -241,7 +250,7 @@ def solve_elliptic(problem: EllipticProblem, config: EllipticConfig = None):
 
     _, m, w, _, _ = point
     reference, eps = problem.reference, problem.eps
-    u = potential_from_multiplier(phi, m.values, w.values, reference, eps, grid)
+    u = potential_from_multiplier(phi, m.values, reference, eps, grid)
     objective = functional_value(m, w, reference, eps)
     cross = u.cross_pairing(m.values[0], m.values[-1])
     drift = energy_drift(energy_profile(m, u, reference, eps))

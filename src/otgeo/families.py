@@ -1,11 +1,9 @@
 """Marginal families used by experiments and diagnostics.
 
-Each family produces a pair of unit-mass grid densities.  Families meant
-for the solvers are strictly positive; ``point_like`` deliberately is not
-(one loaded cell, optionally regularized by a few steps of the exact heat
-flow), so that precondition enforcement at the solver entry points stays
-observable.  Pairs are passed through :func:`otgeo.prox.align_null_moments`
-so the discrete continuity operator can actually connect them.
+Each family produces a pair of unit-mass grid densities.  Both solvers
+take any nonnegative pair of unit mass, the paper's L1 data, so the
+families need not be positive: ``point_like`` loads one cell per marginal,
+optionally regularized by a few steps of the exact heat flow.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import numpy as np
 
 from .grid import Grid, integrate, read_field
 from .oracles import heat_semigroup
-from .prox import align_null_moments
 
 
 def _periodic_bump(grid: Grid, center, width):
@@ -85,7 +82,7 @@ def _point_like(grid: Grid, params):
         if steps > 0:
             m = heat_semigroup(m, steps * grid.h ** 2, grid)
             # the truncated spectral kernel undershoots in the far field;
-            # clip to a strictly positive floor so the result stays solvable
+            # clip to a small positive floor, since a negative cell is no density
             m = np.maximum(m, 1e-12 * np.max(m))
             m /= integrate(m, grid)
         out.append(m)
@@ -116,18 +113,8 @@ FAMILIES = {
 
 
 def make_marginals(family, params, grid: Grid):
-    """Build a marginal pair ``(m0, m1)`` for the named family.
-
-    Strictly positive families are aligned on the null moments of the
-    discrete continuity operator; ``point_like`` with zero smoothing steps
-    is returned raw (it is meant to exercise the solvers' positivity
-    preconditions).
-    """
+    """Build a marginal pair ``(m0, m1)`` for the named family."""
     if family not in FAMILIES:
         raise ValueError(f"unknown marginal family {family!r}; "
                          f"known: {sorted(FAMILIES)}")
-    params = params or {}
-    m0, m1 = FAMILIES[family](grid, params)
-    if np.min(m0) > 0 and np.min(m1) > 0:
-        m0, m1 = align_null_moments(m0, m1, grid)
-    return m0, m1
+    return FAMILIES[family](grid, params or {})

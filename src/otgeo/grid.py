@@ -3,23 +3,27 @@
 The domain is either the 1-D circle of length ``L`` carrying a conformal
 metric ``g(x) dx^2`` (so the Ricci tensor vanishes identically while every
 covariant operator still sees ``g``), or the flat 2-D torus ``[0, L)^2``.
-Space is discretized on a uniform periodic grid with ``n`` points per axis,
+Space is discretized on a uniform periodic grid with ``n`` cells per axis,
 time on ``Nt`` uniform intervals of a horizon ``T``.
 
-All spatial derivatives are centered second-order differences.  The
-divergence is defined as the exact negative adjoint of the covariant
-gradient under the sqrt(g)-weighted inner product, which makes the discrete
-integration-by-parts identity
+Scalars live at the cells and vectors on the cell faces (Papadakis, Peyre
+& Oudet 2014): component ``a`` of a vector field at index ``i`` sits on the
+face between cells ``i`` and ``i + e_a``, with the metric
+``g_f = (g_i + g_{i+1}) / 2`` and the volume ``h^dim sqrt(g_f)``.  The
+gradient is the forward difference onto the faces, and the divergence is
+its exact negative adjoint under the volume weights, which makes
 
-    integrate(u * div_g(X)) == -integrate(<grad u, X>_g)
+    integrate(u * div_g(X)) == -integrate(metric_dot(grad u, X))
 
 hold to machine precision and gives a symmetric Laplace-Beltrami operator
-``div_g(grad u)``.  Those exact identities are what the energy and duality
-diagnostics downstream rely on.
+``div_g(grad u)`` whose only kernel is the constants.  ``cell_average``,
+the adjoint of ``face_average``, brings face quantities to the cells.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +49,11 @@ class Grid:
         Side length of the periodic domain (default 1, so the flat
         domain has unit volume and entropy baselines are zero).
     metric : ndarray
-        Conformal factor ``g`` per spatial node.  Identically 1 for
+        Conformal factor ``g`` per spatial cell.  Identically 1 for
         ``dim == 2``.
+    face_metric, face_volume : ndarray
+        ``g_f`` and ``h^dim sqrt(g_f)`` per face, shape
+        ``space_shape + (dim,)``.
     """
 
     dim: int
@@ -58,6 +65,8 @@ class Grid:
     sqrt_g: np.ndarray = field(repr=False, default=None)
     cell_volume: np.ndarray = field(repr=False, default=None)
     volume: float = field(default=None)
+    face_metric: np.ndarray = field(repr=False, default=None)
+    face_volume: np.ndarray = field(repr=False, default=None)
 
     # a grid is a value: equal parameters and metric bytes make equal grids
     def _key(self):
@@ -84,7 +93,7 @@ class Grid:
     def space_shape(self) -> tuple:
         return (self.n_space,) * self.dim
 
-    @property
+    @functools.cached_property
     def flat(self) -> bool:
         return bool(np.all(self.metric == 1.0))
 
@@ -144,81 +153,100 @@ def build_grid(dim, n_space, n_time, horizon, metric_profile=None, length=1.0) -
 
     sqrt_g = np.sqrt(g)
     cellv = sqrt_g * (length / n_space) ** dim
+    # face a of cell i lies between cells i and i + e_a
+    face_g = np.stack([0.5 * (g + _shifted(g, axis, 1)) for axis in range(dim)], axis=-1)
     grid = Grid(dim, n_space, n_time, float(horizon), float(length), g,
-                sqrt_g=sqrt_g, cell_volume=cellv, volume=float(np.sum(cellv)))
+                sqrt_g=sqrt_g, cell_volume=cellv, volume=float(np.sum(cellv)),
+                face_metric=face_g, face_volume=np.sqrt(face_g) * (length / n_space) ** dim)
     return grid
 
 
-def _dc(a, axis, h):
-    """Centered second-order periodic difference along ``axis``, by slicing:
-    bitwise ``(np.roll(a, -1, axis) - np.roll(a, 1, axis)) / (2 h)``."""
-    a = np.asarray(a)
-    lead = (slice(None),) * (axis % a.ndim)
-    out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
-    np.subtract(a[lead + (slice(2, None),)], a[lead + (slice(None, -2),)],
-                out=out[lead + (slice(1, -1),)])
-    np.subtract(a[lead + (slice(1, 2),)], a[lead + (slice(-1, None),)],
-                out=out[lead + (slice(0, 1),)])
-    np.subtract(a[lead + (slice(0, 1),)], a[lead + (slice(-2, -1),)],
-                out=out[lead + (slice(-1, None),)])
-    out /= 2.0 * h
+def _shifted(a, axis, step):
+    """``a[i + step]`` along a periodic ``axis``, ``step`` +1 or -1: the same
+    as ``np.roll(a, -step, axis)``, by one contiguous copy of the flattened
+    array and one copy of the wrapped edge."""
+    a = np.ascontiguousarray(a, dtype=float)
+    axis %= a.ndim
+    out = np.empty(a.shape)
+    k = math.prod(a.shape[axis + 1:])
+    src, dst = a.reshape(-1), out.reshape(-1)
+    lead = (slice(None),) * axis
+    if step > 0:
+        dst[:-k] = src[k:]
+        out[lead + (-1,)] = a[lead + (0,)]
+    else:
+        dst[k:] = src[:-k]
+        out[lead + (0,)] = a[lead + (-1,)]
     return out
 
 
-def centred_kernel(grid: Grid):
-    """Spatial kernel of the centred difference and the nodes that fix it.
-
-    Returns ``(modes, nodes)``: the null modes (constant plus, on even
-    grids, the per-axis alternating modes) and the flat spatial indices of
-    the nodes ``(0..1)^dim`` (node 0 on odd grids), where the modes' values
-    form an invertible matrix, so pinning a field there removes its kernel
-    component.
-    """
-    n = grid.n_space
-    corner = [0, 1] if n % 2 == 0 else [0]
-    modes = [np.ones(grid.space_shape)]
-    if n % 2 == 0:
-        alt = np.cos(np.pi * np.arange(n))
-        if grid.dim == 1:
-            modes.append(alt)
-        else:
-            modes.extend([np.tile(alt[:, None], (1, n)), np.tile(alt[None, :], (n, 1)),
-                          alt[:, None] * alt[None, :]])
-    if grid.dim == 2:
-        corner = [i * n + j for i in corner for j in corner]
-    return modes, corner
-
-
 def covariant_gradient(field, grid: Grid) -> np.ndarray:
-    """Covariant gradient with raised index: ``(grad u)^i = g^{ij} u_{x_j}``.
+    """Covariant gradient with raised index on the faces: component ``a`` is
+    ``(u[i + e_a] - u[i]) / (h g_f)``.
 
     Accepts any array whose trailing axes match the spatial shape (extra
     leading axes, e.g. time, pass through).  Returns an array with one
-    extra trailing axis of length ``dim`` holding the vector components.
+    extra trailing axis of length ``dim`` holding the face components.
     """
-    field = np.asarray(field, dtype=float)
-    _check_spatial(field, grid)
-    h = grid.h
-    if grid.dim == 1:
-        return (_dc(field, -1, h) / grid.metric)[..., None]
-    return np.stack([_dc(field, -2, h), _dc(field, -1, h)], axis=-1)
+    out = _face_pairs(np.subtract, field, grid)
+    out /= grid.h if grid.flat else grid.h * grid.face_metric
+    return out
 
 
 def divergence_g(vector_field, grid: Grid) -> np.ndarray:
-    """Metric divergence ``div_g X = (1/sqrt g) sum_k (sqrt g X^k)_{x_k}``.
-
-    Discretized with the same centered stencil as the gradient, so it is
-    the exact negative adjoint of :func:`covariant_gradient` under the
-    sqrt(g)-weighted inner product (discrete Stokes holds exactly).
+    """Metric divergence ``div_g X = (1/sqrt g) sum_k (sqrt g X^k)_{x_k}``:
+    the flux ``face_volume X`` out of each cell through its faces, per cell
+    volume.  It is the exact negative adjoint of :func:`covariant_gradient`
+    under the volume weights (discrete Stokes holds exactly).
     """
     X = np.asarray(vector_field, dtype=float)
     if X.shape[-1] != grid.dim:
         raise ValueError(f"vector field needs a trailing axis of length {grid.dim}")
     _check_spatial(X[..., 0], grid)
-    h = grid.h
-    if grid.dim == 1:
-        return _dc(grid.sqrt_g * X[..., 0], -1, h) / grid.sqrt_g
-    return _dc(X[..., 0], -2, h) + _dc(X[..., 1], -1, h)
+    out = _flux_sum(np.subtract, X, grid)
+    out /= grid.h if grid.flat else grid.h * grid.cell_volume
+    return out
+
+
+def face_average(field, grid: Grid) -> np.ndarray:
+    """Average of a cell scalar over the two cells of each face,
+    ``(f[i] + f[i + e_a]) / 2``, with the face axis trailing."""
+    out = _face_pairs(np.add, field, grid)
+    out *= 0.5
+    return out
+
+
+def cell_average(face_field, grid: Grid) -> np.ndarray:
+    """Volume-weighted average of a face scalar over each cell's two faces
+    per axis, summed over the axes:
+    ``sum_a (fv P[i - e_a] + fv P[i]) / (2 cv[i])``.  It is the adjoint of
+    :func:`face_average` under the face and cell volumes, so
+    ``integrate(cell_average(P))`` is the face sum ``sum fv P``."""
+    out = _flux_sum(np.add, face_field, grid)
+    out /= 2.0 if grid.flat else 2.0 * grid.cell_volume
+    return out
+
+
+def _face_pairs(ufunc, field, grid: Grid):
+    """``ufunc(f[i + e_a], f[i])`` of a cell field per face, face axis trailing."""
+    field = np.asarray(field, dtype=float)
+    _check_spatial(field, grid)
+    out = np.empty(field.shape + (grid.dim,))
+    for a in range(grid.dim):
+        ufunc(_shifted(field, a - grid.dim, 1), field, out=out[..., a])
+    return out
+
+
+def _flux_sum(ufunc, face_field, grid: Grid):
+    """``sum_a ufunc(F[i], F[i - e_a])`` of the flux ``F = fv P`` of a face
+    field; on flat grids, where every face and cell volume is ``h^dim``,
+    the flux is taken per unit volume, ``F = P``."""
+    P = np.asarray(face_field, dtype=float)
+    terms = []
+    for a in range(grid.dim):
+        flux = P[..., a] if grid.flat else P[..., a] * grid.face_volume[..., a]
+        terms.append(ufunc(flux, _shifted(flux, a - grid.dim, -1)))
+    return sum(terms[1:], terms[0])
 
 
 def laplace_beltrami(field, grid: Grid) -> np.ndarray:
@@ -240,16 +268,13 @@ def integrate(field, grid: Grid) -> float:
 
 
 def metric_dot(X, Y, grid: Grid) -> np.ndarray:
-    """Pointwise metric inner product of two vector fields: ``g_{ij} X^i Y^j``."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if grid.dim == 1:
-        return grid.metric * X[..., 0] * Y[..., 0]
-    return X[..., 0] * Y[..., 0] + X[..., 1] * Y[..., 1]
+    """Metric inner product ``g_f X Y`` of two face vector fields, taken
+    per face and brought to the cells by :func:`cell_average`."""
+    return cell_average(grid.face_metric * np.asarray(X, dtype=float) * Y, grid)
 
 
 def metric_norm_sq(X, grid: Grid) -> np.ndarray:
-    """Pointwise ``|X|_g^2``."""
+    """``|X|_g^2`` per cell: :func:`metric_dot` of ``X`` with itself."""
     return metric_dot(X, X, grid)
 
 

@@ -225,20 +225,20 @@ def heat_semigroup(m, t, grid: Grid) -> np.ndarray:
 
 
 def momentum_from_density_steps(m_path, grid: Grid):
-    """Momentum making the staggered continuity equation hold per interval.
+    """Face momentum making the staggered continuity equation hold per interval.
 
     Solves the discrete flux problem ``div_g w[k] = (m[k+1] - m[k]) / tau``
     in gradient form (``w = grad phi``) through the pseudo-inverse of the
-    composed Laplacian in the spatial eigenbasis that the primal projection
-    caches; components of the density increments in the kernel of the
-    centered stencil are irreducible and left out.  Flat grids only.
+    Laplacian in the spatial eigenbasis that the primal projection caches.
+    The Laplacian's only kernel is the constants, so every increment of
+    zero mass is reached exactly.  Flat grids only.
     """
     if not grid.flat:
         raise ValueError("flux construction implemented for flat metrics")
     m_path = np.asarray(m_path, dtype=float)
     rhs = (m_path[1:] - m_path[:-1]) / grid.tau
     mu, Q = _space_eigenbasis(grid)
-    phi_hat = _along_space(rhs, Q, grid.dim) * -_pseudo_inverse(mu, grid)
+    phi_hat = _along_space(rhs, Q, grid.dim) * -_pseudo_inverse(mu)
     return covariant_gradient(_along_space(phi_hat, Q.T, grid.dim), grid)
 
 

@@ -1,25 +1,26 @@
 """Primal solver: proximal splitting of the kinetic + entropy action.
 
-The discrete functional is minimized over staggered pairs ``(m, w)`` subject
-to the continuity constraint by an alternating-direction augmented
-Lagrangian.  Centered copies ``y = (a, b, c)`` of the staggered variables
-carry the pointwise cell energies (``a``: midpoint density for the kinetic
-kernel, ``b``: momentum, ``c``: interior-node density for the entropy), the
-staggered copy is kept exactly feasible by a weighted projection onto the
-continuity set, and a multiplier enforces consensus between the two:
+The discrete functional is minimized over staggered pairs ``(m, w)``
+(momenta on the cell faces, ``grid``) subject to the continuity constraint
+by an alternating-direction augmented Lagrangian.  Pointwise copies
+``y = (a, b, c)`` of the staggered variables carry the energies (``a``: the
+face density for the kinetic kernel, ``b``: momentum, ``c``: interior-node
+density for the entropy), the staggered copy is kept exactly feasible by a
+weighted projection onto the continuity set, and a multiplier enforces
+consensus between the two:
 
-    1. pointwise prox on the centered copies     (two closed forms per cell)
-    2. weighted continuity projection            (one spectral space-time solve)
+    1. pointwise prox on the copies              (two closed forms per face or cell)
+    2. weighted continuity projection            (spectral space-time solves)
        of the relaxed point  h = alpha y + (1 - alpha) L z
     3. relaxed multiplier ascent                 lambda += r (L z' - h).
 
 Steps 2 and 3 are over-relaxed (Eckstein & Bertsekas 1992) with
-``alpha = RELAXATION = 1.5``; ``L z`` is the centered image of the
-staggered copy before the projection and ``L z'`` after it.  The
-projection's space-time solve is direct on every grid, by matrix products
-with dense bases cached per grid: the cosine basis of the time midpoints,
-and the eigenbasis of the Laplace-Beltrami operator along each spatial
-axis.
+``alpha = RELAXATION = 1.5``; ``L z = (A m, w, interior m)`` is the image of
+the staggered copy before the projection and ``L z'`` after it, ``A``
+averaging the density over each interval's two nodes and each face's two
+cells.  The projection couples the interior densities through
+``K = I + T (x) A_x* A_x`` (``_spacetime_kernel``) and solves for the
+multiplier directly, by matrix products with bases cached per grid.
 
 Step 1 is exact: ``(a, b)`` carry only the kinetic energy, so ``a`` is the
 real root of the Benamou-Brenier cubic, and ``c`` carries only the entropy,
@@ -72,19 +73,17 @@ from scipy.special import wrightomega
 from .grid import (
     Grid,
     build_grid,
-    centred_kernel,
+    cell_average,
     covariant_gradient,
-    divergence_g,
-    integrate,
+    face_average,
     laplace_beltrami,
-    metric_norm_sq,
 )
 from .transport import (
     ROUNDING,
     DensityPath,
     MomentumField,
-    Potential,
     ReferenceMeasure,
+    check_marginals,
     continuity_defect,
     continuity_residual,
     dual_value,
@@ -92,8 +91,6 @@ from .transport import (
     energy_profile,
     functional_value,
     potential_from_multiplier,
-    spacetime_norm,
-    velocity_from_momentum,
 )
 
 # Over-relaxation factor of the ADMM splitting; 1 is plain ADMM.
@@ -308,86 +305,119 @@ def pointwise_prox(a, b, sigma, eps_cell, V_cell, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# The space-time kernel
+# The space-time kernels
 # ---------------------------------------------------------------------------
 
-def _time_symbol(grid: Grid, weighted: bool):
-    """Eigenvalues of the time block of the projection operator in the
-    cosine basis of the interval midpoints, shaped to broadcast against
-    space-time fields.
+def _time_modes(grid: Grid, interior: bool):
+    """Orthonormal eigenbasis, one mode per row, and eigenvalues of the time
+    block ``D^T D`` on the interior nodes when ``interior``, else ``D D^T``
+    on the midpoints, ``D`` the node difference onto the midpoints; the
+    eigenvalues are ``(2 - 2 cos(pi j / Nt)) / tau^2``."""
+    D = np.diff(np.eye(grid.n_time + 1), axis=0)[:, 1:-1] / grid.tau
+    lam, basis = np.linalg.eigh(D.T @ D if interior else D @ D.T)
+    return basis.T.copy(), lam
 
-    Plain projection: the 3-point Neumann Laplacian on the Nt interval
-    midpoints.  Weighted projection (consensus coupling through midpoint
-    averaging + node copies): the same symbol divided by the sine-mode
-    eigenvalue of the tridiagonal coupling matrix [1/4, 3/2, 1/4].
-    """
-    j = np.arange(grid.n_time)
-    lam = (2.0 - 2.0 * np.cos(np.pi * j / grid.n_time)) / grid.tau ** 2
-    if weighted:
-        lam = lam / (1.5 + 0.5 * np.cos(np.pi * j / grid.n_time))
-    return lam.reshape((-1,) + (1,) * grid.dim)
+
+def _symmetrized(apply, grid: Grid):
+    """Dense ``omega^{1/2} A omega^{-1/2}``, ``omega = sqrt(g)``, of a linear
+    operator ``apply`` on the cells of a 1-D grid; symmetric when ``A`` is
+    self-adjoint under the cell volumes."""
+    wroot = np.sqrt(grid.sqrt_g)
+    # row i of A(diag(omega^{-1/2})) is column i of A omega^{-1/2}
+    return (apply(np.diag(1.0 / wroot)) * wroot).T
+
+
+def _pair_average(field, grid: Grid):
+    """``A_x* A_x``: the face average of a cell field, brought back to the cells."""
+    return cell_average(face_average(field, grid), grid)
+
+
+def _eigh(S):
+    """Eigenpairs of a symmetric matrix; ``ProxError`` when the
+    eigen-residual exceeds ``1e-12 |S|``."""
+    mu, Q = np.linalg.eigh(S)
+    if np.linalg.norm(S @ Q - Q * mu) > 1e-12 * np.linalg.norm(S):
+        raise ProxError("eigendecomposition of the spatial operator is inaccurate")
+    return mu, Q
 
 
 @functools.lru_cache(maxsize=16)
 def _space_eigenbasis(grid: Grid):
     """Eigenpairs ``(mu, Q)`` of the symmetrized spatial operator
-    ``S = omega^{1/2} (-div_g grad) omega^{-1/2}``, ``omega = sqrt(g)``, from
-    one dense ``eigh`` along one axis; cached per grid and read-only.  The
-    flat 2-D operator is the Kronecker sum of two copies of its axis's:
-    there ``Q`` is the axis's eigenbasis, applied along each axis, and
-    ``mu[i, j]`` the sum of the axis eigenvalues ``i`` and ``j``.  Raises
-    ``ProxError`` when the eigen-residual exceeds ``1e-12 |S|``.
+    ``omega^{1/2} (-div_g grad) omega^{-1/2}``, ``omega = sqrt(g)``, from one
+    dense ``eigh`` along one axis; cached per grid and read-only.  The flat
+    2-D operator is the Kronecker sum of two copies of its axis's: there
+    ``Q`` is the axis's eigenbasis, applied along each axis, and ``mu[i, j]``
+    the sum of the axis eigenvalues ``i`` and ``j``.
     """
     if grid.dim == 2:
-        mu, Q = _space_eigenbasis(build_grid(1, grid.n_space, grid.n_time, grid.horizon,
-                                             length=grid.length))
+        mu, Q = _space_eigenbasis(_axis_grid(grid))
         mu = mu[:, None] + mu[None, :]
         mu.flags.writeable = False
         return mu, Q
-    wroot = np.sqrt(grid.sqrt_g)
-    # row i of -Lap_g(diag(omega^{-1/2})) is column i of -Lap_g omega^{-1/2}
-    S = (-laplace_beltrami(np.diag(1.0 / wroot), grid) * wroot).T
-    mu, Q = np.linalg.eigh(S)
-    if np.linalg.norm(S @ Q - Q * mu) > 1e-12 * np.linalg.norm(S):
-        raise ProxError("eigendecomposition of the spatial operator is inaccurate")
+    mu, Q = _eigh(_symmetrized(lambda f: -laplace_beltrami(f, grid), grid))
     mu.flags.writeable = False
     Q.flags.writeable = False
     return mu, Q
 
 
-def _pseudo_inverse(sym, grid: Grid):
+def _axis_grid(grid: Grid):
+    """The flat 1-D grid of one axis of the flat 2-D torus."""
+    return build_grid(1, grid.n_space, grid.n_time, grid.horizon, length=grid.length)
+
+
+def _pseudo_inverse(sym):
     """Reciprocal of a nonnegative symbol off its kernel, read-only: the
-    entries below ``1e-12`` of the largest are masked to 0, and they must be
-    exactly as many as the modes of ``centred_kernel``, else ``ProxError``."""
+    entries below ``1e-12`` of the largest are masked to 0."""
     inv = np.zeros_like(sym)
     mask = sym > 1e-12 * sym.max()
     inv[mask] = 1.0 / sym[mask]
-    masked, kernel = mask.size - np.count_nonzero(mask), len(centred_kernel(grid)[0])
-    if masked != kernel:
-        raise ProxError(f"{masked} masked modes, expected the {kernel} kernel modes")
     inv.flags.writeable = False
     return inv
 
 
-@functools.lru_cache(maxsize=16)
-def _spacetime_kernel(grid: Grid, weighted: bool):
-    """The factors ``(C, forward, backward, inv)`` of ``spacetime_poisson``,
-    cached per grid and read-only: the orthonormal cosine basis ``C`` of the
-    Nt interval midpoints (one mode per row), the spatial eigenbasis with the
-    ``omega^{1/2}`` weights folded in, ``forward = diag(omega^{1/2}) Q`` and
-    ``backward = Q^T diag(omega^{-1/2})``, and the pseudo-inverse symbol of
-    (time block + spatial operator) in the product basis.
+@functools.lru_cache(maxsize=32)
+def _spacetime_kernel(grid: Grid, kind: str):
+    """The factors ``(basis, spatial)`` of one space-time solve, cached per
+    grid and read-only; ``_solve`` applies them.
+
+    ``kind`` ``"coupling"`` is ``K = I + T (x) S`` on the interior nodes:
+    ``I + t_j S`` per time mode ``j``.  ``"plain"`` and ``"weighted"`` are
+    ``spacetime_poisson``'s operator: ``lam_j (I + t_j S)^{-1} + L`` per
+    time mode of the midpoints, with ``t_j = 0`` for the plain one.  Here
+    ``lam_j`` is ``_time_modes``'s eigenvalue, ``t_j = 1 - tau^2 lam_j / 4``
+    that of ``T = [1/4, 1/2, 1/4]``, ``L = -div_g grad`` and ``S = A_x* A_x``.  On
+    flat grids ``spatial = (Q, inv)``, the spatial eigenbasis, which
+    diagonalizes ``S`` as well as ``L``, and the pseudo-inverse symbol; on
+    the conformal circle, where they do not commute, one dense
+    pseudo-inverse block per mode.  The only masked mode is the constant.
     """
-    nt = grid.n_time
-    C = np.sqrt(2.0 / nt) * np.cos(np.pi * np.arange(nt)[:, None] * (np.arange(nt) + 0.5) / nt)
-    C[0] /= np.sqrt(2.0)
-    mu, Q = _space_eigenbasis(grid)
-    wroot = np.sqrt(grid.sqrt_g) if grid.dim == 1 else np.ones(grid.n_space)
-    forward = wroot[:, None] * Q
-    backward = Q.T / wroot
-    for matrix in (C, forward, backward):
-        matrix.flags.writeable = False
-    return C, forward, backward, _pseudo_inverse(_time_symbol(grid, weighted) + mu, grid)
+    basis, lam = _time_modes(grid, interior=kind == "coupling")
+    t = np.zeros_like(lam) if kind == "plain" else 1.0 - 0.25 * grid.tau ** 2 * lam
+    if grid.flat:
+        mu, Q = _space_eigenbasis(grid)
+        axis = grid if grid.dim == 1 else _axis_grid(grid)
+        s = np.einsum("ij,ij->j", Q, _symmetrized(lambda f: _pair_average(f, axis), axis) @ Q)
+        if grid.dim == 2:
+            s = s[:, None] + s[None, :]
+        lam, t = (v.reshape((-1,) + (1,) * grid.dim) for v in (lam, t))
+        op = 1.0 + t * s if kind == "coupling" else lam / (1.0 + t * s) + mu
+        spatial = (Q, _pseudo_inverse(op))
+    else:
+        L = _symmetrized(lambda f: -laplace_beltrami(f, grid), grid)
+        S = _symmetrized(lambda f: _pair_average(f, grid), grid)
+        wroot = np.sqrt(grid.sqrt_g)
+        blocks = []
+        for lam_j, t_j in zip(lam, t):
+            op = np.eye(grid.n_space) + t_j * S
+            if kind != "coupling":
+                op = lam_j * np.linalg.inv(op) + L
+            nu, U = _eigh(0.5 * (op + op.T))
+            blocks.append((U * _pseudo_inverse(nu)) @ U.T * wroot / wroot[:, None])
+        spatial = np.array(blocks)
+        spatial.flags.writeable = False
+    basis.flags.writeable = False
+    return basis, spatial
 
 
 def _along_space(field, matrix, dim):
@@ -397,165 +427,100 @@ def _along_space(field, matrix, dim):
     return matrix.T @ field @ matrix
 
 
+def _solve(rhs, kind, grid: Grid):
+    """Apply the pseudo-inverse of a ``_spacetime_kernel`` to ``rhs``."""
+    basis, spatial = _spacetime_kernel(grid, kind)
+    hat = (basis @ rhs.reshape(len(basis), -1)).reshape(rhs.shape)
+    if grid.flat:
+        Q, inv = spatial
+        hat = _along_space(_along_space(hat, Q, grid.dim) * inv, Q.T, grid.dim)
+    else:
+        hat = np.matmul(spatial, hat[..., None])[..., 0]
+    return (basis.T @ hat.reshape(len(basis), -1)).reshape(rhs.shape)
+
+
 def _apply_operator(phi, grid: Grid, weighted):
-    """Forward application of the space-time operator (any metric) by its
-    stencils: the time block is ``D^T K^{-1} D`` for the midpoint difference
-    ``D`` and, when ``weighted``, the coupling ``K`` (the identity otherwise)."""
+    """Forward application of the space-time operator by its stencils: the
+    time block is ``D K^{-1} D^T`` for the node difference ``D`` onto the
+    midpoints and, when ``weighted``, the coupling ``K`` (else the identity)."""
     psi = (phi[:-1] - phi[1:]) / grid.tau
     if weighted:
-        psi = _interior_coupling_solve(psi, grid.n_time)
-    out = -divergence_g(covariant_gradient(phi, grid), grid)
+        psi = _solve(psi, "coupling", grid)
+    out = -laplace_beltrami(phi, grid)
     out[:-1] += psi / grid.tau
     out[1:] -= psi / grid.tau
     return out
 
 
-def align_null_moments(m0, m1, grid: Grid, max_rounds=4):
-    """Make a marginal pair compatible with the discrete continuity operator.
-
-    The centered divergence annihilates the alternating spatial modes, so a
-    staggered pair can connect two marginals only when their volume-weighted
-    moments against those modes agree.  This symmetrically transfers half of
-    each moment difference between the marginals and renormalizes the
-    masses; for smooth profiles the perturbation is at the level of their
-    (tiny) top-frequency content.
-    """
-    m0 = np.asarray(m0, dtype=float).copy()
-    m1 = np.asarray(m1, dtype=float).copy()
-    modes = centred_kernel(grid)[0][1:]
-    if not modes:
-        return m0, m1
-    w = grid.cell_volume
-    for _ in range(max_rounds):
-        worst = 0.0
-        for s in modes:
-            denom = float(np.sum(s * s * w))
-            a0 = float(np.sum(m0 * s * w)) / denom
-            a1 = float(np.sum(m1 * s * w)) / denom
-            mid = 0.5 * (a0 + a1)
-            m0 += (mid - a0) * s
-            m1 += (mid - a1) * s
-            worst = max(worst, abs(a1 - a0))
-        m0 = np.maximum(m0, 0.0)
-        m1 = np.maximum(m1, 0.0)
-        m0 /= integrate(m0, grid)
-        m1 /= integrate(m1, grid)
-        if worst < 1e-14:
-            break
-    return m0, m1
-
-
 def spacetime_poisson(rhs, grid: Grid, weighted=False):
-    """Solve the space-time problem (-d_tt - Lap_g) phi = rhs.
-
-    Homogeneous Neumann in time (the rhs lives on the Nt interval
-    midpoints), periodic in space, mean-zero gauge: components of the rhs
-    in the kernel of the operator (space-time constants and, on even
-    grids, the centered-stencil null modes) are removed and the solution
-    carries none of them.
-
-    The operator is separable and both blocks are diagonalized directly on
-    every grid, by dense bases cached per ``(grid, weighted)``: the cosine
-    basis of the midpoints in time, and in space the eigenbasis of the
-    sqrt(g)-symmetrized Laplace-Beltrami operator, applied along each axis
-    of the flat 2-D torus.  The solution is sqrt(g)-orthogonal to the
-    kernel, whose modes the pseudo-inverse masks.
+    """Solve the space-time problem ``(D K^{-1} D^T - Lap_g) phi = rhs`` on
+    the Nt midpoints, ``D`` the difference from the interior nodes onto the
+    midpoints: ``K`` is the identity for the plain projection, whose time
+    block is the Neumann Laplacian ``-d_tt``, and the splitting's coupling
+    when ``weighted``.  Periodic in space, mean-zero gauge: the rhs loses its
+    component along the kernel, the space-time constants, and the solution
+    is sqrt(g)-orthogonal to them.  Direct, by the cached factors of
+    ``_spacetime_kernel``.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (grid.n_time,) + grid.space_shape:
         raise ValueError(f"rhs shape {rhs.shape}, expected {(grid.n_time,) + grid.space_shape}")
-
-    C, forward, backward, inv = _spacetime_kernel(grid, weighted)
-    hat = _along_space((C @ rhs.reshape(grid.n_time, -1)).reshape(rhs.shape), forward, grid.dim)
-    hat *= inv
-    phi = (C.T @ hat.reshape(grid.n_time, -1)).reshape(rhs.shape)
-    return _along_space(phi, backward, grid.dim)
+    return _solve(rhs, "weighted" if weighted else "plain", grid)
 
 
 # ---------------------------------------------------------------------------
 # Continuity projections
 # ---------------------------------------------------------------------------
 
-def _apply_correction(m_full, w_values, phi, grid: Grid):
-    """Subtract the adjoint correction (B* phi) from a staggered pair."""
-    tau = grid.tau
-    m_new = m_full.copy()
-    m_new[1:-1] -= (phi[:-1] - phi[1:]) / tau
-    w_new = w_values - covariant_gradient(phi, grid)
-    return m_new, w_new
-
-
 def project_continuity(m: DensityPath, w: MomentumField, m0, m1, grid: Grid):
     """Volume-weighted projection onto the discrete continuity set.
 
     The affine set is { d_t m - div_g w = 0, m(0) = m0, m(T) = m1 }; the
     projection is computed from a single space-time solve for the
-    constraint multiplier.  Idempotent, and the continuity residual after
-    projection is at kernel level (zero for marginals whose centered-
-    stencil null components agree).
-
-    Returns the projected pair and the multiplier interpolated to time
-    nodes as a potential increment.
+    constraint multiplier ``phi`` and the adjoint correction
+    ``m -= D^T phi``, ``w -= grad phi``.  Idempotent, and the continuity
+    residual after projection is at rounding level for marginals of equal
+    mass.  Returns the projected pair.
     """
-    m_full = m.values.copy()
-    m_full[0] = m0
-    m_full[-1] = m1
-    r = continuity_defect(DensityPath(m_full, grid), w)
-    phi = spacetime_poisson(r, grid, weighted=False)
-    m_new, w_new = _apply_correction(m_full, w.values, phi, grid)
-    return (DensityPath(m_new, grid), MomentumField(w_new, grid),
-            Potential(_midpoints_to_nodes(phi, grid), grid))
+    m_new = m.values.copy()
+    m_new[0] = m0
+    m_new[-1] = m1
+    phi = spacetime_poisson(continuity_defect(DensityPath(m_new, grid), w), grid)
+    m_new[1:-1] -= (phi[:-1] - phi[1:]) / grid.tau
+    return (DensityPath(m_new, grid),
+            MomentumField(w.values - covariant_gradient(phi, grid), grid))
 
 
-def _midpoints_to_nodes(field_mid, grid: Grid):
-    """Interpolate an interval-midpoint time series to the Nt+1 nodes."""
-    out = np.empty((grid.n_time + 1,) + field_mid.shape[1:])
-    out[1:-1] = 0.5 * (field_mid[:-1] + field_mid[1:])
-    out[0] = 1.5 * field_mid[0] - 0.5 * field_mid[1]
-    out[-1] = 1.5 * field_mid[-1] - 0.5 * field_mid[-2]
-    return out
+def _end_coupling(m0, m1, grid: Grid):
+    """``A_int* A m_ends``: ``S m0 / 4`` and ``S m1 / 4``, the marginals'
+    share of the first and last interior node's normal equation."""
+    return 0.25 * _pair_average(np.stack((m0, m1)), grid)
 
 
-@functools.lru_cache(maxsize=16)
-def _coupling_inverse(n):
-    """Inverse of the n x n coupling [1/4, 3/2, 1/4], read-only.  The
-    coupling's eigenvalues lie in (1, 2), so the inverse is well conditioned."""
-    inverse = np.linalg.inv(1.5 * np.eye(n) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1)))
-    inverse.flags.writeable = False
-    return inverse
-
-
-def _interior_coupling_solve(rhs, n_time):
-    """Solve the tridiagonal consensus coupling [1/4, 3/2, 1/4] in time."""
-    n = n_time - 1
-    return (_coupling_inverse(n) @ rhs.reshape(n, -1)).reshape(rhs.shape)
-
-
-def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid):
+def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid, end_coupling):
     """Constrained least-squares step of the splitting.
 
-    Minimizes |Av m - qa|^2 + |w - qb|^2_g + |m_int - qc|^2 over the
-    continuity set (endpoints pinned to the marginals).  Reduces to a
-    candidate assembly, one weighted space-time solve for the multiplier,
-    and the adjoint correction.  Returns (m_full, w, phi).
+    Minimizes ``|A m - qa|^2 + |w - qb|^2_g + |m_int - qc|^2``, with the face
+    and cell volumes as weights, over the continuity set (endpoints pinned
+    to the marginals).  Reduces to the normal equations
+    ``K m_int = A*(qa - A m_ends) + qc`` (``end_coupling``), one weighted
+    space-time solve for the multiplier ``phi``, and the correction
+    ``m_int -= K^{-1} D^T phi``, ``w = qb - grad phi``.  Returns
+    ``(m_full, w, phi)``.
     """
-    tau = grid.tau
-    rhs_m = 0.5 * (qa[:-1] + qa[1:]) + qc
-    rhs_m[0] -= 0.25 * m0
-    rhs_m[-1] -= 0.25 * m1
-    m_cand = np.empty((grid.n_time + 1,) + grid.space_shape)
-    m_cand[0] = m0
-    m_cand[-1] = m1
-    m_cand[1:-1] = _interior_coupling_solve(rhs_m, grid.n_time)
+    qa_cells = cell_average(qa, grid)
+    rhs_m = 0.5 * (qa_cells[:-1] + qa_cells[1:]) + qc
+    rhs_m[0] -= end_coupling[0]
+    rhs_m[-1] -= end_coupling[1]
+    m_new = np.empty((grid.n_time + 1,) + grid.space_shape)
+    m_new[0] = m0
+    m_new[-1] = m1
+    m_new[1:-1] = _solve(rhs_m, "coupling", grid)
 
-    r = continuity_defect(DensityPath(m_cand, grid), MomentumField(qb, grid))
+    r = continuity_defect(DensityPath(m_new, grid), MomentumField(qb, grid))
     phi = spacetime_poisson(r, grid, weighted=True)
-
-    m_new = m_cand.copy()
-    psi = (phi[:-1] - phi[1:]) / tau
-    m_new[1:-1] -= _interior_coupling_solve(psi, grid.n_time)
-    w_new = qb - covariant_gradient(phi, grid)
-    return m_new, w_new, phi
+    m_new[1:-1] -= _solve((phi[:-1] - phi[1:]) / grid.tau, "coupling", grid)
+    return m_new, qb - covariant_gradient(phi, grid), phi
 
 
 # ---------------------------------------------------------------------------
@@ -625,20 +590,13 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     of the ADMM map; ``report.residual_history`` holds the consensus of each
     and ``report.objective_history`` ``F_eps`` at each gap check.
 
-    Raises ``ValueError`` for marginals with zero cells (pre-smooth them)
-    and ``ProxError`` when the projection budget is exhausted, carrying the
-    last projected pair and the residual history.
+    Raises ``ValueError`` for marginals with a negative cell or a mass off
+    1 (``transport.check_marginals``) and ``ProxError`` when the projection
+    budget is exhausted, carrying the last projected pair and the residual
+    history.
     """
     config = (config or ProxConfig()).validate()
-    m0 = np.asarray(m0, dtype=float)
-    m1 = np.asarray(m1, dtype=float)
-    for name, marg in (("m0", m0), ("m1", m1)):
-        if marg.shape != grid.space_shape:
-            raise ValueError(f"{name} shape {marg.shape} != {grid.space_shape}")
-        if np.any(marg <= 0):
-            raise ValueError(f"{name} has a zero cell; pre-smooth it")
-        if abs(integrate(marg, grid) - 1.0) > 1e-8:
-            raise ValueError(f"{name} mass deviates from 1 by more than 1e-8")
+    m0, m1 = check_marginals(m0, m1, grid)
     if eps <= 0:
         raise ValueError("eps must be positive")
 
@@ -647,17 +605,16 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     Nt = grid.n_time
     tau = grid.tau
 
-    # init: linear interpolation of the marginals, zero momentum, projected
+    # start: linear interpolation of the marginals, zero momentum, projected
     frac = (np.arange(Nt + 1) / Nt).reshape((-1,) + (1,) * grid.dim)
-    m_full = (1.0 - frac) * m0 + frac * m1
-    w = np.zeros((Nt,) + grid.space_shape + (grid.dim,))
-    r0 = continuity_defect(DensityPath(m_full, grid), MomentumField(w, grid))
-    phi0 = spacetime_poisson(r0, grid, weighted=False)
-    m_full, w = _apply_correction(m_full, w, phi0, grid)
+    start = project_continuity(DensityPath((1.0 - frac) * m0 + frac * m1, grid),
+                               MomentumField(np.zeros((Nt,) + grid.space_shape + (grid.dim,)),
+                                             grid), m0, m1, grid)
+    m_full, w = start[0].values, start[1].values
 
     # the map's state x = (interior m, w, lam_a, lam_b, lam_c), packed flat
-    interior, mid = m_full[1:-1].shape, (Nt,) + grid.space_shape
-    shapes = (interior, w.shape, mid, w.shape, interior)
+    interior = m_full[1:-1].shape
+    shapes = (interior, w.shape, w.shape, w.shape, interior)
     bounds = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
 
     def unpack(state):
@@ -666,36 +623,33 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
 
     x = np.concatenate((m_full[1:-1].ravel(), w.ravel(), np.zeros(bounds[-1] - bounds[2])))
 
-    sqrt_g = grid.sqrt_g
     V = reference.potential_V
     sigma = 1.0 / r
     res_history = []
     obj_history = []
-    weight_scalar = grid.cell_volume * tau
+    face_weight = grid.face_volume * tau
+    cell_weight = grid.cell_volume * tau
     path = m_full.copy()            # endpoints stay the marginals
+    end_coupling = _end_coupling(m0, m1, grid)
     last = {"gap": np.inf}
 
     def consensus_norm(da, db, dc):
-        tot = np.sum(da * da * weight_scalar)
-        tot += np.sum(metric_norm_sq(db, grid) * weight_scalar)
-        tot += np.sum(dc * dc * weight_scalar)
+        tot = np.sum((da * da + grid.face_metric * db * db) * face_weight)
+        tot += np.sum(dc * dc * cell_weight)
         return float(np.sqrt(tot))
 
     def admm_map(state):
         m_int, w, lam_a, lam_b, lam_c = unpack(state)
         path[1:-1] = m_int
-        za = 0.5 * (path[:-1] + path[1:])      # a-part of the centered image L z
+        za = face_average(0.5 * (path[:-1] + path[1:]), grid)   # a-part of L z
 
-        # 1. pointwise prox on the centered copies
+        # 1. pointwise prox on the copies, one kinetic cell per face
         pa = za + lam_a / r
         pb = w + lam_b / r
         pc = m_int + lam_c / r
 
-        pb_frame = pb * sqrt_g[..., None] if grid.dim == 1 else pb
-        bsq = np.sum(pb_frame * pb_frame, axis=-1)
-        a = _kinetic_prox(pa, bsq, sigma)
-        scale = a / (a + sigma)
-        b = pb * scale[..., None]
+        a = _kinetic_prox(pa, grid.face_metric * pb * pb, sigma)
+        b = pb * (a / (a + sigma))
         c = _entropy_prox(pc, sigma, eps, V)
 
         # 2. weighted continuity projection of the relaxed point
@@ -703,14 +657,14 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         hb = RELAXATION * b + (1.0 - RELAXATION) * w
         hc = RELAXATION * c + (1.0 - RELAXATION) * m_int
         m_new, w_new, phi = _weighted_projection(ha - lam_a / r, hb - lam_b / r,
-                                                 hc - lam_c / r, m0, m1, grid)
+                                                 hc - lam_c / r, m0, m1, grid, end_coupling)
 
         # 3. relaxed multiplier ascent; consensus is measured against y = (a, b, c)
         out = np.empty_like(state)
         out_m, out_w, out_a, out_b, out_c = unpack(out)
         out_m[...] = m_new[1:-1]
         out_w[...] = w_new
-        za_new = 0.5 * (m_new[:-1] + m_new[1:])
+        za_new = face_average(0.5 * (m_new[:-1] + m_new[1:]), grid)
         out_a[...] = lam_a + r * (za_new - ha)
         out_b[...] = lam_b + r * (w_new - hb)
         out_c[...] = lam_c + r * (out_m - hc)
@@ -745,16 +699,16 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     obj = last["obj"]
     m = DensityPath(m_full, grid)
     mom = MomentumField(w, grid)
-    u = potential_from_multiplier(r * phi, m_full, w, reference, eps, grid)
+    u = potential_from_multiplier(r * phi, m_full, reference, eps, grid)
 
     duality_gap = abs(u.cross_pairing(m0, m1) - obj)
     drift = energy_drift(energy_profile(m, u, reference, eps))
 
-    mbar = 0.5 * (m_full[:-1] + m_full[1:])
-    v = velocity_from_momentum(w, mbar)
-    grad_u_mid = covariant_gradient(-r * phi, grid)
-    vdisc = spacetime_norm(np.sqrt(np.maximum(metric_norm_sq(v - grad_u_mid, grid), 0.0)
-                                   * mbar), grid)
+    # the velocity w / M against grad u on the faces, weighted by M
+    M = face_average(m.midpoints(), grid)
+    v = np.divide(w, M, out=np.zeros_like(w), where=M > 1e-14)
+    gap_sq = grid.face_metric * (v - covariant_gradient(-r * phi, grid)) ** 2
+    vdisc = float(np.sqrt(np.sum(gap_sq * M * face_weight)))
 
     _, final_res = continuity_residual(m, mom)
     report = SolveReport(

@@ -4,12 +4,14 @@ The cost of a curve of densities ``m(t)`` with momentum ``w = m v`` is the
 Benamou-Brenier kinetic action plus ``eps`` times the time-integrated
 relative entropy against a reference measure ``nu = exp(-V) dx``:
 
-    F_eps(m, w) = sum_k  tau * integrate( Psi_g(w[k], mbar[k]) )
+    F_eps(m, w) = sum_k  tau * sum_faces( face_volume * Psi_g(w[k], M[k]) )
                 + eps * trapezoid_k( tau * H(m[k]; nu) )
 
 on the staggered layout: densities at the ``Nt + 1`` time nodes, momenta at
-the ``Nt`` interval midpoints, ``mbar[k] = (m[k] + m[k+1]) / 2``.  The
-kernel ``Psi_g(p, m) = |p|_g^2 / (2m)`` is jointly convex with the closure
+the ``Nt`` interval midpoints and the cell faces (``grid``), and the face
+density ``M[k]`` the average of ``m`` over the face's two cells and the
+interval's two nodes.  The kernel ``Psi_g(p, m) = |p|_g^2 / (2m)`` is
+jointly convex with the closure
 ``Psi(0, 0) = 0`` and ``+inf`` whenever ``m <= 0`` with ``p != 0``; the
 infinite branch is reported as ``inf``, never a NaN, so solver line
 searches stay deterministic.
@@ -32,6 +34,7 @@ from .grid import (
     Grid,
     covariant_gradient,
     divergence_g,
+    face_average,
     integrate,
     metric_norm_sq,
 )
@@ -87,7 +90,8 @@ class DensityPath:
 
 @dataclass
 class MomentumField:
-    """Staggered momentum ``w = m v``, shape ``(Nt,) + space_shape + (dim,)``."""
+    """Staggered momentum ``w = M v`` on the cell faces, shape
+    ``(Nt,) + space_shape + (dim,)``."""
 
     values: np.ndarray
     grid: Grid
@@ -118,6 +122,20 @@ class Potential:
     def cross_pairing(self, m0, m1) -> float:
         """Duality pairing ``int u(0) m0 - int u(T) m1``."""
         return integrate(self.values[0] * m0, self.grid) - self.terminal_pairing(m1)
+
+
+def check_marginals(m0, m1, grid: Grid):
+    """The marginals as float arrays; ``ValueError`` unless each has the
+    grid's shape, no negative cell and unit mass to 1e-8 (L1 data)."""
+    out = [np.asarray(m0, dtype=float), np.asarray(m1, dtype=float)]
+    for name, marg in zip(("m0", "m1"), out):
+        if marg.shape != grid.space_shape:
+            raise ValueError(f"{name} shape {marg.shape} != {grid.space_shape}")
+        if np.any(marg < 0):
+            raise ValueError(f"{name} has a negative cell")
+        if abs(integrate(marg, grid) - 1.0) > 1e-8:
+            raise ValueError(f"{name} mass deviates from 1 by more than 1e-8")
+    return out
 
 
 def bb_kernel(p, m):
@@ -166,27 +184,27 @@ def functional_value(m: DensityPath, w: MomentumField, reference: ReferenceMeasu
                      eps: float) -> float:
     """Discrete value of ``F_eps``; ``inf`` on the infeasible kinetic branch.
 
-    Kinetic action by the midpoint rule over staggered cells, entropy by
-    the trapezoid rule over time nodes (endpoint entropies included, as
-    they are in the continuum functional).  Negative densities are a
-    domain error.
+    Kinetic action by the midpoint rule over the faces' staggered cells,
+    entropy by the trapezoid rule over time nodes (endpoint entropies
+    included, as they are in the continuum functional).  Negative
+    densities are a domain error.
     """
     grid = m.grid
     if w.grid is not grid and w.grid != grid:
         raise ValueError("density and momentum live on different grids")
-    mbar = m.midpoints()
-    wsq = metric_norm_sq(w.values, grid)
-    dead = mbar <= 0
-    if np.any(dead & (wsq > 0)):
-        return INFEASIBLE
-    kin = np.zeros_like(mbar)
-    live = ~dead
-    kin[live] = wsq[live] / (2.0 * mbar[live])
     if np.any(m.values < 0):
         raise ValueError("functional_value needs m >= 0")
+    M = face_average(m.midpoints(), grid)
+    wsq = grid.face_metric * w.values ** 2
+    dead = M <= 0
+    if np.any(dead & (wsq > 0)):
+        return INFEASIBLE
+    kin = np.zeros_like(M)
+    live = ~dead
+    kin[live] = wsq[live] / (2.0 * M[live])
     ent = entropy_density(m.values, reference.potential_V)
     weights = grid.time_weights().reshape((-1,) + (1,) * grid.dim)
-    return (grid.tau * float(np.sum(kin * grid.cell_volume))
+    return (grid.tau * float(np.sum(kin * grid.face_volume))
             + eps * float(np.sum(weights * ent * grid.cell_volume)))
 
 
@@ -264,16 +282,16 @@ def dual_pair(phi, m0, m1, reference: ReferenceMeasure, eps: float, grid: Grid):
     """The pair ``(m, w)`` that minimizes the Lagrangian of :func:`dual_value`
     at the multiplier ``phi``: the endpoints are ``m0`` and ``m1``, the
     interior density is ``m[j] = exp(s[j] / eps - V - 1)`` with
-    ``s[j] = (phi[j] - phi[j-1]) / tau + (|grad phi[j-1]|^2 + |grad phi[j]|^2) / 4``,
-    and the momentum is ``w[k] = -mbar[k] grad phi[k]``.
+    ``s[j] = (phi[j] - phi[j-1]) / tau + (|grad phi[j-1]|^2 + |grad phi[j]|^2) / 4``
+    (``metric_norm_sq``), and the momentum is ``w[k] = -M[k] grad phi[k]``.
     """
     grad, _, m_int = _dual_minimizer(phi, reference, eps, grid)
     m = np.concatenate([np.asarray(m0, float)[None], m_int, np.asarray(m1, float)[None]])
-    mbar = 0.5 * (m[:-1] + m[1:])
-    return DensityPath(m, grid), MomentumField(-mbar[..., None] * grad, grid)
+    path = DensityPath(m, grid)
+    return path, MomentumField(-face_average(path.midpoints(), grid) * grad, grid)
 
 
-def potential_from_multiplier(phi, m_full, w_values, reference: ReferenceMeasure, eps,
+def potential_from_multiplier(phi, m_full, reference: ReferenceMeasure, eps,
                               grid: Grid) -> Potential:
     """Assemble node-based u from the constraint multiplier.
 
@@ -285,16 +303,14 @@ def potential_from_multiplier(phi, m_full, w_values, reference: ReferenceMeasure
     the duality pairing carries the entropy term of :func:`dual_value`, so
     its defect is not of first order in the multiplier's error.  Interior
     nodes average the neighbors; the endpoint traces follow a half-step of
-    the Hamilton-Jacobi equation evaluated with the endpoint marginals,
-    which makes the discrete duality identity exact at convergence.  The
-    gauge is int u(T) m1 = 0.
+    the Hamilton-Jacobi equation evaluated with ``|grad phi|^2`` and the
+    endpoint marginals, which makes the discrete duality identity exact at
+    convergence.  The gauge is int u(T) m1 = 0.
     """
     space_axes = tuple(range(1, 1 + grid.dim))
-    mass = np.sum(_dual_minimizer(phi, reference, eps, grid)[2] * grid.cell_volume,
-                  axis=space_axes)
+    _, vsq, m_int = _dual_minimizer(phi, reference, eps, grid)
+    mass = np.sum(m_int * grid.cell_volume, axis=space_axes)
     drift = eps * grid.tau * (0.5 + np.concatenate(([0.0], np.cumsum(mass))))
-    mbar = 0.5 * (m_full[:-1] + m_full[1:])
-    vsq = metric_norm_sq(velocity_from_momentum(w_values, mbar), grid)
     V = reference.potential_V
     u_mid = drift.reshape((-1,) + (1,) * grid.dim) - phi
     u = np.empty((grid.n_time + 1,) + grid.space_shape)
@@ -305,11 +321,3 @@ def potential_from_multiplier(phi, m_full, w_values, reference: ReferenceMeasure
     u[0] = u_mid[0] - 0.5 * grid.tau * (0.5 * vsq[0] - eps * (log_m0 + V))
     u[-1] = u_mid[-1] + 0.5 * grid.tau * (0.5 * vsq[-1] - eps * (log_m1 + V))
     return Potential(u, grid).normalize(m_full[-1])
-
-
-def velocity_from_momentum(w_values, mbar, floor=1e-14):
-    """Velocity ``v = w / mbar`` with zero where the density vanishes."""
-    v = np.zeros_like(w_values)
-    live = mbar > floor
-    v[live] = w_values[live] / mbar[live][:, None]
-    return v

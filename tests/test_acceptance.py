@@ -14,7 +14,6 @@ import pytest
 
 from otgeo.grid import (
     build_grid,
-    centred_kernel,
     covariant_gradient,
     divergence_g,
     integrate,
@@ -260,6 +259,41 @@ def test_criterion_8_cross_method_agreement(flat_reference):
            f"F_prox - G_dual {gaps[0]:.1e}, {gaps[1]:.1e} in [0, 1e-10] (1 + |F|)")
 
 
+def test_criterion_8_on_raw_single_cell_data():
+    # the paper's L1 data: one loaded cell per marginal, no smoothing; both
+    # routes still meet at one discrete optimum
+    g = build_grid(1, 32, 16, 1.0)
+    ref = ReferenceMeasure.from_potential(0.0, g)
+    m0, m1 = make_marginals("point_like", {"smoothing_steps": 0}, g)
+    assert np.count_nonzero(m0) == np.count_nonzero(m1) == 1
+    mp, _, _, rep_p = solve_prox(m0, m1, ref, EPS, g)
+    _, me, rep_e = solve_elliptic(EllipticProblem(g, ref, EPS, m0, m1))
+    distance = float(np.sum(np.abs(mp.values - me.values) * g.cell_volume) * g.tau)
+    gap = (rep_p.objective - rep_e.objective_history[-1]) / (1.0 + abs(rep_p.objective))
+    passed = distance <= 2e-5 and 0.0 <= gap <= 1e-10
+    report(8, passed,
+           f"raw single-cell data: cross-method L1 {distance:.2e} <= 2e-5; "
+           f"F_prox - G_dual {gap:.1e} in [0, 1e-10] (1 + |F|)")
+
+
+def test_l1_to_linf_regularization_of_raw_data():
+    # single-cell marginals are in L1 only, yet at interior times the density
+    # is bounded independently of the grid: sup m at t = 1/8 and t = 1/4
+    # agrees within 5% between 32 x 16 and 64 x 32
+    sups = []
+    for (n, nt) in ((32, 16), (64, 32)):
+        g = build_grid(1, n, nt, 1.0)
+        ref = ReferenceMeasure.from_potential(0.0, g)
+        m0, m1 = make_marginals("point_like", {"smoothing_steps": 0}, g)
+        _, m, _ = solve_elliptic(EllipticProblem(g, ref, EPS, m0, m1))
+        sups.append([float(np.max(m.values[nt * k // 8])) for k in (1, 2)])
+    (a8, a4), (b8, b4) = sups
+    passed = all(abs(a - b) <= 0.05 * max(a, b) for a, b in ((a8, b8), (a4, b4)))
+    report("L1-Linf", passed,
+           f"interior sup m at t = 1/8: {a8:.3f} / {b8:.3f}, at t = 1/4: {a4:.3f} / {b4:.3f} "
+           f"(32x16 / 64x32, within 5%); endpoint sup {float(np.max(m0)):.0f}")
+
+
 def test_criterion_9_barrier_stability(grid64, flat_reference, two_bump_solution):
     def c_hat(n, nt, eps):
         g = build_grid(1, n, nt, 1.0)
@@ -326,19 +360,10 @@ def test_criterion_10_module_invariants_fast(tmp_path):
     tail = _entropy_prox(np.array([-74.5, -80.0, -1e3]), 1.0, 0.1, 0.0)
     assert np.all(np.isfinite(tail)) and np.all(tail >= 0.0)
 
-    # space-time solves reproduce their right-hand side
+    # space-time solves reproduce their right-hand side off the kernel, the constants
     g = build_grid(1, 32, 16, 1.0)
     rhs = rng.standard_normal((16, 32))
-    wgt = np.broadcast_to(g.sqrt_g, rhs.shape)
-    basis = []
-    for z in centred_kernel(g)[0]:
-        v = np.broadcast_to(z, rhs.shape).copy()
-        for q in basis:
-            v -= q * np.sum(v * q * wgt)
-        v /= np.sqrt(np.sum(v * v * wgt))
-        basis.append(v)
-    for q in basis:
-        rhs = rhs - q * np.sum(rhs * q * wgt)
+    rhs -= np.mean(rhs)
     phi = spacetime_poisson(rhs, g)
     back = _apply_operator(phi, g, weighted=False)
     assert np.linalg.norm(back - rhs) <= 1e-10 * np.linalg.norm(rhs)
@@ -347,9 +372,9 @@ def test_criterion_10_module_invariants_fast(tmp_path):
     m0, m1 = make_marginals("bump_pair", {"width": 0.15}, g)
     m = DensityPath(np.tile(m0, (17, 1)), g)
     w = MomentumField(rng.standard_normal((16, 32, 1)), g)
-    mp, wp, _ = project_continuity(m, w, m0, m1, g)
+    mp, wp = project_continuity(m, w, m0, m1, g)
     assert continuity_residual(mp, wp)[1] <= 1e-12
-    mp2, wp2, _ = project_continuity(mp, wp, m0, m1, g)
+    mp2, wp2 = project_continuity(mp, wp, m0, m1, g)
     assert np.max(np.abs(mp2.values - mp.values)) <= 1e-12
 
     # reproducible artifacts

@@ -68,17 +68,16 @@ class TestMakeMarginals:
         assert np.min(m0) > 0
         assert integrate(m0, g) == pytest.approx(1.0, abs=1e-12)
 
-    def test_point_like_zero_steps_rejected_by_both_solvers(self):
+    def test_point_like_zero_steps_solved_by_both_solvers(self):
         g = build_grid(1, 32, 8, 1.0)
         ref = ReferenceMeasure.from_potential(0.0, g)
         m0, m1 = make_marginals("point_like", {"smoothing_steps": 0}, g)
         assert np.min(m0) == 0.0
-        with pytest.raises(ValueError, match="zero cell") as primal:
-            solve_prox(m0, m1, ref, 0.1, g)
-        # the elliptic path rejects the same marginal, so the advice must not point there
-        assert "elliptic" not in str(primal.value)
-        with pytest.raises(ValueError, match="strictly positive"):
-            solve_elliptic(EllipticProblem(g, ref, 0.1, m0, m1))
+        mp, _, _, rep_p = solve_prox(m0, m1, ref, 0.1, g)
+        _, me, rep_e = solve_elliptic(EllipticProblem(g, ref, 0.1, m0, m1))
+        assert rep_p.converged and rep_e.final_residual < 1e-9
+        assert rep_p.objective == pytest.approx(rep_e.objective, rel=1e-8)
+        assert np.min(mp.values[1:-1]) > 0 and np.min(me.values[1:-1]) > 0
 
     def test_point_like_smoothing_makes_it_solvable(self):
         g = build_grid(1, 32, 8, 1.0)
@@ -167,6 +166,16 @@ class TestConfigValidation:
          "solver.elliptic.rho"),
         ({"solver": {"method": "both", "eps": 0.1, "elliptic": {"delta_start": 1.0}}},
          "solver.elliptic.delta_start"),
+        # wrong JSON types
+        ({"grid": {"dim": 1, "n_space": 32, "n_time": 16, "horizon": 1.0,
+                   "metric_profile": "flat"}}, "grid.metric_profile"),
+        ({"reference": "zero"}, "reference"),
+        ({"diagnostics": {"checks": ["energy", 3]}}, "diagnostics.checks"),
+        ({"solver": {"method": "prox", "eps_list": 0.1}}, "solver.eps_list"),
+        ({"marginals": {"family": "bump_pair", "width": "x"}}, "marginals.width"),
+        ({"grid": {"dim": 1, "n_space": 32, "n_time": 16, "horizon": 1.0,
+                   "metric_profile": {"id": "conformal_sine", "amplitude": [0.5]}}},
+         "grid.metric_profile.amplitude"),
     ])
     def test_invalid_configs_name_the_field(self, tmp_path, patch, field):
         path, _ = write_config(tmp_path, **patch)
@@ -279,14 +288,25 @@ class TestRun:
         payload = json.loads((Path(cfg["output"]["directory"]) / "solve_report.json").read_text())
         assert payload["solvers"]["cross_method_l1"] < 1e-5
 
-    def test_point_like_prox_gets_mandatory_smoothing(self, tmp_path):
+    def test_point_like_raw_data_runs(self, tmp_path):
+        # raw single-cell marginals on the default 32 x 16 grid, no smoothing
         path, cfg = write_config(
             tmp_path,
             marginals={"family": "point_like", "smoothing_steps": 0},
-            solver={"method": "prox", "eps": 0.1},
+            solver={"method": "both", "eps": 0.1},
         )
         code, _ = run(path)
         assert code == EXIT_OK
+        out = Path(cfg["output"]["directory"])
+        density = np.loadtxt(out / "fields_prox_density.txt", skiprows=1)
+        assert np.count_nonzero(density[0]) == 1 and np.min(density[1:-1]) > 0
+        payload = json.loads((out / "solve_report.json").read_text())
+        assert payload["solvers"]["cross_method_l1"] < 1e-5
+
+    def test_wrong_typed_family_parameter_exits_2(self, tmp_path):
+        path, _ = write_config(tmp_path, marginals={"family": "bump_pair", "width": "x"})
+        code, artifacts = run(path)
+        assert code == EXIT_CONFIG and artifacts == []
 
     def test_required_diagnostic_failure_exit_code(self, tmp_path):
         from otgeo.cli import EXIT_DIAGNOSTIC

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from otgeo.grid import (
-    _dc,
     build_grid,
-    centred_kernel,
+    cell_average,
     covariant_gradient,
     divergence_g,
+    face_average,
     integrate,
     laplace_beltrami,
     metric_dot,
@@ -63,42 +63,60 @@ class TestGradient:
         assert np.all(covariant_gradient(np.full(32, 3.7), g) == 0.0)
 
     def test_flat_analytic_derivative(self):
+        # the forward difference is second order at the face midpoints x + h/2
         g = build_grid(1, 128, 8, 1.0)
-        x = g.axis_coords()
-        got = covariant_gradient(np.sin(2 * np.pi * x), g)[..., 0]
+        x = g.axis_coords() + 0.5 * g.h
+        got = covariant_gradient(np.sin(2 * np.pi * g.axis_coords()), g)[..., 0]
         err = np.max(np.abs(got - 2 * np.pi * np.cos(2 * np.pi * x)))
         assert err < 60.0 * g.h ** 2
 
     def test_conformal_pointwise_formula(self):
         g = build_grid(1, 128, 8, 1.0, CONFORMAL)
-        x = g.axis_coords()
-        got = covariant_gradient(np.sin(2 * np.pi * x), g)[..., 0]
+        x = g.axis_coords() + 0.5 * g.h
+        got = covariant_gradient(np.sin(2 * np.pi * g.axis_coords()), g)[..., 0]
         exact = 2 * np.pi * np.cos(2 * np.pi * x) / CONFORMAL(x)
         assert np.max(np.abs(got - exact)) < 60.0 * g.h ** 2
 
-
-class TestCentredDifference:
-    @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("n", [12, 13])
-    def test_slices_match_the_roll_formula_bitwise(self, dim, n):
-        g = build_grid(dim, n, 5, 1.0)
-        field = np.random.default_rng(n).standard_normal((5,) + g.space_shape)
-        for axis in range(-field.ndim, field.ndim):
-            rolled = (np.roll(field, -1, axis=axis) - np.roll(field, 1, axis=axis)) / (2.0 * g.h)
-            assert np.array_equal(_dc(field, axis, g.h), rolled)
+    def test_face_metric_and_volume(self):
+        g = build_grid(1, 16, 4, 1.0, CONFORMAL)
+        gm = CONFORMAL(g.axis_coords())
+        np.testing.assert_allclose(g.face_metric[:, 0], 0.5 * (gm + np.roll(gm, -1)), rtol=1e-15)
+        np.testing.assert_allclose(g.face_volume, g.h * np.sqrt(g.face_metric), rtol=1e-15)
+        flat = build_grid(2, 8, 4, 1.0)
+        assert np.all(flat.face_metric == 1.0) and np.all(flat.face_volume == flat.h ** 2)
 
 
-class TestCentredKernel:
-    @pytest.mark.parametrize("dim,n,count", [(1, 12, 2), (1, 13, 1), (2, 8, 4), (2, 7, 1)])
-    def test_modes_are_annihilated_and_fixed_by_the_nodes(self, dim, n, count):
-        g = build_grid(dim, n, 4, 1.0)
-        modes, nodes = centred_kernel(g)
-        assert len(modes) == len(nodes) == count
-        for z in modes:
-            for axis in range(dim):
-                assert np.max(np.abs(_dc(z, axis, g.h))) == 0.0
-        values = np.array([z.ravel()[nodes] for z in modes])
-        assert np.linalg.matrix_rank(values) == count
+class TestFaceStencil:
+    @pytest.mark.parametrize("dim,n,metric", [(1, 12, None), (1, 13, CONFORMAL),
+                                              (2, 8, None), (2, 7, None)],
+                             ids=["flat-12", "conformal-13", "flat2d-8", "flat2d-7"])
+    def test_only_constants_are_annihilated(self, dim, n, metric):
+        # the alternating modes that the centred difference annihilates are
+        # moved by the forward difference: the gradient's kernel is the constants
+        g = build_grid(dim, n, 4, 1.0, metric)
+        columns = covariant_gradient(np.eye(n ** dim).reshape((-1,) + g.space_shape), g)
+        assert np.linalg.matrix_rank(columns.reshape(n ** dim, -1)) == n ** dim - 1
+        assert np.max(np.abs(covariant_gradient(np.full(g.space_shape, 2.5), g))) == 0.0
+
+    @pytest.mark.parametrize("dim,metric", [(1, None), (1, CONFORMAL), (2, None)],
+                             ids=["flat", "conformal", "flat2d"])
+    def test_averages_are_adjoint(self, dim, metric):
+        # integrate(f cell_average(P)) is the face sum of face_average(f) P
+        rng = np.random.default_rng(3)
+        g = build_grid(dim, 10, 4, 1.0, metric)
+        f = rng.standard_normal(g.space_shape)
+        P = rng.standard_normal(g.space_shape + (dim,))
+        lhs = integrate(f * cell_average(P, g), g)
+        rhs = float(np.sum(face_average(f, g) * P * g.face_volume))
+        assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
+
+    def test_face_average_of_one_cell(self):
+        g = build_grid(2, 6, 4, 1.0)
+        f = np.zeros(g.space_shape)
+        f[2, 3] = 1.0
+        M = face_average(f, g)
+        assert M[2, 3, 0] == M[1, 3, 0] == M[2, 3, 1] == M[2, 2, 1] == 0.5
+        assert np.sum(M) == 2.0
 
 
 class TestDivergence:
@@ -115,9 +133,10 @@ class TestDivergence:
             assert abs(integrate(divergence_g(X, g), g)) < 1e-13
 
     def test_flat_analytic_divergence(self):
+        # a face field sampled at the faces x + h/2 has its divergence at the cells
         g = build_grid(1, 128, 8, 1.0)
         x = g.axis_coords()
-        got = divergence_g(np.cos(2 * np.pi * x)[:, None], g)
+        got = divergence_g(np.cos(2 * np.pi * (x + 0.5 * g.h))[:, None], g)
         exact = -2 * np.pi * np.sin(2 * np.pi * x)
         assert np.max(np.abs(got - exact)) < 60.0 * g.h ** 2
 

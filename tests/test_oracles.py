@@ -6,8 +6,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from otgeo.grid import build_grid, integrate
-from otgeo.transport import ReferenceMeasure
-from otgeo.prox import align_null_moments, solve_prox
+from otgeo.transport import ROUNDING, ReferenceMeasure
+from otgeo.prox import solve_prox
 from otgeo.oracles import (
     circular_w2_oracle,
     flow_w2_oracle,
@@ -279,7 +279,9 @@ class TestHeatCompetitor:
         ref = ReferenceMeasure.from_potential(0.0, g)
         m = np.ones(32)
         bound, parts = heat_competitor_bound(m, m, ref, 0.1, g)
-        assert 0.0 <= bound <= 1e-8
+        # F >= 0 for unit-mass data and V = 0 (Jensen), up to the rounding of
+        # the entropy sum of a curve that is uniform to rounding
+        assert -ROUNDING <= bound <= 1e-8
 
     def test_dominates_the_optimal_value(self):
         g = build_grid(1, 48, 24, 1.0)
@@ -288,7 +290,7 @@ class TestHeatCompetitor:
         kappa = 1.0 / (2 * np.pi * 0.1) ** 2
         q = np.exp(kappa * (np.cos(2 * np.pi * x) - 1))
         q /= integrate(q, g)
-        m0, m1 = align_null_moments(q, np.roll(q, 24), g)
+        m0, m1 = q, np.roll(q, 24)
         _, _, _, rep = solve_prox(m0, m1, ref, 0.1, g)
         bound, parts = heat_competitor_bound(m0, m1, ref, 0.1, g)
         assert np.isfinite(bound)

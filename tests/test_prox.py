@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from otgeo.grid import build_grid, centred_kernel, integrate
+from otgeo.grid import build_grid, cell_average, covariant_gradient, face_average, integrate
 from otgeo.transport import DensityPath, MomentumField, ReferenceMeasure, continuity_residual
 import otgeo.prox as prox
 from otgeo.families import make_marginals
@@ -11,11 +11,12 @@ from otgeo.prox import (
     ProxConfig,
     ProxError,
     _apply_operator,
+    _end_coupling,
     _entropy_prox,
     _kinetic_prox,
     _prox_root,
-    _spacetime_kernel,
-    align_null_moments,
+    _solve,
+    _weighted_projection,
     anderson_fixed_point,
     pointwise_prox,
     project_continuity,
@@ -34,8 +35,8 @@ def smooth_pair(grid, width=0.08):
     x = grid.axis_coords()
     kappa = 1.0 / (2.0 * np.pi * width) ** 2
     q = np.exp(kappa * (np.cos(2 * np.pi * x) - 1.0))
-    q /= integrate(q, grid)
-    return align_null_moments(q, np.roll(q, grid.n_space // 2), grid)
+    p = np.roll(q, grid.n_space // 2)
+    return q / integrate(q, grid), p / integrate(p, grid)
 
 
 def assert_certified(rep, config=None):
@@ -45,19 +46,12 @@ def assert_certified(rep, config=None):
 
 
 def off_kernel(grid):
-    """Projector off the sqrt(g)-orthonormalized kernel of the space-time operator."""
+    """Projector off the kernel of the space-time operator, the constants,
+    sqrt(g)-orthogonally."""
     wgt = np.broadcast_to(grid.sqrt_g, (grid.n_time,) + grid.space_shape)
-    basis = []
-    for z in centred_kernel(grid)[0]:
-        v = np.broadcast_to(z, wgt.shape).copy()
-        for q in basis:
-            v -= q * np.sum(v * q * wgt)
-        basis.append(v / np.sqrt(np.sum(v * v * wgt)))
 
     def project(f):
-        for q in basis:
-            f = f - q * np.sum(f * q * wgt)
-        return f
+        return f - np.sum(f * wgt) / np.sum(wgt)
     return project
 
 
@@ -160,7 +154,7 @@ class TestSpacetimePoisson:
         rhs = np.cos(np.pi * t / g.horizon)[:, None] * np.sin(2 * np.pi * x)[None, :]
         phi = spacetime_poisson(rhs, g)
         lam_t = (2 - 2 * np.cos(np.pi / g.n_time)) / g.tau ** 2
-        lam_x = (np.sin(2 * np.pi / g.n_space) / g.h) ** 2
+        lam_x = (2 * np.sin(np.pi / g.n_space) / g.h) ** 2
         # exact eigenvector of the discrete operator ...
         assert np.max(np.abs(phi * (lam_t + lam_x) - rhs)) < 1e-12
         # ... whose eigenvalue matches the continuum one to O(h^2 + tau^2)
@@ -206,10 +200,14 @@ class TestSpacetimePoisson:
 
     @pytest.mark.parametrize("dim,n,metric", GRID_KINDS, ids=GRID_KIND_IDS)
     def test_masked_modes_are_the_kernel(self, dim, n, metric):
+        # the pseudo-inverse drops one mode, the constants, on even and odd grids
         g = build_grid(dim, n, 8, 1.0, metric)
+        shape = (8,) + g.space_shape
         for weighted in (False, True):
-            inv = _spacetime_kernel(g, weighted)[-1]
-            assert np.count_nonzero(inv == 0.0) == len(centred_kernel(g)[0])
+            cols = [spacetime_poisson(e.reshape(shape), g, weighted).ravel()
+                    for e in np.eye(int(np.prod(shape)))]
+            assert np.linalg.matrix_rank(np.array(cols)) == len(cols) - 1
+            assert np.max(np.abs(spacetime_poisson(np.ones(shape), g, weighted))) < 1e-12
 
     def test_failed_spectral_checks_raise(self, monkeypatch):
         import otgeo.prox as prox
@@ -218,10 +216,38 @@ class TestSpacetimePoisson:
         monkeypatch.setattr(np.linalg, "eigh", lambda S: (eigh(S)[0] * (1 + 1e-9), eigh(S)[1]))
         with pytest.raises(ProxError, match="inaccurate"):
             prox._space_eigenbasis(g)
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        monkeypatch.setattr(prox, "centred_kernel", lambda grid: ([np.ones(grid.space_shape)], [0]))
-        with pytest.raises(ProxError, match="masked modes"):
-            spacetime_poisson(np.zeros((8, 14)), g, weighted=True)
+
+    @pytest.mark.parametrize("dim,n,metric", GRID_KINDS, ids=GRID_KIND_IDS)
+    def test_coupling_solve(self, dim, n, metric):
+        # K = I + T (x) cell_average(face_average(.)) applied by its stencils
+        g = build_grid(dim, n, 8, 1.0, metric)
+        rhs = np.random.default_rng(6).standard_normal((7,) + g.space_shape)
+        m = _solve(rhs, "coupling", g)
+        pair = cell_average(face_average(m, g), g)
+        back = m + 0.5 * pair
+        back[1:] += 0.25 * pair[:-1]
+        back[:-1] += 0.25 * pair[1:]
+        assert np.max(np.abs(back - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+    @pytest.mark.parametrize("dim,n,metric", GRID_KINDS, ids=GRID_KIND_IDS)
+    def test_weighted_projection_is_the_constrained_minimizer(self, dim, n, metric):
+        # the output is feasible, and the objective's gradient there is the
+        # adjoint of the continuity operator applied to phi (KKT)
+        g = build_grid(dim, n, 6, 1.0, metric)
+        rng = np.random.default_rng(7)
+        m0, m1 = (1.0 + rng.random(g.space_shape) for _ in range(2))
+        m0, m1 = m0 / integrate(m0, g), m1 / integrate(m1, g)
+        shape = (6,) + g.space_shape
+        qa, qb = (rng.standard_normal(shape + (dim,)) for _ in range(2))
+        qc = rng.standard_normal((5,) + g.space_shape)
+        m, w, phi = _weighted_projection(qa, qb, qc, m0, m1, g, _end_coupling(m0, m1, g))
+        assert continuity_residual(DensityPath(m, g), MomentumField(w, g))[1] < 1e-10
+        # d/dm_int of |A m - qa|^2 / 2 + |m_int - qc|^2 / 2 = -D^T phi, and w - qb = -grad phi
+        da = face_average(0.5 * (m[:-1] + m[1:]), g) - qa
+        back = cell_average(da, g)
+        grad_m = 0.5 * (back[:-1] + back[1:]) + m[1:-1] - qc
+        assert np.max(np.abs(grad_m + (phi[:-1] - phi[1:]) / g.tau)) < 1e-10
+        assert np.max(np.abs(w - qb + covariant_gradient(phi, g))) < 1e-12
 
 
 class TestProjectContinuity:
@@ -232,9 +258,9 @@ class TestProjectContinuity:
         m0, m1 = smooth_pair(g, width=0.15)
         m = DensityPath(np.tile(m0, (17, 1)), g)
         w = MomentumField(rng.standard_normal((16, 32, 1)), g)
-        mp, wp, _ = project_continuity(m, w, m0, m1, g)
+        mp, wp = project_continuity(m, w, m0, m1, g)
         assert continuity_residual(mp, wp)[1] < 1e-9
-        mp2, wp2, _ = project_continuity(mp, wp, m0, m1, g)
+        mp2, wp2 = project_continuity(mp, wp, m0, m1, g)
         assert np.max(np.abs(mp2.values - mp.values)) < 1e-9
         assert np.max(np.abs(wp2.values - wp.values)) < 1e-9
 
@@ -244,7 +270,7 @@ class TestProjectContinuity:
         m0, m1 = smooth_pair(g, width=0.15)
         m = DensityPath(np.tile(m0, (17, 1)), g)
         w = MomentumField(rng.standard_normal((16, 32, 1)), g)
-        mp, wp, _ = project_continuity(m, w, m0, m1, g)
+        mp, wp = project_continuity(m, w, m0, m1, g)
         assert continuity_residual(mp, wp)[1] < 1e-12
 
     def test_already_feasible_pair_unchanged(self):
@@ -254,7 +280,7 @@ class TestProjectContinuity:
         vals = (1 - frac) * m0 + frac * m1
         from otgeo.oracles import momentum_from_density_steps
         wv = momentum_from_density_steps(vals, g)
-        mp, wp, _ = project_continuity(DensityPath(vals, g), MomentumField(wv, g), m0, m1, g)
+        mp, wp = project_continuity(DensityPath(vals, g), MomentumField(wv, g), m0, m1, g)
         assert np.max(np.abs(mp.values - vals)) < 1e-12
         assert np.max(np.abs(wp.values - wv)) < 1e-12
 
@@ -271,7 +297,7 @@ class TestProjectContinuity:
         vals = feasible_m + 0.3 * rng.standard_normal((17, 32))
         vals[0], vals[-1] = m0, m1
         wv = feasible_w + rng.standard_normal((16, 32, 1))
-        mp, wp, _ = project_continuity(DensityPath(vals, g), MomentumField(wv, g), m0, m1, g)
+        mp, wp = project_continuity(DensityPath(vals, g), MomentumField(wv, g), m0, m1, g)
 
         def dist(mv, wvv):
             dm = np.sum((mv - feasible_m)[1:-1] ** 2 * g.cell_volume) * g.tau
@@ -302,12 +328,22 @@ class TestSolveProx:
         # u is linear in t and constant in x up to solver tolerance
         assert np.max(np.std(u.values, axis=1)) < 1e-5
 
-    def test_zero_cell_marginal_rejected(self):
+    def test_zero_cell_marginal_solved(self):
+        # L1 data: one loaded cell against the uniform density
         g = build_grid(1, 32, 8, 1.0)
         ref = ReferenceMeasure.from_potential(0.0, g)
         m0 = np.zeros(32)
         m0[0] = 1.0 / g.h
-        with pytest.raises(ValueError, match="zero cell"):
+        m, _, _, rep = solve_prox(m0, np.ones(32), ref, 0.1, g)
+        assert_certified(rep)
+        assert rep.final_residual < 1e-10 and np.min(m.values[1:-1]) > 0
+
+    def test_negative_cell_rejected(self):
+        g = build_grid(1, 32, 8, 1.0)
+        ref = ReferenceMeasure.from_potential(0.0, g)
+        m0 = np.ones(32)
+        m0[:2] = (-0.5, 2.5)
+        with pytest.raises(ValueError, match="negative cell"):
             solve_prox(m0, np.ones(32), ref, 0.1, g)
 
     def test_wrong_mass_rejected(self):
@@ -377,7 +413,7 @@ class TestSolveProx:
         q /= integrate(q, g)
         p = np.exp(0.7 * np.sin(2 * np.pi * x))
         p /= integrate(p, g)
-        m0, m1 = align_null_moments(q, p, g)
+        m0, m1 = q, p
         mf, _, _, repf = solve_prox(m0, m1, ref, 0.1, g)
         mb, _, _, repb = solve_prox(m1, m0, ref, 0.1, g)
         assert repf.objective == pytest.approx(repb.objective, abs=1e-6)
