@@ -644,9 +644,10 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         za = face_average(0.5 * (path[:-1] + path[1:]), grid)   # a-part of L z
 
         # 1. pointwise prox on the copies, one kinetic cell per face
-        pa = za + lam_a / r
-        pb = w + lam_b / r
-        pc = m_int + lam_c / r
+        la, lb, lc = lam_a / r, lam_b / r, lam_c / r
+        pa = za + la
+        pb = w + lb
+        pc = m_int + lc
 
         a = _kinetic_prox(pa, grid.face_metric * pb * pb, sigma)
         b = pb * (a / (a + sigma))
@@ -656,8 +657,8 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         ha = RELAXATION * a + (1.0 - RELAXATION) * za
         hb = RELAXATION * b + (1.0 - RELAXATION) * w
         hc = RELAXATION * c + (1.0 - RELAXATION) * m_int
-        m_new, w_new, phi = _weighted_projection(ha - lam_a / r, hb - lam_b / r,
-                                                 hc - lam_c / r, m0, m1, grid, end_coupling)
+        m_new, w_new, phi = _weighted_projection(ha - la, hb - lb, hc - lc,
+                                                 m0, m1, grid, end_coupling)
 
         # 3. relaxed multiplier ascent; consensus is measured against y = (a, b, c)
         out = np.empty_like(state)
