@@ -3,7 +3,7 @@
 The primal solver splits the kinetic + entropy action over a staggered pair
 (density at time nodes and cells, momentum at interval midpoints and cell
 faces) and a pointwise copy, alternating a prox per face and cell, a
-weighted continuity projection (two spectral space-time solves) and a
+weighted continuity projection (three spectral space-time solves) and a
 multiplier ascent.  The projection multiplier is the
 adjoint state u, so the run certifies itself.  The solver stops once the
 objective is within a relative 1e-10 of the closed-form discrete dual at the
