@@ -231,10 +231,8 @@ def _face_pairs(ufunc, field, grid: Grid):
     """``ufunc(f[i + e_a], f[i])`` of a cell field per face, face axis trailing."""
     field = np.asarray(field, dtype=float)
     _check_spatial(field, grid)
-    out = np.empty(field.shape + (grid.dim,))
-    for a in range(grid.dim):
-        ufunc(_shifted(field, a - grid.dim, 1), field, out=out[..., a])
-    return out
+    pairs = [ufunc(_shifted(field, a - grid.dim, 1), field) for a in range(grid.dim)]
+    return pairs[0][..., None] if grid.dim == 1 else np.stack(pairs, axis=-1)
 
 
 def _flux_sum(ufunc, face_field, grid: Grid):
