@@ -612,64 +612,64 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
                                              grid), m0, m1, grid)
     m_full, w = start[0].values, start[1].values
 
-    # the map's state x = (interior m, w, lam_a, lam_b, lam_c), packed flat
+    # The map's state x = (interior m, w, lam) is packed flat, and the
+    # multiplier block lam is laid out like L z = (A m, w, interior m); so are
+    # the buffers of L z, of y = (a, b, c) and of the consensus weights.
     interior = m_full[1:-1].shape
-    shapes = (interior, w.shape, w.shape, w.shape, interior)
-    bounds = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
+    n_m, n_w = int(np.prod(interior)), w.size
+    x = np.concatenate((m_full[1:-1].ravel(), w.ravel(), np.zeros(2 * n_w + n_m)))
 
-    def unpack(state):
-        return [state[lo:hi].reshape(shape)
-                for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
-
-    x = np.concatenate((m_full[1:-1].ravel(), w.ravel(), np.zeros(bounds[-1] - bounds[2])))
+    def blocks(flat):
+        """The ``(a, b, c)`` views of a flat array laid out like ``L z``."""
+        return (flat[:n_w].reshape(w.shape), flat[n_w:2 * n_w].reshape(w.shape),
+                flat[2 * n_w:].reshape(interior))
 
     V = reference.potential_V
     sigma = 1.0 / r
     res_history = []
     obj_history = []
-    face_weight = grid.face_volume * tau
-    cell_weight = grid.cell_volume * tau
+    face_weight = np.broadcast_to(grid.face_volume * tau, w.shape)
+    consensus_weight = np.concatenate((
+        face_weight.ravel(), (grid.face_metric * face_weight).ravel(),
+        np.broadcast_to(grid.cell_volume * tau, interior).ravel()))
+    lz, y = np.empty(2 * n_w + n_m), np.empty(2 * n_w + n_m)
+    lz_a, lz_b, lz_c = blocks(lz)
+    y_a, y_b, y_c = blocks(y)
     path = m_full.copy()            # endpoints stay the marginals
     end_coupling = _end_coupling(m0, m1, grid)
     last = {"gap": np.inf}
 
-    def consensus_norm(da, db, dc):
-        tot = np.sum((da * da + grid.face_metric * db * db) * face_weight)
-        tot += np.sum(dc * dc * cell_weight)
-        return float(np.sqrt(tot))
+    def image_of(density, momentum):
+        """Fill ``lz`` with ``L z`` of a staggered pair."""
+        lz_a[...] = face_average(0.5 * (density[:-1] + density[1:]), grid)
+        lz_b[...] = momentum
+        lz_c[...] = density[1:-1]
 
     def admm_map(state):
-        m_int, w, lam_a, lam_b, lam_c = unpack(state)
-        path[1:-1] = m_int
-        za = face_average(0.5 * (path[:-1] + path[1:]), grid)   # a-part of L z
+        lam = state[n_m + n_w:]
+        path[1:-1] = state[:n_m].reshape(interior)
+        image_of(path, state[n_m:n_m + n_w].reshape(w.shape))
 
         # 1. pointwise prox on the copies, one kinetic cell per face
-        la, lb, lc = lam_a / r, lam_b / r, lam_c / r
-        pa = za + la
-        pb = w + lb
-        pc = m_int + lc
-
-        a = _kinetic_prox(pa, grid.face_metric * pb * pb, sigma)
-        b = pb * (a / (a + sigma))
-        c = _entropy_prox(pc, sigma, eps, V)
+        scaled = lam / r
+        pa, pb, pc = blocks(lz + scaled)
+        y_a[...] = _kinetic_prox(pa, grid.face_metric * pb * pb, sigma)
+        y_b[...] = pb * (y_a / (y_a + sigma))
+        y_c[...] = _entropy_prox(pc, sigma, eps, V)
 
         # 2. weighted continuity projection of the relaxed point
-        ha = RELAXATION * a + (1.0 - RELAXATION) * za
-        hb = RELAXATION * b + (1.0 - RELAXATION) * w
-        hc = RELAXATION * c + (1.0 - RELAXATION) * m_int
-        m_new, w_new, phi = _weighted_projection(ha - la, hb - lb, hc - lc,
-                                                 m0, m1, grid, end_coupling)
+        h = RELAXATION * y + (1.0 - RELAXATION) * lz
+        m_new, w_new, phi = _weighted_projection(*blocks(h - scaled), m0, m1, grid,
+                                                 end_coupling)
 
         # 3. relaxed multiplier ascent; consensus is measured against y = (a, b, c)
+        image_of(m_new, w_new)
         out = np.empty_like(state)
-        out_m, out_w, out_a, out_b, out_c = unpack(out)
-        out_m[...] = m_new[1:-1]
-        out_w[...] = w_new
-        za_new = face_average(0.5 * (m_new[:-1] + m_new[1:]), grid)
-        out_a[...] = lam_a + r * (za_new - ha)
-        out_b[...] = lam_b + r * (w_new - hb)
-        out_c[...] = lam_c + r * (out_m - hc)
-        res_history.append(consensus_norm(za_new - a, w_new - b, out_m - c))
+        out[:n_m] = lz[2 * n_w:]
+        out[n_m:n_m + n_w] = lz[n_w:2 * n_w]
+        out[n_m + n_w:] = lam + r * (lz - h)
+        defect = lz - y
+        res_history.append(float(np.sqrt(defect * defect @ consensus_weight)))
         last.update(m=m_new, w=w_new, phi=phi)
 
         # 4. certified stop: F at the projected pair against G at its multiplier;
