@@ -68,7 +68,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import wrightomega
 
 from .grid import (
     Grid,
@@ -249,27 +248,89 @@ def _kinetic_prox(a, bsq, sigma):
     argument sits next to -1 when the root is small.  One Newton step on
     ``(m - a)(m + sigma)^2 - q`` in ``m`` itself restores the digits that
     ``x - sigma`` loses when ``m << sigma``.  Cells with
-    ``a + bsq / (2 sigma) <= 0`` sit at the boundary minimum ``m = 0``.
+    ``2 sigma a + bsq <= 0`` (the vacuum) sit at the boundary minimum ``m = 0``.
     """
     a = np.asarray(a, dtype=float)
-    s, q = np.broadcast_arrays(a + sigma, 0.5 * sigma * np.asarray(bsq, dtype=float))
-    at_zero = (-a) / sigma - bsq / (2.0 * sigma ** 2) >= 0
+    bsq = np.broadcast_to(np.asarray(bsq, dtype=float), a.shape)
+    vacuum = (2.0 * sigma) * a + bsq <= 0.0
+    q = (0.5 * sigma) * bsq
+    s = a + sigma
     # depressed cubic y^3 + P y + Q = 0 for x = y + s/3, disc = (Q/2)^2 + (P/3)^3
-    half_q = s ** 3 / 27.0 + 0.5 * q                         # -Q/2
-    disc = q * (s ** 3 / 27.0 + 0.25 * q)
-    u = np.cbrt(half_q + np.copysign(np.sqrt(np.maximum(disc, 0.0)), half_q))
-    u = np.where(u == 0.0, 1.0, u)
-    x = np.asarray(u + s * s / (9.0 * u) + s / 3.0)         # Cardano
-    trig = disc < 0
-    if np.any(trig):
+    s_sq = s * s
+    cube = s_sq * s
+    cube /= 27.0
+    half_q = 0.5 * q
+    half_q += cube                                         # -Q/2
+    disc = 0.25 * q
+    disc += cube
+    disc *= q
+    u = np.sqrt(np.maximum(disc, 0.0))
+    np.copysign(u, half_q, out=u)
+    u += half_q
+    np.cbrt(u, out=u)
+    u[u == 0.0] = 1.0
+    x = s_sq
+    x /= 9.0 * u
+    x += u
+    x += s / 3.0                                           # Cardano
+    trig = disc < 0.0
+    if trig.any():
         # there s < 0, so r > 0
         r = np.abs(s[trig]) / 3.0
         alpha = (2.0 / 3.0) * np.arcsin(np.sqrt(np.minimum(q[trig] / (4.0 * r ** 3), 1.0)))
         x[trig] = r * (np.sqrt(3.0) * np.sin(alpha) - 2.0 * np.sin(0.5 * alpha) ** 2)
-    m = np.maximum(x - sigma, 0.0)
+    m = x
+    m -= sigma
+    np.maximum(m, 0.0, out=m)
     ms = m + sigma
-    m = m - ((m - a) * ms * ms - q) / (ms * (3.0 * m + sigma - 2.0 * a))
-    return np.where(at_zero, 0.0, m)
+    residual = m - a
+    residual *= ms
+    residual *= ms
+    residual -= q                                          # (m - a)(m + sigma)^2 - q
+    slope = 3.0 * m
+    slope -= a
+    slope -= a
+    slope += sigma
+    slope *= ms
+    residual /= slope
+    m -= residual
+    m[vacuum] = 0.0
+    return m
+
+
+def _wright_omega(x):
+    """Wright omega function of real ``x``: the root ``w > 0`` of ``w + log w = x``.
+
+    Lawrence, Corless & Jeffrey (2012) start from ``exp(x)`` below -2, from
+    ``exp(2 (x - 1) / 3)`` on ``[-2, 1)`` and from ``x - log x + log x / x``
+    above; two steps of the fourth-order Fritsch-Shafer-Crowley iteration
+    follow, written so that no intermediate overflows for large ``x``.
+    Below -50, ``exp(x)`` is omega to double precision and is returned
+    directly; it underflows to 0 below about -745.
+    """
+    x = np.asarray(x, dtype=float)
+    xc = np.maximum(x, -50.0)
+    high = np.maximum(xc, 1.0)
+    log_high = np.log(high)
+    w = np.exp(np.where(xc < -2.0, xc, (2.0 / 3.0) * (np.minimum(xc, 1.0) - 1.0)))
+    w = np.where(xc < 1.0, w, high - log_high + log_high / high)
+    for _ in range(2):
+        r = xc - w
+        r -= np.log(w)
+        t = w + 1.0                                        # 1 + w
+        u = (2.0 / 3.0) * r
+        u += t
+        t = np.divide(r, t, out=t)                         # r / (1 + w)
+        step = u - 0.5 * t
+        u -= t
+        step /= u
+        step *= t
+        step += 1.0
+        w *= step
+    if x.min(initial=0.0) < -50.0:
+        tail = x < -50.0
+        w[tail] = np.exp(x[tail])
+    return w
 
 
 def _entropy_prox(a, sigma, eps, V):
@@ -281,7 +342,9 @@ def _entropy_prox(a, sigma, eps, V):
     underflows to ``m = 0`` only for ``z`` below about -745.
     """
     se = sigma * eps
-    return se * wrightomega(np.asarray(a, dtype=float) / se - V - 1.0 - np.log(se))
+    w = _wright_omega(np.asarray(a, dtype=float) / se - (V + 1.0 + np.log(se)))
+    w *= se
+    return w
 
 
 def pointwise_prox(a, b, sigma, eps_cell, V_cell, tol=1e-12):
