@@ -23,9 +23,10 @@ cells.  The projection couples the interior densities through
 multiplier directly, by matrix products with bases cached per grid.
 
 Step 1 is exact: ``(a, b)`` carry only the kinetic energy, so ``a`` is the
-real root of the Benamou-Brenier cubic, and ``c`` carries only the entropy,
-so it is a Wright omega value.  The safeguarded Newton root ``_prox_root``
-of the mixed cell serves ``pointwise_prox`` and is the tests' reference.
+real root of the Benamou-Brenier cubic (``_kinetic_prox``), and ``c``
+carries only the entropy, so it is a Wright omega value (``_entropy_prox``).
+Omega is evaluated in numpy, from the regional starts of Lawrence, Corless &
+Jeffrey (2012) and two Fritsch-Shafer-Crowley steps (``_wright_omega``).
 
 Steps 1-3 form a map ``T`` of the state ``x = (interior m, w, lambda)``,
 and the loop runs ``T`` under safeguarded type-II Anderson acceleration
@@ -35,7 +36,12 @@ from the last few residuals ``x - T(x)`` and keeps the extrapolated point
 only if its residual is no larger than the current one; otherwise the
 memory is cleared and the loop goes on from the plain image ``T(x)``.
 ``iterations``, ``residual_history`` and ``max_outer_iterations`` all
-count evaluations of ``T``, that is weighted projections.
+count evaluations of ``T``, that is weighted projections.  The state is
+packed flat, its multiplier block ``lambda`` laid out like
+``L z = (A m, w, interior m)``; the map keeps ``L z``, ``y`` and the volume
+weights in flat buffers of the same layout, so that the scaled multiplier,
+the prox input, the relaxed point, the projection input, the ascent and
+the consensus norm are each one array operation over the whole block.
 
 The stop is certified by weak duality.  With ``phi`` the solution of a
 weighted projection, ``r phi`` is a multiplier of the continuity
@@ -173,74 +179,13 @@ class SolveReport:
 # Pointwise prox
 # ---------------------------------------------------------------------------
 
-def _prox_root(a, bsq, sigma, eps, V, tol=1e-12, max_iter=500):
-    """Vectorized root of the prox optimality condition.
-
-    Solves, per cell, f(m) = (m - a)/sigma + eps (log m + V + 1)
-    - bsq / (2 (m + sigma)^2) = 0 over m > 0, by safeguarded Newton with
-    bisection fallback on a bracket that provably contains the root (f is
-    strictly increasing).  For eps == 0 the boundary minimum m = 0 is
-    detected from the sign of f(0+); for eps > 0 a root below the smallest
-    normal float is returned as 0, as ``_entropy_prox`` underflows.  Raises
-    ``ProxError`` when ``max_iter`` steps do not reach ``tol``.
-    """
-    a = np.asarray(a, dtype=float)
-    bsq = np.broadcast_to(np.asarray(bsq, dtype=float), a.shape).copy()
-    V = np.broadcast_to(np.asarray(V, dtype=float), a.shape)
-
-    def f(m):
-        out = (m - a) / sigma - bsq / (2.0 * (m + sigma) ** 2)
-        if eps > 0:
-            out = out + eps * (np.log(m) + V + 1.0)
-        return out
-
-    def fp(m):
-        out = 1.0 / sigma + bsq / (m + sigma) ** 3
-        if eps > 0:
-            out = out + eps / m
-        return out
-
-    if eps == 0:
-        at_zero = (-a) / sigma - bsq / (2.0 * sigma ** 2) >= 0
-    else:
-        at_zero = f(np.finfo(float).tiny) >= 0
-
-    lo = np.maximum(a, 0.0) + 1e-300
-    if eps > 0:
-        for _ in range(400):
-            bad = (f(lo) >= 0) & ~at_zero
-            if not bad.any():
-                break
-            lo = np.where(bad, lo / 8.0, lo)
-    hi = np.maximum(a, 0.0) + sigma + 1.0
-    for _ in range(200):
-        bad = f(hi) <= 0
-        if not bad.any():
-            break
-        hi = np.where(bad, hi * 2.0, hi)
-
-    m = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        fm = f(m)
-        if np.max(np.abs(np.where(at_zero, 0.0, fm))) < tol:
-            break
-        below = fm < 0
-        lo = np.where(below, m, lo)
-        hi = np.where(below, hi, m)
-        step = fm / fp(m)
-        newton = m - step
-        inside = (newton > lo) & (newton < hi)
-        m = np.where(inside, newton, 0.5 * (lo + hi))
-    else:
-        raise ProxError(f"pointwise prox root did not reach {tol:g} in {max_iter} iterations")
-    m = np.where(at_zero, 0.0, m)
-    return m
-
-
 def _kinetic_prox(a, bsq, sigma):
-    """Closed-form ``_prox_root`` for ``eps == 0`` (the Benamou-Brenier cubic).
+    """Density of the kinetic prox on a face, the Benamou-Brenier cubic.
 
-    With ``x = m + sigma`` the first-order condition is the cubic
+    The minimizer over ``m >= 0`` and ``b'`` of
+    ``|b'|^2 / (2 m) + (|b' - b|^2 + (m - a)^2) / (2 sigma)``, ``bsq = |b|^2``
+    in the face metric, has ``b' = b m / (m + sigma)``; with
+    ``x = m + sigma`` the first-order condition in ``m`` is the cubic
     ``x^3 - s x^2 - q = 0``, ``s = a + sigma``, ``q = sigma bsq / 2``, whose
     positive root is unique (Descartes).  Cardano gives it unless the
     discriminant is negative, which needs ``s < 0``; then the trigonometric
@@ -251,7 +196,7 @@ def _kinetic_prox(a, bsq, sigma):
     ``2 sigma a + bsq <= 0`` (the vacuum) sit at the boundary minimum ``m = 0``.
     """
     a = np.asarray(a, dtype=float)
-    bsq = np.broadcast_to(np.asarray(bsq, dtype=float), a.shape)
+    bsq = np.asarray(bsq, dtype=float)
     vacuum = (2.0 * sigma) * a + bsq <= 0.0
     q = (0.5 * sigma) * bsq
     s = a + sigma
@@ -277,7 +222,8 @@ def _kinetic_prox(a, bsq, sigma):
     if trig.any():
         # there s < 0, so r > 0
         r = np.abs(s[trig]) / 3.0
-        alpha = (2.0 / 3.0) * np.arcsin(np.sqrt(np.minimum(q[trig] / (4.0 * r ** 3), 1.0)))
+        q_trig = np.broadcast_to(q, s.shape)[trig]
+        alpha = (2.0 / 3.0) * np.arcsin(np.sqrt(np.minimum(q_trig / (4.0 * r ** 3), 1.0)))
         x[trig] = r * (np.sqrt(3.0) * np.sin(alpha) - 2.0 * np.sin(0.5 * alpha) ** 2)
     m = x
     m -= sigma
@@ -334,10 +280,12 @@ def _wright_omega(x):
 
 
 def _entropy_prox(a, sigma, eps, V):
-    """Closed-form ``_prox_root`` for ``bsq == 0`` and ``eps > 0``.
+    """Entropy prox at an interior node: the minimizer over ``m > 0`` of
+    ``eps m (log m + V) + (m - a)^2 / (2 sigma)``, ``eps > 0``.
 
-    ``(m - a)/sigma + eps (log m + V + 1) = 0`` becomes ``w + log w = z``
-    for ``m = sigma eps w``, so ``w`` is the Wright omega function of
+    The first-order condition ``(m - a)/sigma + eps (log m + V + 1) = 0``
+    becomes ``w + log w = z`` for ``m = sigma eps w``, so ``w`` is the Wright
+    omega function (``_wright_omega``) of
     ``z = a/(sigma eps) - V - 1 - log(sigma eps)``; it cannot overflow and
     underflows to ``m = 0`` only for ``z`` below about -745.
     """
@@ -345,26 +293,6 @@ def _entropy_prox(a, sigma, eps, V):
     w = _wright_omega(np.asarray(a, dtype=float) / se - (V + 1.0 + np.log(se)))
     w *= se
     return w
-
-
-def pointwise_prox(a, b, sigma, eps_cell, V_cell, tol=1e-12):
-    """Per-cell prox: argmin over (m >= 0, w) of
-    ``Psi(w, m) + eps_cell m (log m + V_cell) + (|w - b|^2 + (m - a)^2) / (2 sigma)``.
-
-    The momentum is eliminated analytically as ``w = m b / (m + sigma)``;
-    the density solves the scalar first-order condition.  For
-    ``eps_cell > 0`` the root is strictly positive; for ``eps_cell = 0``
-    the boundary value ``m = 0`` (with ``w = 0``) is admitted.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if eps_cell < 0:
-        raise ValueError("eps_cell must be nonnegative")
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    bsq = float(np.dot(b, b))
-    m = float(_prox_root(np.asarray(float(a)), bsq, sigma, eps_cell, float(V_cell), tol=tol))
-    w = m * b / (m + sigma)
-    return m, w
 
 
 # ---------------------------------------------------------------------------

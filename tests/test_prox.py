@@ -14,15 +14,14 @@ from otgeo.prox import (
     _end_coupling,
     _entropy_prox,
     _kinetic_prox,
-    _prox_root,
     _solve,
     _weighted_projection,
     anderson_fixed_point,
-    pointwise_prox,
     project_continuity,
     solve_prox,
     spacetime_poisson,
 )
+from prox_reference import pointwise_prox, prox_root
 
 CONFORMAL = lambda x: 1.0 + 0.4 * np.cos(2.0 * np.pi * x)
 # one space-time kernel serves every grid: flat 1-D (n even and odd), flat 2-D
@@ -75,7 +74,7 @@ class TestPointwiseProx:
     def test_entropy_cells_strictly_positive(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal(500) * 3.0
-        m = _prox_root(a, 0.0, 1.0, 0.1, 0.0)
+        m = prox_root(a, 0.0, 1.0, 0.1, 0.0)
         assert np.all(m > 0)
         f = (m - a) / 1.0 + 0.1 * (np.log(m) + 1.0)
         assert np.max(np.abs(f)) < 1e-12
@@ -93,7 +92,7 @@ class TestPointwiseProx:
             return np.where(m == 0.0, 0.0, f)
 
         for eps in (0.0, 0.05, 0.3):
-            m = _prox_root(a, bsq, 0.8, eps, V)
+            m = prox_root(a, bsq, 0.8, eps, V)
             assert np.max(np.abs(residual(m, a, bsq, eps, V))) <= 1e-12
 
         # the closed forms of solve_prox against the reference root; f' >= 1/sigma,
@@ -104,7 +103,7 @@ class TestPointwiseProx:
         wide = np.concatenate([bsq, 10.0 ** rng.uniform(-3.0, 6.0, 5000)])
         aa = np.concatenate([a, a])
         m = _kinetic_prox(aa, wide, 0.8)
-        ref = _prox_root(aa, wide, 0.8, 0.0, 0.0)
+        ref = prox_root(aa, wide, 0.8, 0.0, 0.0)
         assert np.any(m == 0.0) and np.array_equal(m == 0.0, ref == 0.0)  # vacuum cells
         # the cells mix both roots: Cardano's and, off the vacuum, the
         # trigonometric one of a negative discriminant
@@ -115,7 +114,7 @@ class TestPointwiseProx:
         for eps in (0.05, 0.3):
             m = _entropy_prox(a, 0.8, eps, V)
             assert np.max(np.abs(residual(m, a, 0.0, eps, V))) <= 1e-12
-            assert agrees(m, _prox_root(a, 0.0, 0.8, eps, V))
+            assert agrees(m, prox_root(a, 0.0, 0.8, eps, V))
         # b = 0 leaves m = a, to full relative precision also for a << sigma
         small = 10.0 ** rng.uniform(-12.0, 1.0, 100)
         assert np.max(np.abs(_kinetic_prox(small, 0.0, 0.8) / small - 1.0)) <= 1e-15
@@ -127,19 +126,40 @@ class TestPointwiseProx:
         # f at the smallest normal float is already >= 0: the root is 0 in
         # double precision, where the Wright omega form underflows too
         a = np.array([-80.0])
-        m = _prox_root(a, 0.0, 0.8, 0.1, 0.0)
+        m = prox_root(a, 0.0, 0.8, 0.1, 0.0)
         assert m[0] == 0.0 and m[0] == _entropy_prox(a, 0.8, 0.1, 0.0)[0]
 
     def test_exhausted_root_budget_raises(self):
         a = np.random.default_rng(4).standard_normal(50)
         with pytest.raises(ProxError, match="did not reach"):
-            _prox_root(a, 1.0, 0.8, 0.1, 0.0, max_iter=2)
+            prox_root(a, 1.0, 0.8, 0.1, 0.0, max_iter=2)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             pointwise_prox(0.1, np.zeros(1), -1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             pointwise_prox(0.1, np.zeros(1), 1.0, -0.1, 0.0)
+
+    @pytest.mark.parametrize("branch", ["below -50", "[-50, -2)", "[-2, 1)", "[1, 1e20)",
+                                        "above 1e20"])
+    def test_wright_omega_matches_scipy(self, branch):
+        from scipy.special import wrightomega
+        rng = np.random.default_rng(6)
+        sample, edges = {
+            "below -50": (-10.0 ** rng.uniform(np.log10(50.0), 4.0, 4000),
+                          [-50.000001, -744.0, -745.0, -746.0, -1e300]),
+            "[-50, -2)": (rng.uniform(-50.0, -2.0, 4000), [-50.0, -2.0000001]),
+            "[-2, 1)": (rng.uniform(-2.0, 1.0, 4000), [-2.0, 0.0, 0.9999999]),
+            "[1, 1e20)": (10.0 ** rng.uniform(0.0, 20.0, 4000), [1.0, 1e20]),
+            "above 1e20": (10.0 ** rng.uniform(20.0, 300.0, 4000), [1.0000001e20, 1e300]),
+        }[branch]
+        x = np.concatenate([sample, edges])
+        got, ref = prox._wright_omega(x), wrightomega(x)
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+        # relative to the value, down to the subnormal range of exp(x)
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref + np.finfo(float).smallest_subnormal)
+        if branch == "below -50":
+            assert np.count_nonzero(x <= -746.0) > 100 and np.all(got[x <= -746.0] == 0.0)
 
 
 class TestSpacetimePoisson:
@@ -404,6 +424,20 @@ class TestSolveProx:
         # feasibility history is nonincreasing over the trailing half
         tail = rep.residual_history[len(rep.residual_history) // 2:]
         assert np.all(np.diff(tail) <= 1e-12)
+
+    @pytest.mark.parametrize("n_space,n_time,metric,width,projections", [
+        (64, 32, None, 0.08, 90),
+        (32, 16, lambda x: 1.0 + 0.5 * np.sin(2.0 * np.pi * x), 0.15, 40),
+    ], ids=["flat-64x32", "conformal-32x16"])
+    def test_projection_count_of_benchmark_instances(self, n_space, n_time, metric, width,
+                                                     projections):
+        # the instances of the gated benchmark workloads: a cheaper ADMM map
+        # evaluation must not be bought with more evaluations
+        g = build_grid(1, n_space, n_time, 1.0, metric)
+        m0, m1 = make_marginals("bump_pair", {"width": width}, g)
+        rep = solve_prox(m0, m1, ReferenceMeasure.from_potential(0.0, g), 0.1, g)[3]
+        assert rep.iterations <= projections
+        assert_certified(rep)
 
     def test_swap_symmetry(self):
         g = build_grid(1, 48, 24, 1.0)
