@@ -195,7 +195,8 @@ def _kinetic_prox(a, bsq, sigma):
     ``x - sigma`` loses when ``m << sigma``.  Cells with
     ``2 sigma a + bsq <= 0`` (the vacuum) sit at the boundary minimum ``m = 0``.
     """
-    a = np.asarray(a, dtype=float)
+    shape = np.shape(a)
+    a = np.atleast_1d(np.asarray(a, dtype=float))     # in-place steps need arrays
     bsq = np.asarray(bsq, dtype=float)
     vacuum = (2.0 * sigma) * a + bsq <= 0.0
     q = (0.5 * sigma) * bsq
@@ -241,7 +242,7 @@ def _kinetic_prox(a, bsq, sigma):
     residual /= slope
     m -= residual
     m[vacuum] = 0.0
-    return m
+    return m.reshape(shape)
 
 
 def _wright_omega(x):
@@ -254,7 +255,8 @@ def _wright_omega(x):
     Below -50, ``exp(x)`` is omega to double precision and is returned
     directly; it underflows to 0 below about -745.
     """
-    x = np.asarray(x, dtype=float)
+    shape = np.shape(x)
+    x = np.atleast_1d(np.asarray(x, dtype=float))     # in-place steps need arrays
     xc = np.maximum(x, -50.0)
     high = np.maximum(xc, 1.0)
     log_high = np.log(high)
@@ -276,7 +278,7 @@ def _wright_omega(x):
     if x.min(initial=0.0) < -50.0:
         tail = x < -50.0
         w[tail] = np.exp(x[tail])
-    return w
+    return w.reshape(shape)
 
 
 def _entropy_prox(a, sigma, eps, V):

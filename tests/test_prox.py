@@ -111,6 +111,7 @@ class TestPointwiseProx:
         trig = q * (s ** 3 / 27.0 + 0.25 * q) < 0
         assert np.any(trig & (ref > 0)) and np.any(~trig & (ref > 0))
         assert np.max(np.abs(residual(m, aa, wide, 0.0, 0.0))) <= 1e-12 and agrees(m, ref)
+        assert _kinetic_prox(aa[0], wide[0], 0.8) == m[0]                 # a scalar cell
         for eps in (0.05, 0.3):
             m = _entropy_prox(a, 0.8, eps, V)
             assert np.max(np.abs(residual(m, a, 0.0, eps, V))) <= 1e-12
@@ -140,25 +141,25 @@ class TestPointwiseProx:
         with pytest.raises(ValueError):
             pointwise_prox(0.1, np.zeros(1), 1.0, -0.1, 0.0)
 
-    @pytest.mark.parametrize("branch", ["below -50", "[-50, -2)", "[-2, 1)", "[1, 1e20)",
-                                        "above 1e20"])
+    @pytest.mark.parametrize("branch", ["x<-50", "-50<=x<-2", "-2<=x<1", "1<=x<1e20", "x>=1e20"])
     def test_wright_omega_matches_scipy(self, branch):
         from scipy.special import wrightomega
         rng = np.random.default_rng(6)
         sample, edges = {
-            "below -50": (-10.0 ** rng.uniform(np.log10(50.0), 4.0, 4000),
+            "x<-50": (-10.0 ** rng.uniform(np.log10(50.0), 4.0, 4000),
                           [-50.000001, -744.0, -745.0, -746.0, -1e300]),
-            "[-50, -2)": (rng.uniform(-50.0, -2.0, 4000), [-50.0, -2.0000001]),
-            "[-2, 1)": (rng.uniform(-2.0, 1.0, 4000), [-2.0, 0.0, 0.9999999]),
-            "[1, 1e20)": (10.0 ** rng.uniform(0.0, 20.0, 4000), [1.0, 1e20]),
-            "above 1e20": (10.0 ** rng.uniform(20.0, 300.0, 4000), [1.0000001e20, 1e300]),
+            "-50<=x<-2": (rng.uniform(-50.0, -2.0, 4000), [-50.0, -2.0000001]),
+            "-2<=x<1": (rng.uniform(-2.0, 1.0, 4000), [-2.0, 0.0, 0.9999999]),
+            "1<=x<1e20": (10.0 ** rng.uniform(0.0, 20.0, 4000), [1.0, 1e20]),
+            "x>=1e20": (10.0 ** rng.uniform(20.0, 300.0, 4000), [1.0000001e20, 1e300]),
         }[branch]
         x = np.concatenate([sample, edges])
         got, ref = prox._wright_omega(x), wrightomega(x)
+        assert prox._wright_omega(x[-1]) == got[-1]                       # a scalar argument
         assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
         # relative to the value, down to the subnormal range of exp(x)
         assert np.all(np.abs(got - ref) <= 1e-14 * ref + np.finfo(float).smallest_subnormal)
-        if branch == "below -50":
+        if branch == "x<-50":
             assert np.count_nonzero(x <= -746.0) > 100 and np.all(got[x <= -746.0] == 0.0)
 
 
