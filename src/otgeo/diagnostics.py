@@ -165,8 +165,8 @@ def check_energy(m: DensityPath, u: Potential, reference: ReferenceMeasure, eps,
 
     values = {"energies": energies, "mean_energy": mean_e, "drift": drift}
     if objective is not None:
-        ent = sum(wk * relative_entropy(np.maximum(sl, 0.0), reference, grid)
-                  for wk, sl in zip(grid.time_weights(), m.values))
+        ent = sum(grid.time_weights()
+                  * relative_entropy(np.maximum(m.values, 0.0), reference, grid))
         identity = objective / grid.horizon - 2.0 * eps / grid.horizon * ent
         values["identity_defect"] = abs(mean_e - identity)
     if upper_bound is not None:
@@ -215,8 +215,8 @@ def check_heat_bound(m0, m1, eps, grid: Grid, objective, bound, parts,
 
 def entropy_profile(m: DensityPath, grid: Grid, V=None):
     """phi(t_k) = int m (log m + V), or int m log m when V is not given."""
-    density = entropy_density(np.maximum(m.values, 0.0), 0.0 if V is None else V)
-    return np.array([integrate(sl, grid) for sl in density])
+    return integrate(entropy_density(np.maximum(m.values, 0.0), 0.0 if V is None else V),
+                     grid)
 
 
 def calibrate_tol_conv(reference: ReferenceMeasure, eps, grid: Grid,
@@ -488,15 +488,11 @@ def fit_local_bound_constant(m: DensityPath, u: Potential, reference: ReferenceM
     a, b = window or (grid.horizon / 4.0, 3.0 * grid.horizon / 4.0)
     t = grid.time_nodes()
     inside = (t > a + 1e-12) & (t < b - 1e-12)
-    best = 0.0
-    V = reference.potential_V
-    for k in np.nonzero(inside)[0]:
-        mk = np.maximum(m.values[k], 1e-300)
-        gu = covariant_gradient(u.values[k], grid)
-        quantity = eps * (np.log(mk) + V) + kappa * metric_norm_sq(gu, grid)
-        barrier = 1.0 / (t[k] - a) ** 2 + 1.0 / (b - t[k]) ** 2
-        best = max(best, float(np.max(quantity)) / barrier)
-    return best
+    mk = np.maximum(m.values[inside], 1e-300)
+    gu = covariant_gradient(u.values[inside], grid)
+    quantity = eps * (np.log(mk) + reference.potential_V) + kappa * metric_norm_sq(gu, grid)
+    barrier = 1.0 / (t[inside] - a) ** 2 + 1.0 / (b - t[inside]) ** 2
+    return max([0.0, *(quantity.max(axis=tuple(range(1, 1 + grid.dim))) / barrier)])
 
 
 # ---------------------------------------------------------------------------
@@ -516,21 +512,20 @@ def interior_quantities(m: DensityPath, u: Potential, eps, grid: Grid, window):
     inside = (t >= a - 1e-12) & (t <= b + 1e-12)
     tau = grid.tau
     sup_m = float(np.max(m.values[inside]))
-    grad_u_sq = 0.0
-    log_m_l1 = 0.0
-    grad_sqrt_m = 0.0
-    for k in np.nonzero(inside)[0]:
-        gu = covariant_gradient(u.values[k], grid)
-        grad_u_sq += tau * integrate(metric_norm_sq(gu, grid), grid)
-        mk = np.maximum(m.values[k], 1e-300)
-        log_m_l1 += tau * integrate(np.abs(np.log(mk)), grid)
-        gs = covariant_gradient(np.sqrt(mk), grid)
-        grad_sqrt_m += tau * integrate(metric_norm_sq(gs, grid), grid)
-    global_energy = 0.0
-    for wk, mk, uk in zip(grid.time_weights(), np.maximum(m.values, 0.0), u.values):
-        gu = covariant_gradient(uk, grid)
-        global_energy += wk * (integrate(mk * metric_norm_sq(gu, grid), grid)
-                               + eps * integrate(entropy_density(mk), grid))
+
+    def dirichlet(f):
+        return integrate(metric_norm_sq(covariant_gradient(f, grid), grid), grid)
+
+    mk = np.maximum(m.values[inside], 1e-300)
+    # per-slice terms summed in time order, as a running total would
+    grad_u_sq = sum(tau * dirichlet(u.values[inside]))
+    log_m_l1 = sum(tau * integrate(np.abs(np.log(mk)), grid))
+    grad_sqrt_m = sum(tau * dirichlet(np.sqrt(mk)))
+    m_all = np.maximum(m.values, 0.0)
+    gu = covariant_gradient(u.values, grid)
+    global_energy = sum(grid.time_weights()
+                        * (integrate(m_all * metric_norm_sq(gu, grid), grid)
+                           + eps * integrate(entropy_density(m_all), grid)))
     return {"sup_m": sup_m, "grad_u_sq": grad_u_sq,
             "eps_log_m_l1": eps * log_m_l1, "grad_sqrt_m_sq": grad_sqrt_m,
             "global_energy": global_energy}

@@ -252,17 +252,19 @@ def laplace_beltrami(field, grid: Grid) -> np.ndarray:
     return divergence_g(covariant_gradient(field, grid), grid)
 
 
-def integrate(field, grid: Grid) -> float:
-    """Volume-weighted quadrature ``sum f sqrt(g) h^dim`` over one slice.
+def integrate(field, grid: Grid):
+    """Volume-weighted quadrature ``sum f sqrt(g) h^dim`` over the trailing
+    spatial axes: a float for one slice, one value per leading index (a
+    time node, say) otherwise.
 
     numpy's pairwise summation keeps the result independent of any
-    internal evaluation order.
+    internal evaluation order, and each slice of a path sums exactly as
+    it does alone.
     """
     field = np.asarray(field, dtype=float)
     _check_spatial(field, grid)
-    if field.ndim != grid.dim:
-        raise ValueError("integrate expects a single spatial slice")
-    return float(np.sum(field * grid.cell_volume))
+    total = np.sum(field * grid.cell_volume, axis=tuple(range(-grid.dim, 0)))
+    return float(total) if field.ndim == grid.dim else total
 
 
 def metric_dot(X, Y, grid: Grid) -> np.ndarray:

@@ -79,7 +79,7 @@ class DensityPath:
             raise ValueError(f"density path has shape {v.shape}")
         if np.any(v < 0):
             raise ValueError("density path has negative entries")
-        masses = np.array([integrate(s, self.grid) for s in v])
+        masses = integrate(v, self.grid)
         if np.max(np.abs(masses - 1.0)) > mass_tol:
             raise ValueError(f"density path masses deviate by {np.max(np.abs(masses - 1)):.3e}")
         return self
@@ -167,14 +167,15 @@ def entropy_density(m, V=0.0):
     return out
 
 
-def relative_entropy(m_slice, reference: ReferenceMeasure, grid: Grid) -> float:
-    """Relative entropy ``H(m; nu) = integrate(m (log m + V))``.
+def relative_entropy(m, reference: ReferenceMeasure, grid: Grid):
+    """Relative entropy ``H(m; nu) = integrate(m (log m + V))`` of a slice,
+    or one value per slice of a path.
 
     Uses the convention ``0 log 0 = 0``; negative densities are a domain
     error.  For any probability density the value is bounded below by
     ``-log_normalizer`` (Jensen).
     """
-    m = np.asarray(m_slice, dtype=float)
+    m = np.asarray(m, dtype=float)
     if np.any(m < 0):
         raise ValueError("relative_entropy needs m >= 0")
     return integrate(entropy_density(m, reference.potential_V), grid)
@@ -208,20 +209,18 @@ def functional_value(m: DensityPath, w: MomentumField, reference: ReferenceMeasu
             + eps * float(np.sum(weights * ent * grid.cell_volume)))
 
 
-def energy_slice(m_slice, u_slice, reference: ReferenceMeasure, eps: float,
-                 grid: Grid) -> float:
-    """Invariant energy ``E = 1/2 int m |grad u|^2 - eps H(m; nu)`` at one time."""
-    gu = covariant_gradient(u_slice, grid)
-    kinetic = 0.5 * integrate(np.asarray(m_slice) * metric_norm_sq(gu, grid), grid)
-    return kinetic - eps * relative_entropy(m_slice, reference, grid)
+def energy_slice(m, u, reference: ReferenceMeasure, eps: float, grid: Grid):
+    """Invariant energy ``E = 1/2 int m |grad u|^2 - eps H(m; nu)`` at one
+    time, or one value per time of a path."""
+    gu = covariant_gradient(u, grid)
+    kinetic = 0.5 * integrate(np.asarray(m) * metric_norm_sq(gu, grid), grid)
+    return kinetic - eps * relative_entropy(m, reference, grid)
 
 
 def energy_profile(m: DensityPath, u: Potential, reference: ReferenceMeasure,
                    eps: float) -> np.ndarray:
     """:func:`energy_slice` at the interior time nodes ``t_1 .. t_{Nt-1}``."""
-    grid = m.grid
-    return np.array([energy_slice(m.values[j], u.values[j], reference, eps, grid)
-                     for j in range(1, grid.n_time)])
+    return energy_slice(m.values[1:-1], u.values[1:-1], reference, eps, m.grid)
 
 
 def energy_drift(energies) -> float:
@@ -307,9 +306,8 @@ def potential_from_multiplier(phi, m_full, reference: ReferenceMeasure, eps,
     endpoint marginals, which makes the discrete duality identity exact at
     convergence.  The gauge is int u(T) m1 = 0.
     """
-    space_axes = tuple(range(1, 1 + grid.dim))
     _, vsq, m_int = _dual_minimizer(phi, reference, eps, grid)
-    mass = np.sum(m_int * grid.cell_volume, axis=space_axes)
+    mass = integrate(m_int, grid)
     drift = eps * grid.tau * (0.5 + np.concatenate(([0.0], np.cumsum(mass))))
     V = reference.potential_V
     u_mid = drift.reshape((-1,) + (1,) * grid.dim) - phi

@@ -214,6 +214,15 @@ class TestIntegrate:
         g = build_grid(1, 64, 4, 1.0)
         assert abs(integrate(np.sin(2 * np.pi * g.axis_coords()), g)) < 1e-15
 
+    @pytest.mark.parametrize("g", [build_grid(1, 48, 6, 1.0, CONFORMAL),
+                                   build_grid(2, 12, 6, 1.0)], ids=["1d", "2d"])
+    def test_path_is_the_stack_of_its_slices(self, g):
+        path = np.random.default_rng(5).random((g.n_time + 1,) + g.space_shape)
+        got = integrate(path, g)
+        assert isinstance(integrate(path[0], g), float)
+        assert got.shape == (g.n_time + 1,)
+        assert np.array_equal(got, [integrate(s, g) for s in path])
+
 
 class TestFieldFormat:
     def test_roundtrip(self, tmp_path):
