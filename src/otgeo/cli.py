@@ -282,6 +282,9 @@ def run(config, out_dir=None, verbose=False):
     except (ProxError, EllipticError) as err:
         print(f"solver error during diagnostics: {err}", file=sys.stderr)
         return EXIT_SOLVER, []
+    except ValueError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG, []
 
     artifacts += _write_artifacts(out, digest, formats, grid, fields,
                                   solve_reports, report, log)
@@ -300,7 +303,7 @@ def _run_checks(cfg, report, grid, reference, m0, m1, m, w, u, objective,
         log(f"diagnostic: {cid}")
         if cid == "energy":
             bound = None
-            if opts.get("with_heat_bound") and grid.flat:
+            if opts.get("with_heat_bound"):
                 bound, _ = heat_competitor_bound(m0, m1, reference, eps, grid)
             report.add(check_energy(m, u, reference, eps, grid, objective=objective,
                                     upper_bound=bound, required=required))

@@ -149,10 +149,11 @@ def _grid_info(grid: Grid, eps=None):
 
 def check_energy(m: DensityPath, u: Potential, reference: ReferenceMeasure, eps,
                  grid: Grid, objective=None, upper_bound=None,
-                 drift_factor=0.02, required=True) -> CheckEntry:
+                 required=True) -> CheckEntry:
     """Invariant-energy check: E(t_k) constant in time along the optimum.
 
-    Records the interior energy profile, its drift around the mean, the
+    Passes when the drift of the interior energy profile around its mean
+    is at most ``0.02 (1 + |mean|)``.  Records the profile, its drift, the
     defect of the identity E = B/T - (2 eps / T) * time-integral of the
     relative entropy, and (when a competitor upper bound is supplied) the
     uniform ceiling E <= bound/T + 2 eps log Z.
@@ -160,7 +161,7 @@ def check_energy(m: DensityPath, u: Potential, reference: ReferenceMeasure, eps,
     energies = energy_profile(DensityPath(np.maximum(m.values, 0.0), grid), u, reference, eps)
     mean_e = float(np.mean(energies))
     drift = energy_drift(energies)
-    tol = drift_factor * (1.0 + abs(mean_e))
+    tol = 0.02 * (1.0 + abs(mean_e))
     passed = drift <= tol
 
     values = {"energies": energies, "mean_energy": mean_e, "drift": drift}
@@ -220,19 +221,19 @@ def entropy_profile(m: DensityPath, grid: Grid, V=None):
 
 
 def calibrate_tol_conv(reference: ReferenceMeasure, eps, grid: Grid,
-                       config: ProxConfig = None, factor=3.0):
+                       config: ProxConfig = None):
     """Second-difference tolerance from the stationary instance.
 
     The optimal curve between identical stationary marginals is constant
     in time, so any observed second difference of its entropy profile is
     pure solver/discretization noise; the tolerance is that noise times a
-    safety factor (with a small absolute floor).
+    safety factor of 3 (with a small absolute floor).
     """
     ms = reference.stationary_density(grid)
     m, _, _, _ = solve_prox(ms, ms, reference, eps, grid, config or ProxConfig())
     phi = entropy_profile(m, grid, reference.potential_V)
     d2 = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / grid.tau ** 2
-    return factor * float(np.max(np.abs(d2))) + 1e-12
+    return 3.0 * float(np.max(np.abs(d2))) + 1e-12
 
 
 def check_displacement_convexity(m: DensityPath, u: Potential, eps, grid: Grid,
@@ -355,8 +356,6 @@ class SweepSpec:
     family_params: dict = field(default_factory=dict)
     grid: Grid = None
     solver_config: ProxConfig = None
-    slope_window: tuple = (0.8, 1.2)
-    lower_bound_constant: float = 1.0
 
     def validate(self):
         eps = tuple(self.eps_list)
@@ -375,6 +374,8 @@ def epsilon_sweep(spec: SweepSpec, required=False) -> CheckEntry:
     ``W2^2 / (2T)`` from the independent oracle, and records the log-log
     rate, residual positivity and monotonicity, and the L1 distance of the
     solved midpoint to the displacement interpolant of the oracle coupling.
+    Passes when the residuals are positive and decreasing, the rate lies in
+    ``[0.8, 1.2]`` and no residual falls below ``-(certified gap + eps |log eps|)``.
     """
     from .families import make_marginals
 
@@ -410,15 +411,14 @@ def epsilon_sweep(spec: SweepSpec, required=False) -> CheckEntry:
     res = np.array([p["residual"] for p in per_eps])
     eps_arr = np.array(eps_list)
     slack = np.array([p["certified_gap"] for p in per_eps])
-    lower_ok = bool(np.all(res >= -(slack + spec.lower_bound_constant
-                                    * eps_arr * np.abs(np.log(eps_arr)))))
+    lower_ok = bool(np.all(res >= -(slack + eps_arr * np.abs(np.log(eps_arr)))))
     positive = bool(np.all(res > 0))
     monotone = bool(np.all(np.diff(res) < 0))
     if np.all(res > 0):
         slope, intercept = np.polyfit(np.log(eps_arr), np.log(res), 1)
     else:
         slope, intercept = np.nan, np.nan
-    slope_ok = bool(spec.slope_window[0] <= slope <= spec.slope_window[1])
+    slope_ok = bool(0.8 <= slope <= 1.2)
     mid_l1 = [p.get("midpoint_l1") for p in per_eps]
     midpoint_decreasing = (mid_l1[0] is None) or (mid_l1[-1] <= mid_l1[0] + 1e-12)
 
@@ -427,7 +427,7 @@ def epsilon_sweep(spec: SweepSpec, required=False) -> CheckEntry:
         check="epsilon_sweep",
         inputs_digest=_digest(m0, m1, list(spec.eps_list)),
         grid_info=_grid_info(grid),
-        threshold={"slope_window": list(spec.slope_window)},
+        threshold={"slope_window": [0.8, 1.2]},
         values={
             "w2_squared": w2sq,
             "geodesic_energy": base,
@@ -450,19 +450,18 @@ def epsilon_sweep(spec: SweepSpec, required=False) -> CheckEntry:
 # ---------------------------------------------------------------------------
 
 def check_time_scaling(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
-                       T_alt, config: ProxConfig = None, tol=1e-4,
-                       required=False) -> CheckEntry:
-    """B_eps at horizon T_alt against max(1/T, T) times the unit-horizon value."""
+                       T_alt, config: ProxConfig = None, required=False) -> CheckEntry:
+    """B_eps at horizon T_alt against max(1/T, T) times the unit-horizon
+    value, plus 1e-4."""
     from .grid import build_grid
 
     config = config or ProxConfig()
-    metric = None if grid.flat else grid.metric
-    g1 = build_grid(grid.dim, grid.n_space, grid.n_time, 1.0, metric, grid.length)
-    ga = build_grid(grid.dim, grid.n_space, grid.n_time, T_alt, metric, grid.length)
+    g1 = build_grid(grid.dim, grid.n_space, grid.n_time, 1.0, grid.metric, grid.length)
+    ga = build_grid(grid.dim, grid.n_space, grid.n_time, T_alt, grid.metric, grid.length)
     _, _, _, rep1 = solve_prox(m0, m1, reference, eps, g1, config)
     _, _, _, repa = solve_prox(m0, m1, reference, eps, ga, config)
     factor = max(1.0 / T_alt, T_alt)
-    bound = factor * rep1.objective + tol
+    bound = factor * rep1.objective + 1e-4
     return CheckEntry(
         check="time_scaling",
         inputs_digest=_digest(m0, m1, eps, T_alt),
@@ -532,13 +531,12 @@ def interior_quantities(m: DensityPath, u: Potential, eps, grid: Grid, window):
 
 
 def check_interior_bounds(family_results, grid: Grid, window=None,
-                          growth_factor=2.0, expect_roughening=True,
-                          required=False) -> CheckEntry:
+                          expect_roughening=True, required=False) -> CheckEntry:
     """Interior regularization across marginals of increasing roughness.
 
     ``family_results`` is a list of dicts with keys ``m`` (DensityPath),
     ``u`` (Potential), ``eps``, ``sup_m0``.  Asserts the windowed
-    quantities stay within ``growth_factor`` across the family while the
+    quantities stay within a factor of 2 across the family while the
     endpoint sup-norms grow by at least 10x (skip the growth requirement
     via ``expect_roughening=False`` for trivial families); when two
     distinct eps values are present, fits C in
@@ -546,6 +544,7 @@ def check_interior_bounds(family_results, grid: Grid, window=None,
     spread.
     """
     window = window or (grid.horizon / 4.0, 3.0 * grid.horizon / 4.0)
+    growth_factor = 2.0
     rows = []
     for case in family_results:
         q = interior_quantities(case["m"], case["u"], case["eps"], grid, window)

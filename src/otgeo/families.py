@@ -3,7 +3,8 @@
 Each family produces a pair of unit-mass grid densities.  Both solvers
 take any nonnegative pair of unit mass, the paper's L1 data, so the
 families need not be positive: ``point_like`` loads one cell per marginal,
-optionally regularized by a few steps of the exact heat flow.
+optionally regularized by a few steps of the grid's Laplace-Beltrami heat
+flow, on every grid.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def _point_like(grid: Grid, params):
         m /= integrate(m, grid)
         if steps > 0:
             m = heat_semigroup(m, steps * grid.h ** 2, grid)
-            # the truncated spectral kernel undershoots in the far field;
-            # clip to a small positive floor, since a negative cell is no density
+            # the flow is positive up to rounding; the floor keeps a
+            # rounding-size undershoot from leaving a negative cell
             m = np.maximum(m, 1e-12 * np.max(m))
             m /= integrate(m, grid)
         out.append(m)

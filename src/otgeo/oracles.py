@@ -5,8 +5,8 @@
 * exact discrete Kantorovich cost on the 2-D torus via the transportation
   linear program (vertex solution of the HiGHS simplex);
 * a feasible-curve upper bound for the regularized action built from the
-  spectral heat flow with a power-law time reparametrization, glued to the
-  solver's own optimal middle segment;
+  grid's Laplace-Beltrami heat flow, on every grid, with a power-law time
+  reparametrization, glued to the solver's own optimal middle segment;
 * the McCann interpolant of the circular optimal coupling, used as the
   reference midpoint in the vanishing-regularization sweep.
 """
@@ -18,20 +18,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .grid import Grid, build_grid, covariant_gradient, integrate
-from .transport import DensityPath, MomentumField, ReferenceMeasure, functional_value
+from .transport import DensityPath, MomentumField, ReferenceMeasure, check_marginals, functional_value
 from .prox import _along_space, _pseudo_inverse, _space_eigenbasis
-
-
-def _check_probability(m, grid, name):
-    m = np.asarray(m, dtype=float)
-    if m.shape != grid.space_shape:
-        raise ValueError(f"{name} shape {m.shape} != {grid.space_shape}")
-    if np.any(m < 0):
-        raise ValueError(f"{name} must be nonnegative")
-    mass = integrate(m, grid)
-    if abs(mass - 1.0) > 1e-8:
-        raise ValueError(f"{name} mass {mass} is not 1")
-    return m
 
 
 def _coupling_segments(cp, cq, xs, L, alpha):
@@ -119,8 +107,7 @@ def circular_w2_oracle(m0, m1, grid: Grid) -> float:
     """
     if grid.dim != 1 or not grid.flat:
         raise ValueError("circular_w2_oracle needs the flat 1-D circle")
-    p = _check_probability(m0, grid, "m0") * grid.cell_volume
-    q = _check_probability(m1, grid, "m1") * grid.cell_volume
+    p, q = (m * grid.cell_volume for m in check_marginals(m0, m1, grid))
     p = p / p.sum()
     q = q / q.sum()
     xs = np.arange(grid.n_space) * grid.h
@@ -138,8 +125,7 @@ def mccann_midpoint(m0, m1, grid: Grid, t=0.5) -> np.ndarray:
     """
     if grid.dim != 1 or not grid.flat:
         raise ValueError("mccann_midpoint needs the flat 1-D circle")
-    p = _check_probability(m0, grid, "m0") * grid.cell_volume
-    q = _check_probability(m1, grid, "m1") * grid.cell_volume
+    p, q = (m * grid.cell_volume for m in check_marginals(m0, m1, grid))
     p, q = p / p.sum(), q / q.sum()
     n, h, L = grid.n_space, grid.h, grid.length
     xs = np.arange(n) * h
@@ -166,8 +152,7 @@ def flow_w2_oracle(m0, m1, grid: Grid, max_bins=1024, coarsen=1) -> float:
     """
     if grid.dim != 2 or not grid.flat:
         raise ValueError("flow_w2_oracle handles the flat 2-D torus")
-    a = _check_probability(m0, grid, "m0") * grid.cell_volume
-    b = _check_probability(m1, grid, "m1") * grid.cell_volume
+    a, b = (m * grid.cell_volume for m in check_marginals(m0, m1, grid))
     n = grid.n_space
     h = grid.h
     if coarsen > 1:
@@ -208,20 +193,31 @@ def flow_w2_oracle(m0, m1, grid: Grid, max_bins=1024, coarsen=1) -> float:
 # Heat flow machinery
 # ---------------------------------------------------------------------------
 
+def _spectral(field, symbol, grid: Grid):
+    """A function of ``-Lap_g`` applied along the trailing spatial axes of
+    ``field``, given by its ``symbol`` on the eigenvalues of
+    ``prox._space_eigenbasis``, whose basis diagonalizes
+    ``omega^{1/2} (-Lap_g) omega^{-1/2}``, ``omega = sqrt(g)``; leading axes
+    of the field and the symbol broadcast."""
+    _, Q = _space_eigenbasis(grid)
+    wroot = np.sqrt(grid.sqrt_g)
+    hat = _along_space(np.asarray(field, dtype=float) * wroot, Q, grid.dim) * symbol
+    return _along_space(hat, Q.T, grid.dim) / wroot
+
+
 def heat_semigroup(m, t, grid: Grid) -> np.ndarray:
-    """Exact spectral heat flow ``exp(t Lap) m`` on the flat torus/circle."""
-    if not grid.flat:
-        raise ValueError("spectral heat flow needs the flat metric")
-    if t <= 0:
-        return np.asarray(m, dtype=float).copy()
-    xi = 2.0 * np.pi * np.fft.fftfreq(grid.n_space, d=grid.h)
-    if grid.dim == 1:
-        mult = np.exp(-xi ** 2 * t)
-    else:
-        mult = np.exp(-(xi[:, None] ** 2 + xi[None, :] ** 2) * t)
-    axes = tuple(range(grid.dim))
-    return np.fft.ifftn(np.fft.fftn(np.asarray(m, dtype=float), axes=axes) * mult,
-                        axes=axes).real
+    """The grid's Laplace-Beltrami heat flow ``exp(t Lap_g) m``, in closed
+    form in the spatial eigenbasis: mass-conserving and, as ``Lap_g`` has
+    nonnegative off-diagonal entries, positivity-preserving to rounding.
+
+    ``t`` is one time or an array of times, giving one slice per time;
+    a time ``<= 0`` gives ``m`` back.
+    """
+    m = np.asarray(m, dtype=float)
+    t = np.reshape(t, np.shape(t) + (1,) * grid.dim)
+    mu, _ = _space_eigenbasis(grid)
+    mu = np.where(_pseudo_inverse(mu) > 0, mu, 0.0)  # the constants' 0, not its rounding
+    return np.where(t > 0, _spectral(m, np.exp(-np.maximum(t, 0.0) * mu), grid), m)
 
 
 def momentum_from_density_steps(m_path, grid: Grid):
@@ -229,55 +225,47 @@ def momentum_from_density_steps(m_path, grid: Grid):
 
     Solves the discrete flux problem ``div_g w[k] = (m[k+1] - m[k]) / tau``
     in gradient form (``w = grad phi``) through the pseudo-inverse of the
-    Laplacian in the spatial eigenbasis that the primal projection caches.
-    The Laplacian's only kernel is the constants, so every increment of
-    zero mass is reached exactly.  Flat grids only.
+    Laplace-Beltrami operator in the spatial eigenbasis that the primal
+    projection caches.  Its only kernel is the constants, so every
+    increment of zero mass is reached exactly.
     """
-    if not grid.flat:
-        raise ValueError("flux construction implemented for flat metrics")
     m_path = np.asarray(m_path, dtype=float)
-    rhs = (m_path[1:] - m_path[:-1]) / grid.tau
-    mu, Q = _space_eigenbasis(grid)
-    phi_hat = _along_space(rhs, Q, grid.dim) * -_pseudo_inverse(mu)
-    return covariant_gradient(_along_space(phi_hat, Q.T, grid.dim), grid)
+    mu, _ = _space_eigenbasis(grid)
+    phi = _spectral((m_path[1:] - m_path[:-1]) / grid.tau, -_pseudo_inverse(mu), grid)
+    return covariant_gradient(phi, grid)
 
 
-def heat_competitor_bound(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
-                          beta=2.0, delta0=None, delta1=None, solver_config=None):
+def heat_competitor_bound(m0, m1, reference: ReferenceMeasure, eps, grid: Grid, beta=2.0):
     """Feasible-curve upper bound for the minimal regularized action.
 
-    Both marginals are evolved by the exact spectral heat flow under the
-    reparametrization ``t -> t**beta`` (beta > 1 keeps the kinetic action
-    of the boundary layers integrable even for very rough data); over the
-    middle window ``[delta0, delta1]`` the two smoothed measures are joined
-    by the primal solver's own optimal curve.  Evaluating the discrete
-    functional on the glued curve bounds the minimum from above.
+    Both marginals are evolved by the grid's heat flow
+    (:func:`heat_semigroup`) under the reparametrization ``t -> t**beta``
+    (beta > 1 keeps the kinetic action of the boundary layers integrable
+    even for very rough data); over the middle window
+    ``[T/3, 2T/3]``, rounded to time nodes, the two smoothed measures are
+    joined by the primal solver's own optimal curve.  Evaluating the
+    discrete functional on the glued curve bounds the minimum from above.
 
     Returns ``(bound, parts)`` with the leg costs in ``parts``.
     """
     if beta <= 1:
         raise ValueError("beta must exceed 1")
-    if not grid.flat:
-        raise ValueError("heat competitor implemented for flat metrics")
-    from .prox import ProxConfig, solve_prox
+    # looked up per call, so that a wrapper of prox.solve_prox sees this solve
+    from .prox import solve_prox
 
     T, Nt = grid.horizon, grid.n_time
-    k0 = int(round(Nt / 3)) if delta0 is None else int(round(delta0 / grid.tau))
-    k1 = int(round(2 * Nt / 3)) if delta1 is None else int(round(delta1 / grid.tau))
+    k0, k1 = int(round(Nt / 3)), int(round(2 * Nt / 3))
     if not 0 < k0 < k1 < Nt:
         raise ValueError(f"window nodes ({k0}, {k1}) must satisfy 0 < k0 < k1 < {Nt}")
     t_nodes = grid.time_nodes()
 
     m_path = np.empty((Nt + 1,) + grid.space_shape)
-    for k in range(k0 + 1):
-        m_path[k] = _positive_slice(heat_semigroup(m0, t_nodes[k] ** beta, grid), grid)
-    for k in range(k1, Nt + 1):
-        m_path[k] = _positive_slice(heat_semigroup(m1, (T - t_nodes[k]) ** beta, grid), grid)
+    m_path[:k0 + 1] = _positive_slice(heat_semigroup(m0, t_nodes[:k0 + 1] ** beta, grid), grid)
+    m_path[k1:] = _positive_slice(heat_semigroup(m1, (T - t_nodes[k1:]) ** beta, grid), grid)
 
     mid_grid = build_grid(grid.dim, grid.n_space, k1 - k0, t_nodes[k1] - t_nodes[k0],
-                          length=grid.length)
-    mid_m, mid_w, _, _ = solve_prox(m_path[k0], m_path[k1], reference, eps, mid_grid,
-                                    solver_config or ProxConfig())
+                          grid.metric, grid.length)
+    mid_m, mid_w, _, _ = solve_prox(m_path[k0], m_path[k1], reference, eps, mid_grid)
     m_path[k0:k1 + 1] = mid_m.values
 
     w = np.zeros((Nt,) + grid.space_shape + (grid.dim,))
@@ -297,7 +285,9 @@ def heat_competitor_bound(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     return float(bound), legs
 
 
-def _positive_slice(m, grid: Grid, floor=1e-13):
-    """Clip spectral undershoots and restore unit mass."""
-    m = np.maximum(m, floor)
-    return m / integrate(m, grid)
+def _positive_slice(path, grid: Grid, floor=1e-13):
+    """Raise each slice of a path to a small positive floor and restore its
+    unit mass.  The heat flow is positive up to rounding; the floor guards
+    that rounding and the empty cells of the data at time 0."""
+    path = np.maximum(path, floor)
+    return path / integrate(path, grid).reshape((-1,) + (1,) * grid.dim)

@@ -73,14 +73,14 @@ class DensityPath:
     values: np.ndarray
     grid: Grid
 
-    def validate(self, mass_tol=1e-8):
+    def validate(self):
         v = self.values
         if v.shape != (self.grid.n_time + 1,) + self.grid.space_shape:
             raise ValueError(f"density path has shape {v.shape}")
         if np.any(v < 0):
             raise ValueError("density path has negative entries")
         masses = integrate(v, self.grid)
-        if np.max(np.abs(masses - 1.0)) > mass_tol:
+        if np.max(np.abs(masses - 1.0)) > 1e-8:
             raise ValueError(f"density path masses deviate by {np.max(np.abs(masses - 1)):.3e}")
         return self
 

@@ -320,6 +320,36 @@ class TestRun:
         assert artifacts  # artifacts are still written for inspection
 
 
+    @pytest.mark.parametrize("grid, checks", [
+        ({"metric_profile": {"id": "conformal_sine"}}, ["sweep"]),
+        ({}, [{"id": "time_scaling", "T_alt": 0}]),
+        ({}, [{"id": "heat_bound", "beta": 1.0}]),
+    ], ids=["conformal-sweep", "zero-horizon", "beta-one"])
+    def test_check_rejecting_its_options_exits_2(self, tmp_path, capsys, grid, checks):
+        path, _ = write_config(
+            tmp_path, grid={"dim": 1, "n_space": 32, "n_time": 16, "horizon": 1.0, **grid},
+            solver={"method": "prox", "eps_list": [0.2, 0.1]},
+            diagnostics={"checks": checks})
+        assert main(["check", str(path)]) == EXIT_OK
+        code, artifacts = run(path)
+        assert code == EXIT_CONFIG and artifacts == []
+        assert "config error" in capsys.readouterr().err
+
+    def test_conformal_heat_bound_runs(self, tmp_path):
+        path, cfg = write_config(
+            tmp_path,
+            grid={"dim": 1, "n_space": 32, "n_time": 16, "horizon": 1.0,
+                  "metric_profile": {"id": "conformal_sine", "amplitude": 0.5}},
+            marginals={"family": "bump_pair", "width": 0.15},
+            diagnostics={"checks": ["heat_bound", {"id": "energy", "with_heat_bound": True}]})
+        code, _ = run(path)
+        assert code == EXIT_OK
+        entries = json.loads(
+            (Path(cfg["output"]["directory"]) / "diagnostics.json").read_text())["entries"]
+        heat, energy = entries
+        assert heat["passed"] and heat["values"]["margin"] > 0
+        assert energy["passed"] and "energy_ceiling" in energy["values"]
+
     def test_heat_bound_entry_unchanged(self, tmp_path):
         from otgeo.cli import _build_setup
         from otgeo.diagnostics import CheckEntry, _digest, _grid_info

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import expm
 from scipy.optimize import linprog
 
-from otgeo.grid import build_grid, integrate
+from otgeo.grid import build_grid, integrate, laplace_beltrami
 from otgeo.transport import ROUNDING, ReferenceMeasure
 from otgeo.prox import solve_prox
 from otgeo.oracles import (
@@ -261,6 +262,30 @@ class TestHeatFlow:
         assert integrate(out, g) == pytest.approx(1.0, abs=1e-12)
         assert np.max(out) < np.max(m)
 
+    @pytest.mark.parametrize("g", [
+        build_grid(1, 32, 4, 1.0),
+        build_grid(1, 32, 4, 1.0, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x)),
+        build_grid(2, 12, 4, 1.0)], ids=["flat-1d", "conformal-1d", "flat-2d"])
+    def test_heat_semigroup_is_the_exponential_of_the_grid_laplacian(self, g):
+        size = int(np.prod(g.space_shape))
+        lap = np.stack([laplace_beltrami(e.reshape(g.space_shape), g).ravel()
+                        for e in np.eye(size)], axis=1)
+        m = np.random.default_rng(3).random(g.space_shape)
+        m /= integrate(m, g)
+        times = np.array([-1.0, 0.0, 1e-4, 1e-3, 1e-2])
+        out = heat_semigroup(m, times, g)
+        assert out.shape == times.shape + g.space_shape
+        assert np.array_equal(out[0], m) and np.array_equal(out[1], m)
+        for t, slice_t in zip(times[2:], out[2:]):
+            exact = expm(t * lap) @ m.ravel()
+            assert np.linalg.norm(slice_t.ravel() - exact) <= 1e-13 * np.linalg.norm(exact)
+        assert np.max(np.abs(integrate(out, g) - 1.0)) <= 1e-13
+        # a point mass stays nonnegative up to rounding: no spectral undershoot
+        point = np.zeros(g.space_shape)
+        point.flat[0] = 1.0
+        for slice_t in heat_semigroup(point / integrate(point, g), times[2:], g):
+            assert np.min(slice_t) >= -1e-13 * np.max(slice_t)
+
     def test_flux_solve_gives_discrete_feasibility(self):
         g = build_grid(2, 12, 6, 1.0)
         x = g.axis_coords()
@@ -295,6 +320,16 @@ class TestHeatCompetitor:
         bound, parts = heat_competitor_bound(m0, m1, ref, 0.1, g)
         assert np.isfinite(bound)
         assert bound >= rep.objective - 1e-6
+
+    def test_dominates_the_optimal_value_on_the_conformal_circle(self):
+        from otgeo.families import make_marginals
+        g = build_grid(1, 32, 16, 1.0, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
+        ref = ReferenceMeasure.from_potential(0.0, g)
+        m0, m1 = make_marginals("bump_pair", {"width": 0.15}, g)
+        _, _, _, rep = solve_prox(m0, m1, ref, 0.1, g)
+        bound, parts = heat_competitor_bound(m0, m1, ref, 0.1, g)
+        assert np.isfinite(bound) and bound >= rep.objective
+        assert parts["middle_objective"] <= bound
 
     def test_beta_must_exceed_one(self):
         g = build_grid(1, 32, 12, 1.0)
