@@ -491,7 +491,7 @@ def fit_local_bound_constant(m: DensityPath, u: Potential, reference: ReferenceM
     gu = covariant_gradient(u.values[inside], grid)
     quantity = eps * (np.log(mk) + reference.potential_V) + kappa * metric_norm_sq(gu, grid)
     barrier = 1.0 / (t[inside] - a) ** 2 + 1.0 / (b - t[inside]) ** 2
-    return max([0.0, *(quantity.max(axis=tuple(range(1, 1 + grid.dim))) / barrier)])
+    return float(np.max(quantity.max(axis=tuple(range(1, 1 + grid.dim))) / barrier, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

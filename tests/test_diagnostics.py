@@ -5,8 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from otgeo.grid import build_grid, integrate
-from otgeo.transport import ReferenceMeasure
+from otgeo.grid import build_grid, covariant_gradient, integrate, metric_norm_sq
+from otgeo.transport import (
+    ReferenceMeasure,
+    energy_profile,
+    energy_slice,
+    entropy_density,
+    relative_entropy,
+)
 from otgeo.prox import solve_prox
 from otgeo.diagnostics import (
     DiagnosticsReport,
@@ -19,6 +25,8 @@ from otgeo.diagnostics import (
     check_time_scaling,
     entropy_profile,
     epsilon_sweep,
+    fit_local_bound_constant,
+    interior_quantities,
 )
 
 
@@ -168,6 +176,53 @@ class TestInteriorBounds:
         row = entry.values["rows"][0]
         assert row["sup_m"] == pytest.approx(1.0, abs=1e-6)
         assert abs(row["grad_u_sq"]) < 1e-8
+
+
+class TestWholePathQuadrature:
+    """The path forms against the per-slice loops they replaced: the same
+    arithmetic, so the same bits."""
+
+    @pytest.mark.parametrize("g", [
+        build_grid(1, 32, 16, 1.0, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x)),
+        build_grid(2, 8, 8, 1.0)], ids=["conformal-1d", "flat-2d"])
+    def test_path_forms_match_the_slice_loops(self, g):
+        from otgeo.families import make_marginals
+        eps, (a, b) = 0.1, (0.25, 0.75)
+        ref = ReferenceMeasure.from_potential(0.0, g)
+        m0, m1 = make_marginals("bump_pair", {"width": 0.12}, g)
+        m, _, u, _ = solve_prox(m0, m1, ref, eps, g)
+        mv, uv, t = m.values, u.values, g.time_nodes()
+
+        def dirichlet(f):
+            return integrate(metric_norm_sq(covariant_gradient(f, g), g), g)
+
+        assert np.array_equal(energy_profile(m, u, ref, eps), [
+            energy_slice(mv[j], uv[j], ref, eps, g) for j in range(1, g.n_time)])
+        assert np.array_equal(entropy_profile(m, g),
+                              [integrate(entropy_density(s), g) for s in mv])
+        assert np.array_equal(relative_entropy(mv, ref, g),
+                              [relative_entropy(s, ref, g) for s in mv])
+
+        inside = [k for k in range(g.n_time + 1) if a + 1e-12 < t[k] < b - 1e-12]
+        best = 0.0
+        for k in inside:
+            quantity = eps * np.log(mv[k]) + 0.25 * metric_norm_sq(
+                covariant_gradient(uv[k], g), g)
+            best = max(best, float(np.max(quantity)) / (1 / (t[k] - a) ** 2 + 1 / (b - t[k]) ** 2))
+        assert fit_local_bound_constant(m, u, ref, eps, g) == best
+
+        inside = [k for k in range(g.n_time + 1) if a - 1e-12 <= t[k] <= b + 1e-12]
+        grad_u_sq = log_m_l1 = grad_sqrt_m = global_energy = 0.0
+        for k in inside:
+            grad_u_sq += g.tau * dirichlet(uv[k])
+            log_m_l1 += g.tau * integrate(np.abs(np.log(mv[k])), g)
+            grad_sqrt_m += g.tau * dirichlet(np.sqrt(mv[k]))
+        for wk, mk, uk in zip(g.time_weights(), mv, uv):
+            global_energy += wk * (integrate(mk * metric_norm_sq(covariant_gradient(uk, g), g), g)
+                                   + eps * integrate(entropy_density(mk), g))
+        got = interior_quantities(m, u, eps, g, (a, b))
+        assert (got["grad_u_sq"], got["eps_log_m_l1"], got["grad_sqrt_m_sq"],
+                got["global_energy"]) == (grad_u_sq, eps * log_m_l1, grad_sqrt_m, global_energy)
 
 
 class TestReportPlumbing:
