@@ -15,9 +15,13 @@ Newton runs from ``phi = 0`` on
 
 where ``E v = ds(v)`` linearizes the exponent of the interior density,
 ``D`` is the forward difference onto the cell faces and ``M_k`` the face
-density, assembled per step on operators cached per grid and factored
-once.  The Hessian's kernel is the space-time constants, so pinning
-``phi`` at one node removes it.  The line search is Armijo on ``G``.  The
+density.  The products are expanded once per grid into terms on a fixed
+sparse pattern, so each step only scatters the current weights onto it;
+the Hessian is factored once per step, by banded Cholesky in the natural
+time-major order in 1-D (lower band width ``2 n - 1``) and by SuperLU
+with the COLAMD order in 2-D.  The Hessian's kernel is the space-time
+constants, so pinning ``phi`` at one node removes it.  The line search
+is Armijo on ``G``.  The
 marginals may have empty cells: every face density ``M_k`` touches an
 interior node, whose density is positive.
 """
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import LinAlgError, solveh_banded
 from scipy.sparse.linalg import spsolve
 
 from .grid import Grid, covariant_gradient, face_average
@@ -145,25 +150,90 @@ def _evaluate(phi, problem: EllipticProblem):
     return value, m, w, defect, float(np.max(np.abs(defect)))
 
 
+def _expand(left_cols, right_rows):
+    """The terms of ``left @ diag(v) @ right`` for sparse factors given by
+    the column indices of ``left``'s entries and the row indices of
+    ``right``'s: per term the entry of ``left`` and the entry of ``right``
+    it multiplies, and its index into ``v``."""
+    order = np.argsort(right_rows, kind="stable")
+    count = np.bincount(right_rows, minlength=max(left_cols.max(), right_rows.max()) + 1)
+    reps = count[left_cols]
+    left_term = np.repeat(np.arange(left_cols.size), reps)
+    offset = np.arange(left_term.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    right_term = order[(np.cumsum(count) - count)[left_cols[left_term]] + offset]
+    return left_term, right_term, left_cols[left_term]
+
+
+def _pattern(rows, cols, shape):
+    """The CSR pattern ``(indptr, indices)`` holding the entries
+    ``(rows, cols)``, and each entry's position in it."""
+    keys, land = np.unique(rows * shape[1] + cols, return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
+    return indptr.astype(np.int32), (keys % shape[1]).astype(np.int32), land
+
+
+@functools.lru_cache(maxsize=16)
+def _hessian_plan(grid: Grid):
+    """How ``-Hess G`` is scattered onto a CSR pattern fixed per grid.
+
+    With ``D`` the axes' forward differences stacked, ``L = pair_sum faces / 4``
+    and ``g = fv grad phi``, the Hessian is ``lin^T diag(c) lin + D^T diag(W) D``
+    with ``lin = diff + L diag(g) D``, ``c = (tau / eps) cv m`` at the
+    interior nodes and ``W = tau fv M / g_f``.  Each of the three products
+    is expanded once into terms; per term the plan keeps where it lands,
+    its two factors (their entries in ``lin``, or their product where both
+    are constant) and its index into ``g``, ``c`` or ``W``.  In 1-D it also keeps
+    where the lower triangle lands in LAPACK band storage of the natural,
+    time-major order, whose lower band width is ``2 n - 1``."""
+    free, diff, pair_sum, forward, faces = _operators(grid)
+    stack = sparse.vstack(forward, format="coo")
+    left = (0.25 * pair_sum @ sparse.hstack(faces)).tocoo()
+    fixed = diff.tocoo()
+    a, b, k = _expand(left.col, stack.row)
+    lin_indptr, lin_cols, land = _pattern(np.concatenate([fixed.row, left.row[a]]),
+                                          np.concatenate([fixed.col, stack.col[b]]), diff.shape)
+    lin_base = np.bincount(land[:fixed.nnz], fixed.data, minlength=lin_cols.size)
+    lin = (land[fixed.nnz:], left.data[a] * stack.data[b], k)
+
+    lin_rows = np.repeat(np.arange(diff.shape[0]), np.diff(lin_indptr))
+    a, b, k = _expand(lin_rows, lin_rows)
+    p, q, j = _expand(stack.row, stack.row)
+    size = (free.size, free.size)
+    indptr, indices, land = _pattern(np.concatenate([lin_cols[a], stack.col[p]]),
+                                     np.concatenate([lin_cols[b], stack.col[q]]), size)
+    density = (land[:a.size], a, b, k)
+    kinetic = (land[a.size:], stack.data[p] * stack.data[q], j)
+
+    band = None
+    if grid.dim == 1:
+        rows = np.repeat(np.arange(free.size), np.diff(indptr))
+        lower = np.flatnonzero(rows >= indices)
+        below = rows[lower] - indices[lower]
+        band = (lower, below * free.size + indices[lower], (below.max() + 1, free.size))
+    return lin_base, lin, density, kinetic, indptr, indices, band
+
+
 def _dual_hessian(phi, m, problem: EllipticProblem):
-    """``-Hess G`` at ``phi`` on the free entries (CSR); ``m`` is the pair's
-    density path at ``phi``."""
+    """``-Hess G`` at ``phi`` on the free entries (CSR, on the pattern of
+    :func:`_hessian_plan`); ``m`` is the pair's density path at ``phi``."""
     grid = problem.grid
-    tau = grid.tau
-    _, diff, pair_sum, forward, faces = _operators(grid)
-    cv = np.broadcast_to(grid.cell_volume, phi.shape)
+    lin_base, lin, density, kinetic, indptr, indices, _ = _hessian_plan(grid)
     fv = grid.face_volume
-    grad = covariant_gradient(phi, grid)
-    # d|grad phi|^2 = cell_average(2 grad D dphi) per level; s takes a quarter
-    # of it from each adjacent level
-    dgsq = sum(faces[a] @ sparse.diags((fv[..., a] * grad[..., a]).ravel()) @ forward[a]
-               for a in range(grid.dim))
-    lin = diff + 0.25 * (pair_sum @ dgsq)
-    hess = (tau / problem.eps) * (lin.T @ sparse.diags((cv[1:] * m.values[1:-1]).ravel())
-                                  @ lin)
-    weight = tau * fv * face_average(m.midpoints(), grid) / grid.face_metric
-    return (hess + sum(d.T @ sparse.diags(weight[..., a].ravel()) @ d
-                       for a, d in enumerate(forward))).tocsr()
+    cv = np.broadcast_to(grid.cell_volume, phi.shape)
+    # the face fields axis by axis, as the differences are stacked
+    g = np.moveaxis(fv * covariant_gradient(phi, grid), -1, 0).ravel()
+    weight = grid.tau * fv * face_average(m.midpoints(), grid) / grid.face_metric
+    weight = np.moveaxis(weight, -1, 0).ravel()
+    c = (grid.tau / problem.eps) * (cv[1:] * m.values[1:-1]).ravel()
+
+    land, coefficient, k = lin
+    lin_values = lin_base + np.bincount(land, coefficient * g[k], minlength=lin_base.size)
+    land, a, b, k = density
+    data = np.bincount(land, lin_values[a] * lin_values[b] * c[k], minlength=indices.size)
+    land, coefficient, k = kinetic
+    data += np.bincount(land, coefficient * weight[k], minlength=indices.size)
+    size = indptr.size - 1
+    return sparse.csr_matrix((data, indices.copy(), indptr.copy()), shape=(size, size))
 
 
 def newton_step(phi, problem: EllipticProblem, config: EllipticConfig = None, point=None):
@@ -183,9 +253,21 @@ def newton_step(phi, problem: EllipticProblem, config: EllipticConfig = None, po
     free = _operators(problem.grid)[0]
     hess = _dual_hessian(phi, m, problem)
     rhs = (problem.grid.tau * problem.grid.cell_volume * defect).ravel()[free]
-    # the symmetric minimum-degree order fills less in 1-D, COLAMD in 2-D
-    order = "MMD_AT_PLUS_A" if problem.grid.dim == 1 else "COLAMD"
-    solution = spsolve(hess.tocsc(), rhs, permc_spec=order)
+    band = _hessian_plan(problem.grid)[-1]
+    if band is not None:
+        # 1-D: Cholesky of the band of the natural order
+        lower, position, shape = band
+        banded = np.zeros(shape)
+        banded.flat[position] = hess.data[lower]
+        try:
+            solution = solveh_banded(banded, rhs, overwrite_ab=True, lower=True,
+                                     check_finite=False)
+        except LinAlgError as err:
+            raise EllipticError(f"linear solve failed ({err})", iterate=phi) from err
+    else:
+        # the cached pattern also holds the terms that vanish at grad phi = 0
+        hess.eliminate_zeros()
+        solution = spsolve(hess.tocsc(), rhs, permc_spec="COLAMD")
     lin_res = np.linalg.norm(hess @ solution - rhs)
     limit = config.linear_tolerance * np.linalg.norm(rhs)
     if not lin_res <= limit:

@@ -3,6 +3,9 @@ Newton behavior, and the solve."""
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
+
+from elliptic_reference import dual_hessian
 
 from otgeo.grid import build_grid, integrate
 from otgeo.transport import ReferenceMeasure, continuity_defect, dual_pair, dual_value
@@ -13,6 +16,7 @@ from otgeo.elliptic import (
     EllipticProblem,
     _dual_hessian,
     _evaluate,
+    _hessian_plan,
     _operators,
     newton_step,
     solve_elliptic,
@@ -167,6 +171,77 @@ def assert_hessian_matches_finite_differences(problem, seed):
         assert np.max(np.abs(fd + H[:, col])) < 1e-8 * np.max(np.abs(H))
     np.testing.assert_allclose(H, H.T, rtol=0, atol=1e-14 * np.max(np.abs(H)))
     assert np.min(np.linalg.eigvalsh(H)) > 0
+
+
+class TestScatterAssembly:
+    """The Hessian scattered on the cached pattern against the sparse-product
+    reference assembly, and the linear solves it feeds."""
+
+    @pytest.mark.parametrize("case", ["1d-conformal", "1d-flat-varying-V", "2d-varying-V"])
+    def test_matches_reference_assembly(self, case):
+        problem = hessian_case(case)
+        g = problem.grid
+        phi = 0.05 * np.random.default_rng(31).standard_normal((g.n_time,) + g.space_shape)
+        m = _evaluate(phi, problem)[1]
+        H = _dual_hessian(phi, m, problem).toarray()
+        reference = dual_hessian(phi, m, problem).toarray()
+        assert np.max(np.abs(H - reference)) <= 1e-15 * np.max(np.abs(H))
+
+    def test_banded_solve_matches_spsolve(self, monkeypatch):
+        import otgeo.elliptic as ell
+        problem = hessian_case("1d-conformal")
+        g = problem.grid
+        phi = 0.05 * np.random.default_rng(32).standard_normal((g.n_time,) + g.space_shape)
+        m = _evaluate(phi, problem)[1]
+        solves = []
+        original = ell.solveh_banded
+
+        def recorded(band, rhs, **kwargs):
+            solves.append((rhs.copy(), original(band, rhs, **kwargs)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(ell, "solveh_banded", recorded)
+        newton_step(phi, problem)
+        [(rhs, solution)] = solves
+        expected = spsolve(dual_hessian(phi, m, problem).tocsc(), rhs)
+        assert np.linalg.norm(solution - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_equal_grids_share_one_plan(self):
+        metric = lambda x: 1 + 0.3 * np.sin(2 * np.pi * x)
+        plan = _hessian_plan(build_grid(1, 12, 6, 1.0, metric))
+        assert _hessian_plan(build_grid(1, 12, 6, 1.0, metric)) is plan
+        assert _hessian_plan(build_grid(1, 12, 6, 1.0)) is not plan
+
+    def test_2d_factors_the_reference_pattern_at_zero(self, monkeypatch):
+        # at phi = 0 the gradient terms vanish; the cached pattern keeps
+        # them, and the matrix factored must not
+        import otgeo.elliptic as ell
+        problem = hessian_case("2d-varying-V")
+        g = problem.grid
+        phi = np.zeros((g.n_time,) + g.space_shape)
+        factored = []
+
+        def recorded(matrix, rhs, **kwargs):
+            factored.append(matrix.nnz)
+            return spsolve(matrix, rhs, **kwargs)
+
+        monkeypatch.setattr(ell, "spsolve", recorded)
+        newton_step(phi, problem)
+        m = _evaluate(phi, problem)[1]
+        expected = dual_hessian(phi, m, problem).nnz
+        assert factored == [expected] and _dual_hessian(phi, m, problem).nnz > expected
+
+    def test_indefinite_hessian_raises_with_iterate_and_history(self, monkeypatch):
+        import otgeo.elliptic as ell
+        problem = bump_problem(n=16, nt=8)
+        original = ell._dual_hessian
+        monkeypatch.setattr(ell, "_dual_hessian", lambda *args: -original(*args))
+        with pytest.raises(EllipticError, match="linear solve failed") as info:
+            solve_elliptic(problem)
+        err = info.value
+        assert not np.any(err.iterate) and err.iterate.shape == (8, 16)
+        assert len(err.residual_history) == len(err.objective_history) == 1
+        assert err.residual_history[0] == _evaluate(err.iterate, problem)[-1]
 
 
 class TestNewton:
