@@ -171,7 +171,30 @@ def validate_config(cfg):
         cid = item if isinstance(item, str) else item.get("id")
         if cid not in KNOWN_CHECKS:
             raise ConfigError(f"diagnostics check unknown: {cid!r} (known: {KNOWN_CHECKS})")
+        _validate_check_options(cid, {} if isinstance(item, str) else item, cfg)
     return cfg
+
+
+def _validate_check_options(cid, opts, cfg):
+    """Reject the options a check would refuse only after both solves."""
+    def number(name, default):
+        value = opts.get(name, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"diagnostics check {cid}: {name} must be a number")
+        return value
+
+    if cid == "heat_bound" and number("beta", 2.0) <= 1:
+        raise ConfigError("diagnostics check heat_bound: beta must exceed 1")
+    if (cid == "heat_bound" or (cid == "energy" and opts.get("with_heat_bound"))) \
+            and cfg["grid"]["n_time"] < 3:
+        raise ConfigError(f"diagnostics check {cid}: the heat bound's window needs "
+                          "grid.n_time >= 3")
+    if cid == "time_scaling" and number("T_alt", 2.0) <= 0:
+        raise ConfigError("diagnostics check time_scaling: T_alt must be positive")
+    if cid == "sweep" and cfg["grid"].get("metric_profile", {}).get("id", "flat") != "flat":
+        raise ConfigError("diagnostics check sweep needs the flat metric (its W2 oracles "
+                          "are flat-only), not grid.metric_profile "
+                          f"{cfg['grid']['metric_profile']['id']!r}")
 
 
 def _build_setup(cfg):

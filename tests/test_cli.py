@@ -324,16 +324,21 @@ class TestRun:
         ({"metric_profile": {"id": "conformal_sine"}}, ["sweep"]),
         ({}, [{"id": "time_scaling", "T_alt": 0}]),
         ({}, [{"id": "heat_bound", "beta": 1.0}]),
-    ], ids=["conformal-sweep", "zero-horizon", "beta-one"])
+        ({}, [{"id": "heat_bound", "beta": "2"}]),
+        ({"n_time": 2}, ["heat_bound"]),
+        ({"n_time": 2}, [{"id": "energy", "with_heat_bound": True}]),
+    ], ids=["conformal-sweep", "zero-horizon", "beta-one", "beta-string", "two-levels", "two-levels-energy"])
     def test_check_rejecting_its_options_exits_2(self, tmp_path, capsys, grid, checks):
-        path, _ = write_config(
+        # found by check and run alike, before anything is solved or written
+        path, cfg = write_config(
             tmp_path, grid={"dim": 1, "n_space": 32, "n_time": 16, "horizon": 1.0, **grid},
             solver={"method": "prox", "eps_list": [0.2, 0.1]},
             diagnostics={"checks": checks})
-        assert main(["check", str(path)]) == EXIT_OK
+        assert main(["check", str(path)]) == EXIT_CONFIG
         code, artifacts = run(path)
         assert code == EXIT_CONFIG and artifacts == []
         assert "config error" in capsys.readouterr().err
+        assert not Path(cfg["output"]["directory"]).exists()
 
     def test_conformal_heat_bound_runs(self, tmp_path):
         path, cfg = write_config(
