@@ -17,9 +17,9 @@ where ``E v = ds(v)`` linearizes the exponent of the interior density,
 ``D`` is the forward difference onto the cell faces and ``M_k`` the face
 density.  The products are expanded once per grid into terms on a fixed
 sparse pattern, so each step only scatters the current weights onto it;
-the Hessian is factored once per step, by banded Cholesky in the natural
-time-major order in 1-D (lower band width ``2 n - 1``) and by SuperLU
-with the COLAMD order in 2-D.  The Hessian's kernel is the space-time
+the Hessian is factored once per step, by banded Cholesky in 1-D (time
+levels in turn, each ring folded, lower band width ``n + 4``) and by
+SuperLU with the COLAMD order in 2-D.  The Hessian's kernel is the space-time
 constants, so pinning ``phi`` at one node removes it.  The line search
 is Armijo on ``G``.  The
 marginals may have empty cells: every face density ``M_k`` touches an
@@ -182,11 +182,14 @@ def _hessian_plan(grid: Grid):
     interior nodes and ``W = tau fv M / g_f``.  Each of the three products
     is expanded once into terms; per term the plan keeps where it lands,
     its two factors (their entries in ``lin``, or their product where both
-    are constant) and its index into ``g``, ``c`` or ``W``.  In 1-D it also keeps
-    where the lower triangle lands in LAPACK band storage of the natural,
-    time-major order, whose lower band width is ``2 n - 1``."""
+    are constant) and its index into ``g``, ``c`` or ``W``.  In 1-D it also
+    keeps where the lower triangle lands in LAPACK band storage of a
+    time-major order with each level's ring folded, whose lower band width
+    is ``n + 4`` (``2 n - 1`` in the natural order, because of the wrap)."""
     free, diff, pair_sum, forward, faces = _operators(grid)
     stack = sparse.vstack(forward, format="coo")
+    # d|grad phi|^2 = cell_average(2 grad D dphi) per level; s takes a quarter
+    # of it from each adjacent level
     left = (0.25 * pair_sum @ sparse.hstack(faces)).tocoo()
     fixed = diff.tocoo()
     a, b, k = _expand(left.col, stack.row)
@@ -206,10 +209,18 @@ def _hessian_plan(grid: Grid):
 
     band = None
     if grid.dim == 1:
-        rows = np.repeat(np.arange(free.size), np.diff(indptr))
-        lower = np.flatnonzero(rows >= indices)
-        below = rows[lower] - indices[lower]
-        band = (lower, below * free.size + indices[lower], (below.max() + 1, free.size))
+        # level by level, each ring folded (cells 0, n-1, 1, n-2, ...), so
+        # cells up to two apart on the ring, across the wrap too, lie at most
+        # 4 places apart; the gauge node, dropped, comes first
+        n = grid.n_space
+        fold = np.minimum(2 * np.arange(n), 2 * (n - np.arange(n)) - 1)
+        rank = (n * np.arange(grid.n_time)[:, None] + fold).ravel()[free] - 1
+        rows = rank[np.repeat(np.arange(free.size), np.diff(indptr))]
+        cols = rank[indices]
+        lower = np.flatnonzero(rows >= cols)
+        below = rows[lower] - cols[lower]
+        band = (lower, below * free.size + cols[lower], (below.max() + 1, free.size),
+                np.argsort(rank), rank)
     return lin_base, lin, density, kinetic, indptr, indices, band
 
 
@@ -233,7 +244,19 @@ def _dual_hessian(phi, m, problem: EllipticProblem):
     land, coefficient, k = kinetic
     data += np.bincount(land, coefficient * weight[k], minlength=indices.size)
     size = indptr.size - 1
+    # own index arrays: eliminate_zeros prunes them in place
     return sparse.csr_matrix((data, indices.copy(), indptr.copy()), shape=(size, size))
+
+
+def _banded_solve(hess, rhs, band):
+    """``hess^-1 rhs`` by Cholesky of the band that :func:`_hessian_plan`
+    keeps for 1-D grids; ``LinAlgError`` when ``hess`` is not positive
+    definite."""
+    lower, position, shape, order, rank = band
+    banded = np.zeros(shape)
+    banded.flat[position] = hess.data[lower]
+    return solveh_banded(banded, rhs[order], overwrite_ab=True, lower=True,
+                         check_finite=False)[rank]
 
 
 def newton_step(phi, problem: EllipticProblem, config: EllipticConfig = None, point=None):
@@ -255,13 +278,8 @@ def newton_step(phi, problem: EllipticProblem, config: EllipticConfig = None, po
     rhs = (problem.grid.tau * problem.grid.cell_volume * defect).ravel()[free]
     band = _hessian_plan(problem.grid)[-1]
     if band is not None:
-        # 1-D: Cholesky of the band of the natural order
-        lower, position, shape = band
-        banded = np.zeros(shape)
-        banded.flat[position] = hess.data[lower]
         try:
-            solution = solveh_banded(banded, rhs, overwrite_ab=True, lower=True,
-                                     check_finite=False)
+            solution = _banded_solve(hess, rhs, band)
         except LinAlgError as err:
             raise EllipticError(f"linear solve failed ({err})", iterate=phi) from err
     else:
