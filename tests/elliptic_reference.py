@@ -6,9 +6,8 @@ scatters the same terms onto a pattern cached per grid, and the tests
 compare the two.
 """
 
-from scipy import sparse
-
 import numpy as np
+from scipy import sparse
 
 from otgeo.elliptic import _operators
 from otgeo.grid import covariant_gradient, face_average
