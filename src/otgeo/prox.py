@@ -10,7 +10,7 @@ weighted projection onto the continuity set, and a multiplier enforces
 consensus between the two:
 
     1. pointwise prox on the copies              (two closed forms per face or cell)
-    2. weighted continuity projection            (spectral space-time solves)
+    2. weighted continuity projection            (one space-time operator)
        of the relaxed point  h = alpha y + (1 - alpha) L z
     3. relaxed multiplier ascent                 lambda += r (L z' - h).
 
@@ -19,8 +19,11 @@ Steps 2 and 3 are over-relaxed (Eckstein & Bertsekas 1992) with
 the staggered copy before the projection and ``L z'`` after it, ``A``
 averaging the density over each interval's two nodes and each face's two
 cells.  The projection couples the interior densities through
-``K = I + T (x) A_x* A_x`` (``_spacetime_kernel``) and solves for the
-multiplier directly, by matrix products with bases cached per grid.
+``K = I + T (x) A_x* A_x`` and solves the normal equations for them and the
+multiplier together: in the time modes they split into one small block per
+mode pair, and ``_projection_operator`` caches the blocks' inverse per grid
+(four symbols on flat grids, one dense block per mode on the conformal
+circle), so a projection is one pass into the modes and one back.
 
 Step 1 is exact: ``(a, b)`` carry only the kinetic energy, so ``a`` is the
 real root of the Benamou-Brenier cubic (``_kinetic_prox``), and ``c``
@@ -38,10 +41,11 @@ memory is cleared and the loop goes on from the plain image ``T(x)``.
 ``iterations``, ``residual_history`` and ``max_outer_iterations`` all
 count evaluations of ``T``, that is weighted projections.  The state is
 packed flat, its multiplier block ``lambda`` laid out like
-``L z = (A m, w, interior m)``; the map keeps ``L z``, ``y`` and the volume
-weights in flat buffers of the same layout, so that the scaled multiplier,
-the prox input, the relaxed point, the projection input, the ascent and
-the consensus norm are each one array operation over the whole block.
+``L z = (A m, w, interior m)``; the map keeps ``L z``, ``y``, the volume
+weights and its work arrays in flat buffers of the same layout, allocated
+once a solve, so that the scaled multiplier, the prox input, the relaxed
+point, the projection input, the ascent and the consensus norm are each one
+array operation over the whole block.
 
 The stop is certified by weak duality.  With ``phi`` the solution of a
 weighted projection, ``r phi`` is a multiplier of the continuity
@@ -80,6 +84,7 @@ from .grid import (
     build_grid,
     cell_average,
     covariant_gradient,
+    divergence_g,
     face_average,
     laplace_beltrami,
 )
@@ -301,12 +306,18 @@ def _entropy_prox(a, sigma, eps, V):
 # The space-time kernels
 # ---------------------------------------------------------------------------
 
+def _time_difference(grid: Grid):
+    """``D``, the node difference from the interior nodes onto the midpoints,
+    as a dense ``Nt x (Nt - 1)`` matrix."""
+    return np.diff(np.eye(grid.n_time + 1), axis=0)[:, 1:-1] / grid.tau
+
+
 def _time_modes(grid: Grid, interior: bool):
     """Orthonormal eigenbasis, one mode per row, and eigenvalues of the time
     block ``D^T D`` on the interior nodes when ``interior``, else ``D D^T``
-    on the midpoints, ``D`` the node difference onto the midpoints; the
-    eigenvalues are ``(2 - 2 cos(pi j / Nt)) / tau^2``."""
-    D = np.diff(np.eye(grid.n_time + 1), axis=0)[:, 1:-1] / grid.tau
+    on the midpoints, ``D = _time_difference(grid)``; the eigenvalues are
+    ``(2 - 2 cos(pi j / Nt)) / tau^2``, ascending."""
+    D = _time_difference(grid)
     lam, basis = np.linalg.eigh(D.T @ D if interior else D @ D.T)
     return basis.T.copy(), lam
 
@@ -369,48 +380,96 @@ def _pseudo_inverse(sym):
     return inv
 
 
-@functools.lru_cache(maxsize=32)
-def _spacetime_kernel(grid: Grid, kind: str):
-    """The factors ``(basis, spatial)`` of one space-time solve, cached per
-    grid and read-only; ``_solve`` applies them.
+@functools.lru_cache(maxsize=16)
+def _spacetime_kernel(grid: Grid):
+    """The factors ``(basis, spatial)`` of ``spacetime_poisson``, cached per
+    grid and read-only.
 
-    ``kind`` ``"coupling"`` is ``K = I + T (x) S`` on the interior nodes:
-    ``I + t_j S`` per time mode ``j``.  ``"plain"`` and ``"weighted"`` are
-    ``spacetime_poisson``'s operator: ``lam_j (I + t_j S)^{-1} + L`` per
-    time mode of the midpoints, with ``t_j = 0`` for the plain one.  Here
-    ``lam_j`` is ``_time_modes``'s eigenvalue, ``t_j = 1 - tau^2 lam_j / 4``
-    that of ``T = [1/4, 1/2, 1/4]``, ``L = -div_g grad`` and ``S = A_x* A_x``.  On
-    flat grids ``spatial = (Q, inv)``, the spatial eigenbasis, which
-    diagonalizes ``S`` as well as ``L``, and the pseudo-inverse symbol; on
-    the conformal circle, where they do not commute, one dense
-    pseudo-inverse block per mode.  The only masked mode is the constant.
+    The operator is ``lam_k + L`` per time mode ``k`` of the midpoints,
+    ``lam_k`` the eigenvalue of ``_time_modes`` and ``L = -div_g grad``.  On
+    flat grids ``spatial = (Q, inv)``, the spatial eigenbasis and the
+    pseudo-inverse symbol; on the conformal circle one dense pseudo-inverse
+    block per mode.  The only masked mode is the constant.
     """
-    basis, lam = _time_modes(grid, interior=kind == "coupling")
-    t = np.zeros_like(lam) if kind == "plain" else 1.0 - 0.25 * grid.tau ** 2 * lam
+    basis, lam = _time_modes(grid, interior=False)
     if grid.flat:
         mu, Q = _space_eigenbasis(grid)
-        axis = grid if grid.dim == 1 else _axis_grid(grid)
-        s = np.einsum("ij,ij->j", Q, _symmetrized(lambda f: _pair_average(f, axis), axis) @ Q)
-        if grid.dim == 2:
-            s = s[:, None] + s[None, :]
-        lam, t = (v.reshape((-1,) + (1,) * grid.dim) for v in (lam, t))
-        op = 1.0 + t * s if kind == "coupling" else lam / (1.0 + t * s) + mu
-        spatial = (Q, _pseudo_inverse(op))
+        spatial = (Q, _pseudo_inverse(lam.reshape((-1,) + (1,) * grid.dim) + mu))
     else:
         L = _symmetrized(lambda f: -laplace_beltrami(f, grid), grid)
-        S = _symmetrized(lambda f: _pair_average(f, grid), grid)
         wroot = np.sqrt(grid.sqrt_g)
         blocks = []
-        for lam_j, t_j in zip(lam, t):
-            op = np.eye(grid.n_space) + t_j * S
-            if kind != "coupling":
-                op = lam_j * np.linalg.inv(op) + L
+        for lam_k in lam:
+            op = lam_k * np.eye(grid.n_space) + L
             nu, U = _eigh(0.5 * (op + op.T))
             blocks.append((U * _pseudo_inverse(nu)) @ U.T * wroot / wroot[:, None])
         spatial = np.array(blocks)
         spatial.flags.writeable = False
     basis.flags.writeable = False
     return basis, spatial
+
+
+@functools.lru_cache(maxsize=16)
+def _projection_operator(grid: Grid):
+    """The inverse of ``_weighted_projection``'s normal equations in the
+    time modes, cached per grid and read-only.
+
+    With ``D`` the node difference onto the midpoints (``_time_difference``),
+    ``K = I + T (x) S`` the coupling of the interior densities,
+    ``T = [1/4, 1/2, 1/4]``, ``S = A_x* A_x`` and ``L = -div_g grad``, the
+    corrected interior density ``m`` and the multiplier ``phi`` solve
+
+        K m + D^T phi = rhs_m,        -D m + L phi = rhs_phi.
+
+    The time bases of ``_time_modes`` take ``D`` to
+    ``C = basis_mid D basis_int^T``, nonzero only at
+    ``C[j+1, j] = c_j = +-sqrt(lam_j)``, and ``T`` to
+    ``t_j = 1 - tau^2 lam_j / 4``.  So interior mode ``j`` and midpoint mode
+    ``j + 1`` form the block ``[[I + t_j S, c_j], [-c_j, L]]``, invertible
+    since ``c_j != 0``, and midpoint mode 0 is ``L`` alone, whose
+    pseudo-inverse masks the constants.  On flat grids one spatial
+    eigenbasis ``Q`` diagonalizes ``S`` and ``L``: ``spatial = (Q, (a, b, c,
+    d))``, the symbols of the inverse, ``m = a rhs_m + b rhs_phi`` and
+    ``phi = c rhs_m + d rhs_phi`` per mode pair (``d`` has one more time
+    mode, the first).  On the conformal circle ``spatial`` holds one dense
+    inverse of order ``2 n`` per midpoint mode, acting on ``(rhs_m, rhs_phi)``
+    stacked; the first block's ``rhs_m`` rows and columns are zero.
+    Returns ``(basis_int, basis_mid, spatial)``.
+    """
+    basis_int, lam = _time_modes(grid, interior=True)
+    basis_mid, _ = _time_modes(grid, interior=False)
+    c = np.diagonal(basis_mid @ _time_difference(grid) @ basis_int.T, -1)
+    t = 1.0 - 0.25 * grid.tau ** 2 * lam
+    mu, Q = _space_eigenbasis(grid)
+    if grid.flat:
+        axis = grid if grid.dim == 1 else _axis_grid(grid)
+        s = np.einsum("ij,ij->j", Q, _symmetrized(lambda f: _pair_average(f, axis), axis) @ Q)
+        if grid.dim == 2:
+            s = s[:, None] + s[None, :]
+        c, t = (v.reshape((-1,) + (1,) * grid.dim) for v in (c, t))
+        kappa = 1.0 + t * s
+        det = c * c + kappa * mu
+        symbols = (mu / det, -c / det, c / det,
+                   np.concatenate((_pseudo_inverse(mu)[None], kappa / det)))
+        for symbol in symbols:
+            symbol.flags.writeable = False
+        spatial = (Q, symbols)
+    else:
+        n = grid.n_space
+        eye = np.eye(n)
+        L = _symmetrized(lambda f: -laplace_beltrami(f, grid), grid)
+        S = _symmetrized(lambda f: _pair_average(f, grid), grid)
+        first = np.zeros((2 * n, 2 * n))
+        first[n:, n:] = (Q * _pseudo_inverse(mu)) @ Q.T
+        blocks = [first] + [np.linalg.inv(np.block([[eye + t_j * S, c_j * eye],
+                                                    [-c_j * eye, L]]))
+                            for c_j, t_j in zip(c, t)]
+        wroot = np.tile(np.sqrt(grid.sqrt_g), 2)
+        spatial = np.array(blocks) * wroot / wroot[:, None]
+        spatial.flags.writeable = False
+    basis_int.flags.writeable = False
+    basis_mid.flags.writeable = False
+    return basis_int, basis_mid, spatial
 
 
 def _along_space(field, matrix, dim):
@@ -420,45 +479,31 @@ def _along_space(field, matrix, dim):
     return matrix.T @ field @ matrix
 
 
-def _solve(rhs, kind, grid: Grid):
-    """Apply the pseudo-inverse of a ``_spacetime_kernel`` to ``rhs``."""
-    basis, spatial = _spacetime_kernel(grid, kind)
-    hat = (basis @ rhs.reshape(len(basis), -1)).reshape(rhs.shape)
-    if grid.flat:
-        Q, inv = spatial
-        hat = _along_space(_along_space(hat, Q, grid.dim) * inv, Q.T, grid.dim)
-    else:
-        hat = np.matmul(spatial, hat[..., None])[..., 0]
-    return (basis.T @ hat.reshape(len(basis), -1)).reshape(rhs.shape)
+def _in_time_modes(field, basis):
+    """``basis`` applied along the time axis of a space-time field."""
+    return (basis @ field.reshape(len(basis), -1)).reshape(field.shape)
 
 
-def _apply_operator(phi, grid: Grid, weighted):
-    """Forward application of the space-time operator by its stencils: the
-    time block is ``D K^{-1} D^T`` for the node difference ``D`` onto the
-    midpoints and, when ``weighted``, the coupling ``K`` (else the identity)."""
-    psi = (phi[:-1] - phi[1:]) / grid.tau
-    if weighted:
-        psi = _solve(psi, "coupling", grid)
-    out = -laplace_beltrami(phi, grid)
-    out[:-1] += psi / grid.tau
-    out[1:] -= psi / grid.tau
-    return out
-
-
-def spacetime_poisson(rhs, grid: Grid, weighted=False):
-    """Solve the space-time problem ``(D K^{-1} D^T - Lap_g) phi = rhs`` on
-    the Nt midpoints, ``D`` the difference from the interior nodes onto the
-    midpoints: ``K`` is the identity for the plain projection, whose time
-    block is the Neumann Laplacian ``-d_tt``, and the splitting's coupling
-    when ``weighted``.  Periodic in space, mean-zero gauge: the rhs loses its
-    component along the kernel, the space-time constants, and the solution
-    is sqrt(g)-orthogonal to them.  Direct, by the cached factors of
+def spacetime_poisson(rhs, grid: Grid):
+    """Solve the space-time problem ``(D D^T - Lap_g) phi = rhs`` on the Nt
+    midpoints, ``D`` the difference from the interior nodes onto the
+    midpoints, so that the time block is the Neumann Laplacian ``-d_tt``.
+    Periodic in space, mean-zero gauge: the rhs loses its component along
+    the kernel, the space-time constants, and the solution is
+    sqrt(g)-orthogonal to them.  Direct, by the cached factors of
     ``_spacetime_kernel``.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (grid.n_time,) + grid.space_shape:
         raise ValueError(f"rhs shape {rhs.shape}, expected {(grid.n_time,) + grid.space_shape}")
-    return _solve(rhs, "weighted" if weighted else "plain", grid)
+    basis, spatial = _spacetime_kernel(grid)
+    hat = _in_time_modes(rhs, basis)
+    if grid.flat:
+        Q, inv = spatial
+        hat = _along_space(_along_space(hat, Q, grid.dim) * inv, Q.T, grid.dim)
+    else:
+        hat = np.matmul(spatial, hat[..., None])[..., 0]
+    return _in_time_modes(hat, basis.T)
 
 
 # ---------------------------------------------------------------------------
@@ -495,24 +540,48 @@ def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid, end_coupling):
 
     Minimizes ``|A m - qa|^2 + |w - qb|^2_g + |m_int - qc|^2``, with the face
     and cell volumes as weights, over the continuity set (endpoints pinned
-    to the marginals).  Reduces to the normal equations
-    ``K m_int = A*(qa - A m_ends) + qc`` (``end_coupling``), one weighted
-    space-time solve for the multiplier ``phi``, and the correction
-    ``m_int -= K^{-1} D^T phi``, ``w = qb - grad phi``.  Returns
-    ``(m_full, w, phi)``.
+    to the marginals).  With ``w = qb - grad phi`` the optimality conditions
+    are the normal equations of ``_projection_operator``, whose right-hand
+    sides are ``rhs_m = A*(qa - A m_ends) + qc`` (``end_coupling``) and
+    ``rhs_phi = -div_g qb`` plus the marginals' time differences; one pass
+    into the time and spatial modes and one back give ``m_int`` and ``phi``.
+    Returns ``(m_full, w, phi)``.
     """
+    Nt, tau = grid.n_time, grid.tau
     qa_cells = cell_average(qa, grid)
     rhs_m = 0.5 * (qa_cells[:-1] + qa_cells[1:]) + qc
     rhs_m[0] -= end_coupling[0]
     rhs_m[-1] -= end_coupling[1]
-    m_new = np.empty((grid.n_time + 1,) + grid.space_shape)
+    rhs_phi = divergence_g(qb, grid)
+    rhs_phi[0] += m0 / tau
+    rhs_phi[-1] -= m1 / tau
+    np.negative(rhs_phi, out=rhs_phi)
+
+    basis_int, basis_mid, spatial = _projection_operator(grid)
+    r_hat = _in_time_modes(rhs_m, basis_int)
+    b_hat = _in_time_modes(rhs_phi, basis_mid)
+    if grid.flat:
+        Q, (a, b, c, d) = spatial
+        r_hat = _along_space(r_hat, Q, grid.dim)
+        b_hat = _along_space(b_hat, Q, grid.dim)
+        m_hat = a * r_hat
+        m_hat += b * b_hat[1:]
+        phi_hat = d * b_hat
+        phi_hat[1:] += c * r_hat
+        m_hat = _along_space(m_hat, Q.T, grid.dim)
+        phi_hat = _along_space(phi_hat, Q.T, grid.dim)
+    else:
+        # rhs_m moved up to the midpoint mode it pairs with, beside rhs_phi
+        stacked = np.zeros((Nt, 2, grid.n_space))
+        stacked[1:, 0] = r_hat
+        stacked[:, 1] = b_hat
+        stacked = np.matmul(spatial, stacked.reshape(Nt, -1, 1)).reshape(stacked.shape)
+        m_hat, phi_hat = stacked[1:, 0], stacked[:, 1]
+    m_new = np.empty((Nt + 1,) + grid.space_shape)
     m_new[0] = m0
     m_new[-1] = m1
-    m_new[1:-1] = _solve(rhs_m, "coupling", grid)
-
-    r = continuity_defect(DensityPath(m_new, grid), MomentumField(qb, grid))
-    phi = spacetime_poisson(r, grid, weighted=True)
-    m_new[1:-1] -= _solve((phi[:-1] - phi[1:]) / grid.tau, "coupling", grid)
+    m_new[1:-1] = _in_time_modes(m_hat, basis_int.T)
+    phi = _in_time_modes(phi_hat, basis_mid.T)
     return m_new, qb - covariant_gradient(phi, grid), phi
 
 
@@ -533,40 +602,45 @@ def anderson_fixed_point(apply, x, max_evaluations):
     times its trace.  ``x~`` is kept only when ``|T(x~) - x~| <= |T(x) - x|``;
     otherwise the memory is cleared and the iteration continues from the
     plain image ``T(x)`` (Fu, Zhang & Boyd 2020).  With an empty memory, or
-    differences that are all zero, the step is the plain image.
+    differences that are all zero, the step is the plain image.  The loop
+    holds the last image and may pass it back as the next point, so
+    ``apply`` must not write into its argument and must return a new array.
     """
     memory = ANDERSON_MEMORY
     d_g = np.empty((memory, x.size))
     d_f = np.empty((memory, x.size))
     gram = np.zeros((memory, memory))
+    g, g_trial = np.empty((2, x.size))            # residuals, swapped each step
     count = slot = evaluations = 0
 
-    def evaluate(y):
+    def evaluate(y, residual):
         nonlocal evaluations
         image, stop = apply(y)
         evaluations += 1
-        residual = y - image
-        return image, residual, np.linalg.norm(residual), stop
+        np.subtract(y, image, out=residual)
+        return image, np.sqrt(residual @ residual), stop
 
-    fx, g, g_norm, stop = evaluate(x)
+    fx, g_norm, stop = evaluate(x, g)
     while not stop and evaluations < max_evaluations:
         trial = fx
         trace = np.trace(gram[:count, :count])
         extrapolated = trace > 0
         if extrapolated:
-            gamma = np.linalg.solve(gram[:count, :count] + 1e-12 * trace * np.eye(count),
-                                    d_g[:count] @ g)
+            ridged = gram[:count, :count].copy()
+            ridged.flat[::count + 1] += 1e-12 * trace
+            gamma = np.linalg.solve(ridged, d_g[:count] @ g)
             trial = fx - gamma @ d_f[:count]
-        f_trial, g_trial, g_trial_norm, stop = evaluate(trial)
+        f_trial, g_trial_norm, stop = evaluate(trial, g_trial)
         if extrapolated and g_trial_norm > g_norm and not stop and evaluations < max_evaluations:
             count = slot = 0
-            f_trial, g_trial, g_trial_norm, stop = evaluate(fx)
-        d_g[slot] = g_trial - g
-        d_f[slot] = f_trial - fx
+            f_trial, g_trial_norm, stop = evaluate(fx, g_trial)
+        np.subtract(g_trial, g, out=d_g[slot])
+        np.subtract(f_trial, fx, out=d_f[slot])
         count = min(count + 1, memory)
         gram[slot, :count] = gram[:count, slot] = d_g[:count] @ d_g[slot]
         slot = (slot + 1) % memory
-        fx, g, g_norm = f_trial, g_trial, g_trial_norm
+        fx, g_norm = f_trial, g_trial_norm
+        g, g_trial = g_trial, g
     return evaluations, stop
 
 
@@ -583,10 +657,10 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     of the ADMM map; ``report.residual_history`` holds the consensus of each
     and ``report.objective_history`` ``F_eps`` at each gap check.
 
-    Raises ``ValueError`` for marginals with a negative cell or a mass off
-    1 (``transport.check_marginals``) and ``ProxError`` when the projection
-    budget is exhausted, carrying the last projected pair and the residual
-    history.
+    Raises ``ValueError`` for marginals with a non-finite or negative cell
+    or a mass off 1 (``transport.check_marginals``) and ``ProxError`` when
+    the projection budget is exhausted, carrying the last projected pair and
+    the residual history.
     """
     config = (config or ProxConfig()).validate()
     m0, m1 = check_marginals(m0, m1, grid)
@@ -625,7 +699,7 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     consensus_weight = np.concatenate((
         face_weight.ravel(), (grid.face_metric * face_weight).ravel(),
         np.broadcast_to(grid.cell_volume * tau, interior).ravel()))
-    lz, y = np.empty(2 * n_w + n_m), np.empty(2 * n_w + n_m)
+    lz, y, scaled, relaxed, work = np.empty((5, 2 * n_w + n_m))
     lz_a, lz_b, lz_c = blocks(lz)
     y_a, y_b, y_c = blocks(y)
     path = m_full.copy()            # endpoints stay the marginals
@@ -639,30 +713,35 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         lz_c[...] = density[1:-1]
 
     def admm_map(state):
+        # reads state only: Anderson may pass the image it still holds
         lam = state[n_m + n_w:]
         path[1:-1] = state[:n_m].reshape(interior)
         image_of(path, state[n_m:n_m + n_w].reshape(w.shape))
 
         # 1. pointwise prox on the copies, one kinetic cell per face
-        scaled = lam / r
-        pa, pb, pc = blocks(lz + scaled)
+        np.divide(lam, r, out=scaled)
+        pa, pb, pc = blocks(np.add(lz, scaled, out=work))
         y_a[...] = _kinetic_prox(pa, grid.face_metric * pb * pb, sigma)
         y_b[...] = pb * (y_a / (y_a + sigma))
         y_c[...] = _entropy_prox(pc, sigma, eps, V)
 
         # 2. weighted continuity projection of the relaxed point
-        h = RELAXATION * y + (1.0 - RELAXATION) * lz
-        m_new, w_new, phi = _weighted_projection(*blocks(h - scaled), m0, m1, grid,
-                                                 end_coupling)
+        np.add(np.multiply(y, RELAXATION, out=relaxed),
+               np.multiply(lz, 1.0 - RELAXATION, out=work), out=relaxed)
+        m_new, w_new, phi = _weighted_projection(
+            *blocks(np.subtract(relaxed, scaled, out=work)), m0, m1, grid, end_coupling)
 
         # 3. relaxed multiplier ascent; consensus is measured against y = (a, b, c)
         image_of(m_new, w_new)
         out = np.empty_like(state)
         out[:n_m] = lz[2 * n_w:]
         out[n_m:n_m + n_w] = lz[n_w:2 * n_w]
-        out[n_m + n_w:] = lam + r * (lz - h)
-        defect = lz - y
-        res_history.append(float(np.sqrt(defect * defect @ consensus_weight)))
+        ascent = np.subtract(lz, relaxed, out=out[n_m + n_w:])
+        ascent *= r
+        ascent += lam
+        defect = np.subtract(lz, y, out=work)
+        defect *= defect
+        res_history.append(float(np.sqrt(defect @ consensus_weight)))
         last.update(m=m_new, w=w_new, phi=phi)
 
         # 4. certified stop: F at the projected pair against G at its multiplier;

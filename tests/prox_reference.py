@@ -1,14 +1,38 @@
-"""Reference root of the pointwise prox, the check of ``otgeo.prox``'s closed forms.
+"""Reference implementations, the checks of ``otgeo.prox``'s fast paths.
 
 ``prox_root`` solves the mixed cell, kinetic and entropy energy together,
 by safeguarded Newton; ``solve_prox`` never meets that cell, and its two
 closed forms, ``_kinetic_prox`` and ``_entropy_prox``, are the two
 special cases the tests compare with it.
+
+``weighted_projection`` composes the splitting's projection from three
+space-time solves, a coupling solve, a weighted Poisson solve and a second
+coupling solve, each by its own cached factors (``spacetime_kernel``);
+``otgeo.prox._weighted_projection`` inverts the same normal equations in
+one pass and is compared with it.  ``apply_operator`` applies the
+space-time operators by their stencils, and ``anderson_fixed_point`` is
+the acceleration loop that allocates its work arrays per step, against
+which ``otgeo.prox.anderson_fixed_point`` must reproduce every iterate.
 """
+
+import functools
 
 import numpy as np
 
-from otgeo.prox import ProxError
+from otgeo.grid import cell_average, covariant_gradient, laplace_beltrami
+from otgeo.prox import (
+    ANDERSON_MEMORY,
+    ProxError,
+    _along_space,
+    _axis_grid,
+    _eigh,
+    _pair_average,
+    _pseudo_inverse,
+    _space_eigenbasis,
+    _symmetrized,
+    _time_modes,
+)
+from otgeo.transport import DensityPath, MomentumField, continuity_defect
 
 
 def prox_root(a, bsq, sigma, eps, V, tol=1e-12, max_iter=500):
@@ -93,3 +117,131 @@ def pointwise_prox(a, b, sigma, eps_cell, V_cell, tol=1e-12):
     m = float(prox_root(np.asarray(float(a)), bsq, sigma, eps_cell, float(V_cell), tol=tol))
     w = m * b / (m + sigma)
     return m, w
+
+
+@functools.lru_cache(maxsize=16)
+def spacetime_kernel(grid, kind):
+    """The factors ``(basis, spatial)`` of one space-time solve, cached per
+    grid and read-only; ``solve`` applies them.
+
+    ``kind`` ``"coupling"`` is ``K = I + T (x) S`` on the interior nodes:
+    ``I + t_j S`` per time mode ``j``.  ``"weighted"`` is the weighted
+    Poisson operator ``lam_j (I + t_j S)^{-1} + L`` per time mode of the
+    midpoints.  Here ``lam_j`` is ``_time_modes``'s eigenvalue,
+    ``t_j = 1 - tau^2 lam_j / 4`` that of ``T = [1/4, 1/2, 1/4]``,
+    ``L = -div_g grad`` and ``S = A_x* A_x``.  On flat grids
+    ``spatial = (Q, inv)``, the spatial eigenbasis and the pseudo-inverse
+    symbol; on the conformal circle one dense pseudo-inverse block per mode.
+    """
+    basis, lam = _time_modes(grid, interior=kind == "coupling")
+    t = 1.0 - 0.25 * grid.tau ** 2 * lam
+    if grid.flat:
+        mu, Q = _space_eigenbasis(grid)
+        axis = grid if grid.dim == 1 else _axis_grid(grid)
+        s = np.einsum("ij,ij->j", Q, _symmetrized(lambda f: _pair_average(f, axis), axis) @ Q)
+        if grid.dim == 2:
+            s = s[:, None] + s[None, :]
+        lam, t = (v.reshape((-1,) + (1,) * grid.dim) for v in (lam, t))
+        op = 1.0 + t * s if kind == "coupling" else lam / (1.0 + t * s) + mu
+        return basis, (Q, _pseudo_inverse(op))
+    L = _symmetrized(lambda f: -laplace_beltrami(f, grid), grid)
+    S = _symmetrized(lambda f: _pair_average(f, grid), grid)
+    wroot = np.sqrt(grid.sqrt_g)
+    blocks = []
+    for lam_j, t_j in zip(lam, t):
+        op = np.eye(grid.n_space) + t_j * S
+        if kind != "coupling":
+            op = lam_j * np.linalg.inv(op) + L
+        nu, U = _eigh(0.5 * (op + op.T))
+        blocks.append((U * _pseudo_inverse(nu)) @ U.T * wroot / wroot[:, None])
+    return basis, np.array(blocks)
+
+
+def solve(rhs, kind, grid):
+    """Apply the pseudo-inverse of a ``spacetime_kernel`` to ``rhs``."""
+    basis, spatial = spacetime_kernel(grid, kind)
+    hat = (basis @ rhs.reshape(len(basis), -1)).reshape(rhs.shape)
+    if grid.flat:
+        Q, inv = spatial
+        hat = _along_space(_along_space(hat, Q, grid.dim) * inv, Q.T, grid.dim)
+    else:
+        hat = np.matmul(spatial, hat[..., None])[..., 0]
+    return (basis.T @ hat.reshape(len(basis), -1)).reshape(rhs.shape)
+
+
+def weighted_poisson(rhs, grid):
+    """Solve ``(D K^{-1} D^T - Lap_g) phi = rhs`` on the midpoints, the
+    weighted counterpart of ``otgeo.prox.spacetime_poisson``."""
+    return solve(np.asarray(rhs, dtype=float), "weighted", grid)
+
+
+def apply_operator(phi, grid, weighted):
+    """Forward application of the space-time operator by its stencils: the
+    time block is ``D K^{-1} D^T`` for the node difference ``D`` onto the
+    midpoints and, when ``weighted``, the coupling ``K`` (else the identity)."""
+    psi = (phi[:-1] - phi[1:]) / grid.tau
+    if weighted:
+        psi = solve(psi, "coupling", grid)
+    out = -laplace_beltrami(phi, grid)
+    out[:-1] += psi / grid.tau
+    out[1:] -= psi / grid.tau
+    return out
+
+
+def weighted_projection(qa, qb, qc, m0, m1, grid, end_coupling):
+    """``otgeo.prox._weighted_projection`` by three solves: the normal
+    equations ``K m_int = A*(qa - A m_ends) + qc`` (``end_coupling``), one
+    weighted space-time solve for the multiplier ``phi`` of the continuity
+    defect, and the correction ``m_int -= K^{-1} D^T phi``,
+    ``w = qb - grad phi``.  Returns ``(m_full, w, phi)``."""
+    qa_cells = cell_average(qa, grid)
+    rhs_m = 0.5 * (qa_cells[:-1] + qa_cells[1:]) + qc
+    rhs_m[0] -= end_coupling[0]
+    rhs_m[-1] -= end_coupling[1]
+    m_new = np.empty((grid.n_time + 1,) + grid.space_shape)
+    m_new[0] = m0
+    m_new[-1] = m1
+    m_new[1:-1] = solve(rhs_m, "coupling", grid)
+    r = continuity_defect(DensityPath(m_new, grid), MomentumField(qb, grid))
+    phi = weighted_poisson(r, grid)
+    m_new[1:-1] -= solve((phi[:-1] - phi[1:]) / grid.tau, "coupling", grid)
+    return m_new, qb - covariant_gradient(phi, grid), phi
+
+
+def anderson_fixed_point(apply, x, max_evaluations):
+    """Safeguarded type-II Anderson acceleration as
+    ``otgeo.prox.anderson_fixed_point`` specifies it, with fresh arrays for
+    every residual, difference and ridge."""
+    memory = ANDERSON_MEMORY
+    d_g = np.empty((memory, x.size))
+    d_f = np.empty((memory, x.size))
+    gram = np.zeros((memory, memory))
+    count = slot = evaluations = 0
+
+    def evaluate(y):
+        nonlocal evaluations
+        image, stop = apply(y)
+        evaluations += 1
+        residual = y - image
+        return image, residual, np.linalg.norm(residual), stop
+
+    fx, g, g_norm, stop = evaluate(x)
+    while not stop and evaluations < max_evaluations:
+        trial = fx
+        trace = np.trace(gram[:count, :count])
+        extrapolated = trace > 0
+        if extrapolated:
+            gamma = np.linalg.solve(gram[:count, :count] + 1e-12 * trace * np.eye(count),
+                                    d_g[:count] @ g)
+            trial = fx - gamma @ d_f[:count]
+        f_trial, g_trial, g_trial_norm, stop = evaluate(trial)
+        if extrapolated and g_trial_norm > g_norm and not stop and evaluations < max_evaluations:
+            count = slot = 0
+            f_trial, g_trial, g_trial_norm, stop = evaluate(fx)
+        d_g[slot] = g_trial - g
+        d_f[slot] = f_trial - fx
+        count = min(count + 1, memory)
+        gram[slot, :count] = gram[:count, slot] = d_g[:count] @ d_g[slot]
+        slot = (slot + 1) % memory
+        fx, g, g_norm = f_trial, g_trial, g_trial_norm
+    return evaluations, stop

@@ -10,18 +10,17 @@ from otgeo.families import make_marginals
 from otgeo.prox import (
     ProxConfig,
     ProxError,
-    _apply_operator,
     _end_coupling,
     _entropy_prox,
     _kinetic_prox,
-    _solve,
     _weighted_projection,
     anderson_fixed_point,
     project_continuity,
     solve_prox,
     spacetime_poisson,
 )
-from prox_reference import pointwise_prox, prox_root
+import prox_reference
+from prox_reference import apply_operator, pointwise_prox, prox_root, solve, weighted_poisson
 
 CONFORMAL = lambda x: 1.0 + 0.4 * np.cos(2.0 * np.pi * x)
 # one space-time kernel serves every grid: flat 1-D (n even and odd), flat 2-D
@@ -36,6 +35,11 @@ def smooth_pair(grid, width=0.08):
     q = np.exp(kappa * (np.cos(2 * np.pi * x) - 1.0))
     p = np.roll(q, grid.n_space // 2)
     return q / integrate(q, grid), p / integrate(p, grid)
+
+
+def poisson(rhs, grid, weighted):
+    """The plain solve of ``otgeo.prox`` or the reference's weighted one."""
+    return weighted_poisson(rhs, grid) if weighted else spacetime_poisson(rhs, grid)
 
 
 def assert_certified(rep, config=None):
@@ -189,7 +193,7 @@ class TestSpacetimePoisson:
         # remove the kernel content so rhs is exactly solvable
         rhs = off_kernel(g)(rng.standard_normal((10,) + g.space_shape))
         phi = spacetime_poisson(rhs, g)
-        back = _apply_operator(phi, g, weighted=False)
+        back = apply_operator(phi, g, weighted=False)
         assert np.linalg.norm(back - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_shape_validation(self):
@@ -207,11 +211,11 @@ class TestSpacetimePoisson:
         wr = np.sqrt(wgt).ravel()
         for weighted in (False, True):
             rhs = rng.standard_normal(shape)
-            phi = spacetime_poisson(rhs, g, weighted=weighted)
-            res = project(_apply_operator(phi, g, weighted) - rhs)
+            phi = poisson(rhs, g, weighted)
+            res = project(apply_operator(phi, g, weighted) - rhs)
             assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
             # sqrt(g)-weighted pseudo-inverse of the operator, column by column
-            cols = [_apply_operator(e.reshape(shape), g, weighted).ravel() for e in np.eye(wr.size)]
+            cols = [apply_operator(e.reshape(shape), g, weighted).ravel() for e in np.eye(wr.size)]
             sym = wr[:, None] * np.array(cols).T / wr[None, :]
             expected = (np.linalg.pinv(sym) @ (wr * rhs.ravel()) / wr).reshape(shape)
             assert np.max(np.abs(phi - expected)) <= 1e-10 * np.max(np.abs(expected))
@@ -225,10 +229,10 @@ class TestSpacetimePoisson:
         g = build_grid(dim, n, 8, 1.0, metric)
         shape = (8,) + g.space_shape
         for weighted in (False, True):
-            cols = [spacetime_poisson(e.reshape(shape), g, weighted).ravel()
+            cols = [poisson(e.reshape(shape), g, weighted).ravel()
                     for e in np.eye(int(np.prod(shape)))]
             assert np.linalg.matrix_rank(np.array(cols)) == len(cols) - 1
-            assert np.max(np.abs(spacetime_poisson(np.ones(shape), g, weighted))) < 1e-12
+            assert np.max(np.abs(poisson(np.ones(shape), g, weighted))) < 1e-12
 
     def test_failed_spectral_checks_raise(self, monkeypatch):
         import otgeo.prox as prox
@@ -243,7 +247,7 @@ class TestSpacetimePoisson:
         # K = I + T (x) cell_average(face_average(.)) applied by its stencils
         g = build_grid(dim, n, 8, 1.0, metric)
         rhs = np.random.default_rng(6).standard_normal((7,) + g.space_shape)
-        m = _solve(rhs, "coupling", g)
+        m = solve(rhs, "coupling", g)
         pair = cell_average(face_average(m, g), g)
         back = m + 0.5 * pair
         back[1:] += 0.25 * pair[:-1]
@@ -269,6 +273,38 @@ class TestSpacetimePoisson:
         grad_m = 0.5 * (back[:-1] + back[1:]) + m[1:-1] - qc
         assert np.max(np.abs(grad_m + (phi[:-1] - phi[1:]) / g.tau)) < 1e-10
         assert np.max(np.abs(w - qb + covariant_gradient(phi, g))) < 1e-12
+
+
+    def test_time_difference_is_subdiagonal_in_the_modes(self):
+        # C = basis_mid D basis_int^T pairs interior mode j with midpoint mode
+        # j + 1 only, at C[j+1, j]^2 = lam_j: what _projection_operator rests on
+        g = build_grid(1, 8, 16, 1.0)
+        basis_int, lam = prox._time_modes(g, interior=True)
+        basis_mid, _ = prox._time_modes(g, interior=False)
+        C = basis_mid @ prox._time_difference(g) @ basis_int.T
+        sub = np.diagonal(C, -1)
+        assert np.max(np.abs(C - np.diag(sub, -1)[:, :-1])) <= 1e-13 * np.max(np.abs(C))
+        assert np.max(np.abs(sub ** 2 / lam - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("dim,n,n_time,metric", [
+        (1, 64, 32, None),
+        (1, 32, 16, lambda x: 1.0 + 0.5 * np.sin(2.0 * np.pi * x)),
+        (2, 16, 8, None),
+    ], ids=["flat-64x32", "conformal-32x16", "flat2d-16x8"])
+    def test_weighted_projection_matches_three_solves(self, dim, n, n_time, metric):
+        # one pass through the cached operator against the composition of a
+        # coupling, a weighted Poisson and a second coupling solve
+        g = build_grid(dim, n, n_time, 1.0, metric)
+        rng = np.random.default_rng(8)
+        m0, m1 = (1.0 + rng.random(g.space_shape) for _ in range(2))
+        m0, m1 = m0 / integrate(m0, g), m1 / integrate(m1, g)
+        shape = (n_time,) + g.space_shape
+        qa, qb = (rng.standard_normal(shape + (dim,)) for _ in range(2))
+        qc = rng.standard_normal((n_time - 1,) + g.space_shape)
+        args = (qa, qb, qc, m0, m1, g, _end_coupling(m0, m1, g))
+        reference = prox_reference.weighted_projection(*args)
+        for got, ref in zip(_weighted_projection(*args), reference):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestProjectContinuity:
@@ -366,6 +402,13 @@ class TestSolveProx:
         m0[:2] = (-0.5, 2.5)
         with pytest.raises(ValueError, match="negative cell"):
             solve_prox(m0, np.ones(32), ref, 0.1, g)
+
+    def test_non_finite_cell_rejected(self):
+        g = build_grid(1, 16, 8, 1.0)
+        m0 = np.ones(16)
+        m0[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite cell"):
+            solve_prox(m0, np.ones(16), ReferenceMeasure.from_potential(0.0, g), 0.1, g)
 
     def test_wrong_mass_rejected(self):
         g = build_grid(1, 32, 8, 1.0)
@@ -542,6 +585,28 @@ class TestSolveProx:
 
 
 class TestAnderson:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_iterates_match_reference_loop(self, seed):
+        # the in-place loop reproduces every iterate of the allocating one,
+        # rejected extrapolations included
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((40, 40))
+        A *= 0.97 / np.linalg.norm(A, 2)
+        b = rng.standard_normal(40)
+        runs = []
+        for accelerate in (anderson_fixed_point, prox_reference.anderson_fixed_point):
+            points, images = [], []
+
+            def apply(x):
+                points.append(x.copy())
+                images.append(A @ x + b)
+                return images[-1], False
+            assert accelerate(apply, np.zeros(40), 60) == (60, False)
+            runs.append((points, images))
+        (points, images), (ref_points, _) = runs
+        assert all(np.array_equal(p, q) for p, q in zip(points, ref_points))
+        assert any(np.array_equal(points[i], images[i - 2]) for i in range(2, len(points)))
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_linear_contraction(self, dim):
         # on an affine map the extrapolation from dim differences is exact, so
