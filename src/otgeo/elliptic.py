@@ -101,7 +101,8 @@ class EllipticProblem:
     m1: np.ndarray
 
     def validate(self):
-        """``ValueError`` for a negative cell, a mass off 1 or ``eps <= 0``."""
+        """``ValueError`` for a non-finite or negative cell, a mass off 1 or
+        ``eps <= 0``."""
         check_marginals(self.m0, self.m1, self.grid)
         if self.eps <= 0:
             raise ValueError("eps must be positive")

@@ -95,6 +95,8 @@ def _from_files(grid: Grid, params):
     for key in ("file0", "file1"):
         values, _, _, _ = read_field(params[key], grid)
         m = values[0]
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"{params[key]}: non-finite density")
         if np.any(m < 0):
             raise ValueError(f"{params[key]}: negative density")
         mass = integrate(m, grid)

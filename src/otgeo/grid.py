@@ -303,7 +303,7 @@ def write_field(path, values, grid: Grid):
     with open(path, "w") as fh:
         fh.write(f"{FIELD_FORMAT_VERSION} dim={grid.dim} n={grid.n_space} nt={grid.n_time}\n")
         for row in flat:
-            fh.write(" ".join(repr(float(v)) for v in row))
+            fh.write(" ".join(map(repr, row.tolist())))
             fh.write("\n")
 
 

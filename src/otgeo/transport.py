@@ -126,11 +126,14 @@ class Potential:
 
 def check_marginals(m0, m1, grid: Grid):
     """The marginals as float arrays; ``ValueError`` unless each has the
-    grid's shape, no negative cell and unit mass to 1e-8 (L1 data)."""
+    grid's shape, only finite cells, no negative cell and unit mass to 1e-8
+    (L1 data)."""
     out = [np.asarray(m0, dtype=float), np.asarray(m1, dtype=float)]
     for name, marg in zip(("m0", "m1"), out):
         if marg.shape != grid.space_shape:
             raise ValueError(f"{name} shape {marg.shape} != {grid.space_shape}")
+        if not np.all(np.isfinite(marg)):
+            raise ValueError(f"{name} has a non-finite cell")
         if np.any(marg < 0):
             raise ValueError(f"{name} has a negative cell")
         if abs(integrate(marg, grid) - 1.0) > 1e-8:

@@ -207,6 +207,26 @@ class TestReferenceProfiles:
 
 
 class TestRun:
+    def test_non_finite_marginal_file_exits_before_solving(self, tmp_path, monkeypatch, capsys):
+        import otgeo.cli as cli
+        g = build_grid(1, 16, 8, 1.0)
+        m = np.ones(16)
+        m[3] = np.nan
+        f0, f1 = tmp_path / "m0.txt", tmp_path / "m1.txt"
+        write_field(f0, m[None, :], g)
+        write_field(f1, np.ones((1, 16)), g)
+
+        def unreachable(*args):
+            raise AssertionError("a solver ran on a non-finite marginal")
+        monkeypatch.setattr(cli, "solve_prox", unreachable)
+        monkeypatch.setattr(cli, "solve_elliptic", unreachable)
+        path, _ = write_config(
+            tmp_path, grid={"dim": 1, "n_space": 16, "n_time": 8, "horizon": 1.0},
+            marginals={"family": "file", "file0": str(f0), "file1": str(f1)},
+            solver={"method": "both", "eps": 0.1})
+        assert run(path) == (EXIT_CONFIG, [])
+        assert "non-finite density" in capsys.readouterr().err
+
     def test_uniform_run_exit_zero(self, tmp_path):
         path, cfg = write_config(tmp_path)
         code, artifacts = run(path)

@@ -340,6 +340,17 @@ class TestSolveElliptic:
         with pytest.raises(ValueError, match="mass"):
             solve_elliptic(EllipticProblem(g, ref, 0.1, np.full(32, 1.5), np.ones(32)))
 
+    def test_non_finite_marginal_rejected(self):
+        g = build_grid(1, 16, 8, 1.0)
+        m0 = np.ones(16)
+        m0[3] = np.nan
+        ref = ReferenceMeasure.from_potential(0.0, g)
+        problem = EllipticProblem(g, ref, 0.1, m0, np.ones(16))
+        with pytest.raises(ValueError, match="non-finite cell"):
+            problem.validate()
+        with pytest.raises(ValueError, match="non-finite cell"):
+            solve_elliptic(problem)
+
     def test_odd_shift_and_empty_cells_solve(self):
         # an odd shift moves mass between even and odd cells, and one loaded
         # cell leaves every other empty: the face fluxes do both

@@ -235,6 +235,17 @@ class TestFieldFormat:
         assert (dim, n, nt) == (2, 8, 4)
         np.testing.assert_array_equal(back, values)
 
+    def test_values_written_as_their_repr(self, tmp_path):
+        # the shortest repr round-trips every double, subnormals and -0.0 included
+        g = build_grid(1, 6, 2, 1.0)
+        values = np.array([[-0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, 1.0 / 3.0]])
+        path = tmp_path / "field.txt"
+        write_field(path, values, g)
+        body = path.read_text().splitlines()[1]
+        assert body == " ".join(repr(float(v)) for v in values[0])
+        back = read_field(path, g)[0]
+        assert back.tobytes() == values.tobytes()
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bogus.txt"
         path.write_text("not a field\n1 2 3\n")

@@ -13,6 +13,7 @@ from otgeo.transport import (
     MomentumField,
     ReferenceMeasure,
     bb_kernel,
+    check_marginals,
     continuity_residual,
     dual_pair,
     dual_value,
@@ -340,6 +341,16 @@ class TestValidation:
         off = vals * 1.01
         with pytest.raises(ValueError, match="mass"):
             DensityPath(off, flat64).validate()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_marginal_rejected(self, flat64, value):
+        # nan < 0 and |nan - 1| > 1e-8 are both false: only an explicit test rejects it
+        m0 = np.ones(64)
+        m0[5] = value
+        with pytest.raises(ValueError, match="m0 has a non-finite cell"):
+            check_marginals(m0, np.ones(64), flat64)
+        with pytest.raises(ValueError, match="m1 has a non-finite cell"):
+            check_marginals(np.ones(64), m0, flat64)
 
     def test_momentum_field_shape(self, flat64):
         with pytest.raises(ValueError, match="shape"):
