@@ -17,13 +17,12 @@ where ``E v = ds(v)`` linearizes the exponent of the interior density,
 ``D`` is the forward difference onto the cell faces and ``M_k`` the face
 density.  The products are expanded once per grid into terms on a fixed
 sparse pattern, so each step only scatters the current weights onto it;
-the Hessian is factored once per step, by banded Cholesky in 1-D (time
-levels in turn, each ring folded, lower band width ``n + 4``) and by
-SuperLU with the COLAMD order in 2-D.  The Hessian's kernel is the space-time
-constants, so pinning ``phi`` at one node removes it.  The line search
-is Armijo on ``G``.  The
-marginals may have empty cells: every face density ``M_k`` touches an
-interior node, whose density is positive.
+the Hessian is factored once per step by banded Cholesky (time levels in
+turn, each ring folded along every spatial axis, lower band width
+``n + 4`` in 1-D and ``n^2 + 4 n`` in 2-D).  The Hessian's kernel is the
+space-time constants, so pinning ``phi`` at one node removes it.  The line
+search is Armijo on ``G``.  The marginals may have empty cells: every face
+density ``M_k`` touches an interior node, whose density is positive.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, solveh_banded
-from scipy.sparse.linalg import spsolve
 
 from .grid import Grid, covariant_gradient, face_average
 from .transport import (
@@ -183,10 +181,13 @@ def _hessian_plan(grid: Grid):
     interior nodes and ``W = tau fv M / g_f``.  Each of the three products
     is expanded once into terms; per term the plan keeps where it lands,
     its two factors (their entries in ``lin``, or their product where both
-    are constant) and its index into ``g``, ``c`` or ``W``.  In 1-D it also
-    keeps where the lower triangle lands in LAPACK band storage of a
-    time-major order with each level's ring folded, whose lower band width
-    is ``n + 4`` (``2 n - 1`` in the natural order, because of the wrap)."""
+    are constant) and its index into ``g``, ``c`` or ``W``.  It also keeps
+    where the lower triangle lands in LAPACK band storage of a time-major
+    order with each level's ring folded along every spatial axis, whose
+    lower band width is ``n + 4`` in 1-D (``2 n - 1`` in the natural order,
+    because of the wrap) and ``n^2 + 4 n`` in 2-D.  Every array of the plan
+    is read-only, since the plan is cached and its index arrays back every
+    Hessian."""
     free, diff, pair_sum, forward, faces = _operators(grid)
     stack = sparse.vstack(forward, format="coo")
     # d|grad phi|^2 = cell_average(2 grad D dphi) per level; s takes a quarter
@@ -208,20 +209,24 @@ def _hessian_plan(grid: Grid):
     density = (land[:a.size], a, b, k)
     kinetic = (land[a.size:], stack.data[p] * stack.data[q], j)
 
-    band = None
-    if grid.dim == 1:
-        # level by level, each ring folded (cells 0, n-1, 1, n-2, ...), so
-        # cells up to two apart on the ring, across the wrap too, lie at most
-        # 4 places apart; the gauge node, dropped, comes first
-        n = grid.n_space
-        fold = np.minimum(2 * np.arange(n), 2 * (n - np.arange(n)) - 1)
-        rank = (n * np.arange(grid.n_time)[:, None] + fold).ravel()[free] - 1
-        rows = rank[np.repeat(np.arange(free.size), np.diff(indptr))]
-        cols = rank[indices]
-        lower = np.flatnonzero(rows >= cols)
-        below = rows[lower] - cols[lower]
-        band = (lower, below * free.size + cols[lower], (below.max() + 1, free.size),
-                np.argsort(rank), rank)
+    # level by level, each ring folded (cells 0, n-1, 1, n-2, ...) along every
+    # axis, so cells up to two apart on a ring, across the wrap too, lie at
+    # most 4 places apart in the fold; the gauge node, dropped, comes first
+    n = grid.n_space
+    fold = np.minimum(2 * np.arange(n), 2 * (n - np.arange(n)) - 1)
+    rank = np.arange(grid.n_time)
+    for _ in range(grid.dim):
+        rank = n * rank[..., None] + fold
+    rank = rank.ravel()[free] - 1
+    rows = rank[np.repeat(np.arange(free.size), np.diff(indptr))]
+    cols = rank[indices]
+    lower = np.flatnonzero(rows >= cols)
+    below = rows[lower] - cols[lower]
+    position = below * free.size + cols[lower]
+    order = np.argsort(rank)
+    for array in (lin_base, *lin, *density, *kinetic, indptr, indices, lower, position, order, rank):
+        array.flags.writeable = False
+    band = (lower, position, (below.max() + 1, free.size), order, rank)
     return lin_base, lin, density, kinetic, indptr, indices, band
 
 
@@ -245,14 +250,12 @@ def _dual_hessian(phi, m, problem: EllipticProblem):
     land, coefficient, k = kinetic
     data += np.bincount(land, coefficient * weight[k], minlength=indices.size)
     size = indptr.size - 1
-    # own index arrays: eliminate_zeros prunes them in place
-    return sparse.csr_matrix((data, indices.copy(), indptr.copy()), shape=(size, size))
+    return sparse.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def _banded_solve(hess, rhs, band):
     """``hess^-1 rhs`` by Cholesky of the band that :func:`_hessian_plan`
-    keeps for 1-D grids; ``LinAlgError`` when ``hess`` is not positive
-    definite."""
+    keeps; ``LinAlgError`` when ``hess`` is not positive definite."""
     lower, position, shape, order, rank = band
     banded = np.zeros(shape)
     banded.flat[position] = hess.data[lower]
@@ -277,16 +280,10 @@ def newton_step(phi, problem: EllipticProblem, config: EllipticConfig = None, po
     free = _operators(problem.grid)[0]
     hess = _dual_hessian(phi, m, problem)
     rhs = (problem.grid.tau * problem.grid.cell_volume * defect).ravel()[free]
-    band = _hessian_plan(problem.grid)[-1]
-    if band is not None:
-        try:
-            solution = _banded_solve(hess, rhs, band)
-        except LinAlgError as err:
-            raise EllipticError(f"linear solve failed ({err})", iterate=phi) from err
-    else:
-        # the cached pattern also holds the terms that vanish at grad phi = 0
-        hess.eliminate_zeros()
-        solution = spsolve(hess.tocsc(), rhs, permc_spec="COLAMD")
+    try:
+        solution = _banded_solve(hess, rhs, _hessian_plan(problem.grid)[-1])
+    except LinAlgError as err:
+        raise EllipticError(f"linear solve failed ({err})", iterate=phi) from err
     lin_res = np.linalg.norm(hess @ solution - rhs)
     limit = config.linear_tolerance * np.linalg.norm(rhs)
     if not lin_res <= limit:

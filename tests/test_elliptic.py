@@ -39,10 +39,11 @@ def midpoint_multiplier(grid, slope):
     return slope * t + np.zeros((grid.n_time,) + grid.space_shape)
 
 
-def bump_problem(n=32, nt=16, metric=None):
-    g = build_grid(1, n, nt, 1.0, metric)
+def bump_problem(n=32, nt=16, metric=None, dim=1):
+    g = build_grid(dim, n, nt, 1.0, metric)
     ref = ReferenceMeasure.from_potential(0.0, g)
-    m0, m1 = make_marginals("bump_pair", {"width": 0.15, "centers": (0.0, 0.5)}, g)
+    centers = (0.0, 0.5) if dim == 1 else ((0.0, 0.0), (0.5, 0.5))
+    m0, m1 = make_marginals("bump_pair", {"width": 0.15, "centers": centers}, g)
     return EllipticProblem(g, ref, 0.1, m0, m1)
 
 
@@ -174,6 +175,13 @@ def assert_hessian_matches_finite_differences(problem, seed):
     assert np.min(np.linalg.eigvalsh(H)) > 0
 
 
+def plan_arrays(part):
+    """Every array of a :func:`_hessian_plan`, nested tuples flattened."""
+    if isinstance(part, np.ndarray):
+        return [part]
+    return [a for p in part for a in plan_arrays(p)] if isinstance(part, tuple) else []
+
+
 class TestScatterAssembly:
     """The Hessian scattered on the cached pattern against the sparse-product
     reference assembly, and the linear solves it feeds."""
@@ -188,12 +196,13 @@ class TestScatterAssembly:
         reference = dual_hessian(phi, m, problem).toarray()
         assert np.max(np.abs(H - reference)) <= 1e-15 * np.max(np.abs(H))
 
-    @pytest.mark.parametrize("metric", [None, lambda x: 1 + 0.5 * np.sin(2 * np.pi * x)],
-                             ids=["flat", "conformal"])
-    def test_banded_solve_matches_spsolve(self, metric):
+    @pytest.mark.parametrize("shape", [{}, {"metric": lambda x: 1 + 0.5 * np.sin(2 * np.pi * x)},
+                                       {"n": 12, "nt": 6, "dim": 2}],
+                             ids=["flat", "conformal", "2d"])
+    def test_banded_solve_matches_spsolve(self, shape):
         # the systems of the first Newton steps; both solvers are backward
         # stable, so they differ by about cond(H) times the rounding unit
-        problem = bump_problem(metric=metric)
+        problem = bump_problem(**shape)
         g = problem.grid
         free = _operators(g)[0]
         phi = np.zeros((g.n_time,) + g.space_shape)
@@ -211,24 +220,25 @@ class TestScatterAssembly:
         assert _hessian_plan(build_grid(1, 12, 6, 1.0, metric)) is plan
         assert _hessian_plan(build_grid(1, 12, 6, 1.0)) is not plan
 
-    def test_2d_factors_the_reference_pattern_at_zero(self, monkeypatch):
-        # at phi = 0 the gradient terms vanish; the cached pattern keeps
-        # them, and the matrix factored must not
-        import otgeo.elliptic as ell
-        problem = hessian_case("2d-varying-V")
+    @pytest.mark.parametrize("dim, n, nt", [(1, 32, 16), (1, 8, 4), (2, 16, 8), (2, 12, 6)])
+    def test_band_width_of_the_folded_order(self, dim, n, nt):
+        # each ring folded: n + 4 below the diagonal in 1-D, n^2 + 4 n in 2-D
+        g = build_grid(dim, n, nt, 1.0)
+        rows, columns = _hessian_plan(g)[-1][2]
+        assert rows == (n + 4 if dim == 1 else n * n + 4 * n) + 1
+        assert columns == _operators(g)[0].size
+
+    @pytest.mark.parametrize("case", ["1d-conformal", "2d-varying-V"])
+    def test_newton_step_leaves_the_cached_plan_unchanged(self, case):
+        # every Hessian is built on the plan's own index arrays
+        problem = hessian_case(case)
         g = problem.grid
+        arrays = plan_arrays(_hessian_plan(g))
+        before = [a.copy() for a in arrays]
         phi = np.zeros((g.n_time,) + g.space_shape)
-        factored = []
-
-        def recorded(matrix, rhs, **kwargs):
-            factored.append(matrix.nnz)
-            return spsolve(matrix, rhs, **kwargs)
-
-        monkeypatch.setattr(ell, "spsolve", recorded)
-        newton_step(phi, problem)
-        m = _evaluate(phi, problem)[1]
-        expected = dual_hessian(phi, m, problem).nnz
-        assert factored == [expected] and _dual_hessian(phi, m, problem).nnz > expected
+        newton_step(newton_step(phi, problem)[0], problem)
+        assert not any(a.flags.writeable for a in arrays)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(arrays, before))
 
     def test_indefinite_hessian_raises_with_iterate_and_history(self, monkeypatch):
         import otgeo.elliptic as ell
