@@ -9,7 +9,8 @@ regularization-sweep mode.
 
 Every artifact embeds the SHA-256 digest of the canonical config; nothing
 volatile (wall time, hostnames) is persisted, so two runs of the same
-config are bitwise identical.  Exit codes: 0 success, 2 config error,
+config under the same BLAS thread count are bitwise identical.  Progress
+lines go to the ``otgeo`` logger.  Exit codes: 0 success, 2 config error,
 3 solver error, 4 required-diagnostic failure.
 """
 
@@ -19,6 +20,8 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
+import math
 import sys
 from pathlib import Path
 
@@ -52,6 +55,9 @@ EXIT_DIAGNOSTIC = 4
 KNOWN_CHECKS = ("energy", "duality", "displacement_convexity", "heat_bound",
                 "time_scaling", "interior_bounds", "sweep")
 DEFAULT_REQUIRED = {"energy": True, "duality": True}
+
+# progress lines; nothing is shown unless a handler is attached (``--verbose``)
+logger = logging.getLogger("otgeo")
 
 
 class ConfigError(ValueError):
@@ -133,8 +139,8 @@ def validate_config(cfg):
         raise ConfigError("grid.n_space must be >= 4")
     if _need(cfg, "grid.n_time", int) < 2:
         raise ConfigError("grid.n_time must be >= 2")
-    if _need(cfg, "grid.horizon", (int, float)) <= 0:
-        raise ConfigError("grid.horizon must be positive")
+    if not 0 < _need(cfg, "grid.horizon", (int, float)) < math.inf:
+        raise ConfigError("grid.horizon must be finite and positive")
     metric = _need(cfg, "grid.metric_profile", dict, {})
     if metric.get("id", "flat") not in METRIC_PROFILES:
         raise ConfigError(f"grid.metric_profile.id unknown: {metric.get('id')!r}")
@@ -158,8 +164,8 @@ def validate_config(cfg):
     if eps is None and eps_list is None:
         raise ConfigError("solver needs eps or eps_list")
     for e in ([eps] if eps is not None else []) + list(eps_list or []):
-        if not isinstance(e, (int, float)) or e <= 0:
-            raise ConfigError("solver.eps values must be positive numbers")
+        if not isinstance(e, (int, float)) or not 0 < e < math.inf:
+            raise ConfigError("solver.eps values must be finite positive numbers")
 
     _solver_configs(cfg)
 
@@ -243,8 +249,24 @@ def _check_specs(cfg):
 
 
 def run(config, out_dir=None, verbose=False):
-    """Execute an experiment config (path or dict); returns (exit_code, artifact_paths)."""
-    log = (lambda *a: print(*a, file=sys.stderr)) if verbose else (lambda *a: None)
+    """Execute an experiment config (path or dict); returns (exit_code, artifact_paths).
+
+    ``verbose`` shows the progress lines of the ``otgeo`` logger on stderr
+    for the length of the call."""
+    if not verbose:
+        return _run(config, out_dir)
+    handler = logging.StreamHandler(sys.stderr)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        return _run(config, out_dir)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _run(config, out_dir):
     try:
         if isinstance(config, dict):
             cfg = validate_config(config)
@@ -275,12 +297,12 @@ def run(config, out_dir=None, verbose=False):
 
     try:
         if method in ("prox", "both"):
-            log(f"prox solve at eps={eps}")
+            logger.info("prox solve at eps=%s", eps)
             m, w, u, rep = solve_prox(m0, m1, reference, eps, grid, prox_cfg)
             solve_reports["prox"] = rep
             fields["prox"] = (m, w, u)
         if method in ("elliptic", "both"):
-            log(f"elliptic solve at eps={eps}")
+            logger.info("elliptic solve at eps=%s", eps)
             problem = EllipticProblem(grid, reference, eps, m0, m1)
             ue, me, repe = solve_elliptic(problem, ell_cfg)
             solve_reports["elliptic"] = repe
@@ -301,7 +323,7 @@ def run(config, out_dir=None, verbose=False):
 
     try:
         _run_checks(cfg, report, grid, reference, m0, m1, m, w, u, objective,
-                    eps, eps_list, prox_cfg, log)
+                    eps, eps_list, prox_cfg)
     except (ProxError, EllipticError) as err:
         print(f"solver error during diagnostics: {err}", file=sys.stderr)
         return EXIT_SOLVER, []
@@ -310,7 +332,7 @@ def run(config, out_dir=None, verbose=False):
         return EXIT_CONFIG, []
 
     artifacts += _write_artifacts(out, digest, formats, grid, fields,
-                                  solve_reports, report, log)
+                                  solve_reports, report)
 
     if not report.all_required_passed():
         failed = [e.check for e in report.entries if e.required and not e.passed]
@@ -320,10 +342,10 @@ def run(config, out_dir=None, verbose=False):
 
 
 def _run_checks(cfg, report, grid, reference, m0, m1, m, w, u, objective,
-                eps, eps_list, prox_cfg, log):
+                eps, eps_list, prox_cfg):
     for cid, opts in _check_specs(cfg):
         required = opts.get("required", DEFAULT_REQUIRED.get(cid, False))
-        log(f"diagnostic: {cid}")
+        logger.info("diagnostic: %s", cid)
         if cid == "energy":
             bound = None
             if opts.get("with_heat_bound"):
@@ -376,13 +398,13 @@ def _run_checks(cfg, report, grid, reference, m0, m1, m, w, u, objective,
 
 
 def _write_artifacts(out: Path, digest, formats, grid, fields, solve_reports,
-                     report: DiagnosticsReport, log):
+                     report: DiagnosticsReport):
     artifacts = []
 
     def save(path, text):
         path.write_text(text)
         artifacts.append(str(path))
-        log(f"wrote {path}")
+        logger.info("wrote %s", path)
 
     if "json" in formats:
         payload = {"config_digest": digest, "solvers": {}}
@@ -414,7 +436,7 @@ def _write_artifacts(out: Path, digest, formats, grid, fields, solve_reports,
                 row["config_digest"] = digest
                 writer.writerow(row)
         artifacts.append(str(path))
-        log(f"wrote {path}")
+        logger.info("wrote %s", path)
 
     if "svg" in formats:
         artifacts += emit_plots(report, out, digest)

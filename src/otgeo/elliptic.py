@@ -23,6 +23,9 @@ turn, each ring folded along every spatial axis, lower band width
 space-time constants, so pinning ``phi`` at one node removes it.  The line
 search is Armijo on ``G``.  The marginals may have empty cells: every face
 density ``M_k`` touches an interior node, whose density is positive.
+
+SciPy is imported inside the functions that use it, so that importing the
+package, or running only the primal route, loads numpy alone.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import LinAlgError, solveh_banded
 
 from .grid import Grid, covariant_gradient, face_average
 from .transport import (
@@ -49,7 +50,7 @@ from .transport import (
     functional_value,
     potential_from_multiplier,
 )
-from .prox import SolveReport
+from .prox import SolveReport, _positive_real
 
 # Armijo's sufficient-increase fraction, also the defect decrease a step
 # needs when the change in G is at rounding level
@@ -79,11 +80,11 @@ class EllipticConfig:
     def validate(self):
         for name in ("newton_tolerance", "linear_tolerance"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or value <= 0:
-                raise ValueError(f"{name} must be a positive number, got {value!r}")
+            if not _positive_real(value):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         for name in ("max_newton_iterations", "max_backtracks"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         return self
 
@@ -100,10 +101,10 @@ class EllipticProblem:
 
     def validate(self):
         """``ValueError`` for a non-finite or negative cell, a mass off 1 or
-        ``eps <= 0``."""
+        an ``eps`` that is not finite and positive."""
         check_marginals(self.m0, self.m1, self.grid)
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps!r}")
         return self
 
 
@@ -114,6 +115,8 @@ def _operators(grid: Grid):
     interior nodes, and per axis the forward difference onto the faces and
     the sum over each cell's two faces per cell volume.  Entry 0, node 0 of
     level 0 (the constants' gauge), is left out of the columns."""
+    from scipy import sparse
+
     nt, n = grid.n_time, grid.n_space
     nsp = n ** grid.dim
     space = sparse.identity(nsp, format="csr")
@@ -188,6 +191,8 @@ def _hessian_plan(grid: Grid):
     because of the wrap) and ``n^2 + 4 n`` in 2-D.  Every array of the plan
     is read-only, since the plan is cached and its index arrays back every
     Hessian."""
+    from scipy import sparse
+
     free, diff, pair_sum, forward, faces = _operators(grid)
     stack = sparse.vstack(forward, format="coo")
     # d|grad phi|^2 = cell_average(2 grad D dphi) per level; s takes a quarter
@@ -233,6 +238,8 @@ def _hessian_plan(grid: Grid):
 def _dual_hessian(phi, m, problem: EllipticProblem):
     """``-Hess G`` at ``phi`` on the free entries (CSR, on the pattern of
     :func:`_hessian_plan`); ``m`` is the pair's density path at ``phi``."""
+    from scipy import sparse
+
     grid = problem.grid
     lin_base, lin, density, kinetic, indptr, indices, _ = _hessian_plan(grid)
     fv = grid.face_volume
@@ -256,6 +263,8 @@ def _dual_hessian(phi, m, problem: EllipticProblem):
 def _banded_solve(hess, rhs, band):
     """``hess^-1 rhs`` by Cholesky of the band that :func:`_hessian_plan`
     keeps; ``LinAlgError`` when ``hess`` is not positive definite."""
+    from scipy.linalg import solveh_banded
+
     lower, position, shape, order, rank = band
     banded = np.zeros(shape)
     banded.flat[position] = hess.data[lower]
@@ -274,9 +283,13 @@ def newton_step(phi, problem: EllipticProblem, config: EllipticConfig = None, po
     below ``ROUNDING max(m) / tau``, the rounding level of its time
     difference.
     """
+    from scipy.linalg import LinAlgError
+
     config = config or EllipticConfig()
     point = _evaluate(phi, problem) if point is None else point
     value, m, _, defect, residual = point
+    if not np.isfinite(value):
+        raise EllipticError(f"G is not finite at the Newton point ({value})", iterate=phi)
     free = _operators(problem.grid)[0]
     hess = _dual_hessian(phi, m, problem)
     rhs = (problem.grid.tau * problem.grid.cell_volume * defect).ravel()[free]

@@ -128,10 +128,10 @@ def build_grid(dim, n_space, n_time, horizon, metric_profile=None, length=1.0) -
         raise ValueError(f"n_space must be >= 4, got {n_space}")
     if n_time < 2:
         raise ValueError(f"n_time must be >= 2, got {n_time}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if length <= 0:
-        raise ValueError(f"length must be positive, got {length}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if not 0 < length < math.inf:
+        raise ValueError(f"length must be finite and positive, got {length}")
 
     shape = (n_space,) * dim
     if metric_profile is None:

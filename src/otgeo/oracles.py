@@ -9,13 +9,14 @@
   reparametrization, glued to the solver's own optimal middle segment;
 * the McCann interpolant of the circular optimal coupling, used as the
   reference midpoint in the vanishing-regularization sweep.
+
+Only the transportation LP needs SciPy, so ``flow_w2_oracle`` imports it
+itself and every other oracle runs on numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .grid import Grid, build_grid, covariant_gradient, integrate
 from .transport import DensityPath, MomentumField, ReferenceMeasure, check_marginals, functional_value
@@ -150,6 +151,9 @@ def flow_w2_oracle(m0, m1, grid: Grid, max_bins=1024, coarsen=1) -> float:
     instruct otherwise).  Deterministic: the LP is solved by simplex to a
     vertex solution.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     if grid.dim != 2 or not grid.flat:
         raise ValueError("flow_w2_oracle handles the flat 2-D torus")
     a, b = (m * grid.cell_volume for m in check_marginals(m0, m1, grid))

@@ -118,6 +118,11 @@ class ProxError(Exception):
         self.history = history
 
 
+def _positive_real(value):
+    """Whether ``value`` is a finite positive real number (a ``bool`` is not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < np.inf
+
+
 @dataclass
 class ProxConfig:
     """ADMM settings.  The solve stops at the first gap check, one every
@@ -135,12 +140,12 @@ class ProxConfig:
     def validate(self):
         for name in ("penalty", "gap_tolerance"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or value <= 0:
-                raise ValueError(f"{name} must be a positive number, got {value!r}")
+            if not _positive_real(value):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         for name, least in (("max_outer_iterations", 1), ("stagnation_window", 1),
                             ("min_iterations", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         return self
 
@@ -664,8 +669,8 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     """
     config = (config or ProxConfig()).validate()
     m0, m1 = check_marginals(m0, m1, grid)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
 
     t0 = time.perf_counter()
     r = config.penalty

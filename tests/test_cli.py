@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,43 @@ class TestRun:
             solver={"method": "both", "eps": 0.1})
         assert run(path) == (EXIT_CONFIG, [])
         assert "non-finite density" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver,horizon", [
+        ({"method": "elliptic", "eps": 0.1, "elliptic": {"newton_tolerance": float("nan")}}, 1.0),
+        ({"method": "elliptic", "eps": float("nan")}, 1.0),
+        ({"method": "elliptic", "eps": float("inf")}, 1.0),
+        ({"method": "elliptic", "eps": 0.1}, float("nan")),
+        ({"method": "prox", "eps": float("inf")}, 1.0),
+        ({"method": "prox", "eps_list": [0.1, float("nan")]}, 1.0),
+    ], ids=["newton_tolerance-nan", "eps-nan", "eps-inf", "horizon-nan", "prox-eps-inf",
+            "eps_list-nan"])
+    def test_non_finite_number_exits_before_solving(self, tmp_path, monkeypatch, capsys,
+                                                    solver, horizon):
+        import otgeo.cli as cli
+
+        def unreachable(*args):
+            raise AssertionError("a solver ran on a non-finite number")
+        monkeypatch.setattr(cli, "solve_prox", unreachable)
+        monkeypatch.setattr(cli, "solve_elliptic", unreachable)
+        path, _ = write_config(
+            tmp_path, grid={"dim": 1, "n_space": 16, "n_time": 8, "horizon": horizon},
+            marginals={"family": "bump_pair", "width": 0.15}, solver=solver)
+        assert run(path) == (EXIT_CONFIG, [])
+        assert "finite" in capsys.readouterr().err
+        assert main(["check", str(path)]) == EXIT_CONFIG
+
+    def test_verbose_run_logs_progress(self, tmp_path, capsys, caplog):
+        path, _ = write_config(tmp_path)
+        caplog.set_level(logging.INFO, logger="otgeo")
+        assert main(["run", str(path), "--out", str(tmp_path / "r"), "--verbose"]) == EXIT_OK
+        assert "prox solve at eps=0.1" in caplog.messages
+        assert "prox solve at eps=0.1\n" in capsys.readouterr().err
+        assert logging.getLogger("otgeo").handlers == []
+
+    def test_default_run_writes_nothing_to_stderr(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        assert run(path, verbose=False)[0] == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_uniform_run_exit_zero(self, tmp_path):
         path, cfg = write_config(tmp_path)

@@ -289,6 +289,17 @@ class TestNewton:
         assert again[0] == point2[0] == point1[0] and again[-1] == point2[-1]
         assert again[3].tobytes() == point2[3].tobytes()
 
+    def test_non_finite_dual_value_raises_elliptic_error(self):
+        # a jump of phi in time overflows the interior density, so G = -inf
+        # and the point carries no pair to build the Hessian from
+        prob = bump_problem(n=16, nt=8)
+        phi = np.zeros((8, 16))
+        phi[1:] = 1e3
+        assert _evaluate(phi, prob)[0] == -np.inf
+        with pytest.raises(EllipticError, match="not finite") as err:
+            newton_step(phi, prob)
+        assert err.value.iterate is phi
+
     def test_each_newton_point_is_evaluated_once(self, monkeypatch):
         import otgeo.elliptic as ell
         g, ref, ms, _ = cosine_setup(n=16, nt=8)
@@ -360,6 +371,22 @@ class TestSolveElliptic:
             problem.validate()
         with pytest.raises(ValueError, match="non-finite cell"):
             solve_elliptic(problem)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -0.1])
+    def test_non_finite_eps_rejected(self, eps):
+        g = build_grid(1, 16, 8, 1.0)
+        ref = ReferenceMeasure.from_potential(0.0, g)
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            solve_elliptic(EllipticProblem(g, ref, eps, np.ones(16), np.ones(16)))
+
+    @pytest.mark.parametrize("field,value", [
+        ("newton_tolerance", np.nan), ("linear_tolerance", np.inf),
+        ("newton_tolerance", True), ("max_backtracks", True),
+    ])
+    def test_config_rejects_non_finite_and_bool(self, field, value):
+        # a NaN tolerance made the Newton loop stop at once and report success
+        with pytest.raises(ValueError, match=field):
+            EllipticConfig(**{field: value}).validate()
 
     def test_odd_shift_and_empty_cells_solve(self):
         # an odd shift moves mass between even and odd cells, and one loaded

@@ -51,6 +51,10 @@ class TestBuildGrid:
         dict(dim=1, n_space=3, n_time=4, horizon=1.0),
         dict(dim=1, n_space=8, n_time=1, horizon=1.0),
         dict(dim=1, n_space=8, n_time=4, horizon=0.0),
+        dict(dim=1, n_space=8, n_time=4, horizon=np.nan),
+        dict(dim=1, n_space=8, n_time=4, horizon=np.inf),
+        dict(dim=1, n_space=8, n_time=4, horizon=1.0, length=np.nan),
+        dict(dim=1, n_space=8, n_time=4, horizon=1.0, length=np.inf),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):

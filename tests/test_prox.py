@@ -416,6 +416,21 @@ class TestSolveProx:
         with pytest.raises(ValueError, match="mass"):
             solve_prox(np.full(32, 1.5), np.ones(32), ref, 0.1, g)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0])
+    def test_non_finite_eps_rejected(self, eps):
+        # an infinite eps would run the whole budget on NaN projections
+        g = build_grid(1, 16, 8, 1.0)
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            solve_prox(np.ones(16), np.ones(16), ReferenceMeasure.from_potential(0.0, g), eps, g)
+
+    @pytest.mark.parametrize("field,value", [
+        ("gap_tolerance", np.inf), ("penalty", np.nan), ("penalty", True),
+        ("max_outer_iterations", True),
+    ])
+    def test_config_rejects_non_finite_and_bool(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ProxConfig(**{field: value}).validate()
+
     @pytest.mark.parametrize("offset,stops", [(1e-16, True), (1e-10, False)])
     def test_rounding_size_negative_gap_stops(self, monkeypatch, offset, stops):
         # F = G at the optimum up to rounding, so a first gap check that reads
