@@ -81,7 +81,8 @@ def _need(cfg, path, typ=None, default=...):
                 raise ConfigError(f"missing config field: {'.'.join(trail)}")
             return default
         node = node[key]
-    if typ is not None and not isinstance(node, typ):
+    # no field read here is a boolean, and a boolean is not a number
+    if typ is not None and (not isinstance(node, typ) or isinstance(node, bool)):
         names = "/".join(t.__name__ for t in (typ if isinstance(typ, tuple) else (typ,)))
         raise ConfigError(f"config field {path} has wrong type "
                           f"({type(node).__name__}, expected {names})")
@@ -164,7 +165,7 @@ def validate_config(cfg):
     if eps is None and eps_list is None:
         raise ConfigError("solver needs eps or eps_list")
     for e in ([eps] if eps is not None else []) + list(eps_list or []):
-        if not isinstance(e, (int, float)) or not 0 < e < math.inf:
+        if not _is_number(e) or not 0 < e < math.inf:
             raise ConfigError("solver.eps values must be finite positive numbers")
 
     _solver_configs(cfg)
@@ -181,22 +182,51 @@ def validate_config(cfg):
     return cfg
 
 
+def _is_number(value):
+    """Whether a config value is a JSON number; ``true`` and ``false`` are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate_check_options(cid, opts, cfg):
     """Reject the options a check would refuse only after both solves."""
+    def fail(message):
+        raise ConfigError(f"diagnostics check {cid}: {message}")
+
     def number(name, default):
         value = opts.get(name, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"diagnostics check {cid}: {name} must be a number")
+        if not _is_number(value) or not -math.inf < value < math.inf:
+            fail(f"{name} must be a finite number, got {value!r}")
         return value
 
+    for name in ("required", "with_heat_bound"):
+        if not isinstance(opts.get(name, False), bool):
+            fail(f"{name} must be true or false, got {opts[name]!r}")
     if cid == "heat_bound" and number("beta", 2.0) <= 1:
-        raise ConfigError("diagnostics check heat_bound: beta must exceed 1")
+        fail("beta must exceed 1")
     if (cid == "heat_bound" or (cid == "energy" and opts.get("with_heat_bound"))) \
             and cfg["grid"]["n_time"] < 3:
-        raise ConfigError(f"diagnostics check {cid}: the heat bound's window needs "
-                          "grid.n_time >= 3")
+        fail("the heat bound's window needs grid.n_time >= 3")
     if cid == "time_scaling" and number("T_alt", 2.0) <= 0:
-        raise ConfigError("diagnostics check time_scaling: T_alt must be positive")
+        fail("T_alt must be positive")
+    if cid == "duality" and number("gap_factor", 1e-4) < 0:
+        fail("gap_factor must be nonnegative")
+    if cid == "displacement_convexity" and opts.get("tol_conv") is not None \
+            and number("tol_conv", None) < 0:
+        fail("tol_conv must be nonnegative")
+    if cid == "interior_bounds":
+        peaks = opts.get("peaks", [4.0, 40.0])
+        if not (isinstance(peaks, list) and peaks
+                and all(_is_number(p) and 0 < p < math.inf for p in peaks)):
+            fail(f"peaks must be a non-empty list of finite positive numbers, got {peaks!r}")
+        if "window" in opts:
+            window = opts["window"]
+            if not (isinstance(window, list) and len(window) == 2
+                    and all(_is_number(v) and -math.inf < v < math.inf for v in window)
+                    and window[0] < window[1]):
+                fail(f"window must be two finite numbers a < b, got {window!r}")
+            nodes = np.linspace(0.0, cfg["grid"]["horizon"], cfg["grid"]["n_time"] + 1)
+            if not np.any((nodes >= window[0] - 1e-12) & (nodes <= window[1] + 1e-12)):
+                fail(f"window {window!r} holds no time node")
     if cid == "sweep" and cfg["grid"].get("metric_profile", {}).get("id", "flat") != "flat":
         raise ConfigError("diagnostics check sweep needs the flat metric (its W2 oracles "
                           "are flat-only), not grid.metric_profile "

@@ -101,8 +101,9 @@ class EllipticProblem:
 
     def validate(self):
         """``ValueError`` for a non-finite or negative cell, a mass off 1 or
-        an ``eps`` that is not finite and positive."""
-        check_marginals(self.m0, self.m1, self.grid)
+        an ``eps`` that is not finite and positive; keeps the marginals as
+        the float arrays of ``check_marginals``."""
+        self.m0, self.m1 = check_marginals(self.m0, self.m1, self.grid)
         if not 0 < self.eps < np.inf:
             raise ValueError(f"eps must be finite and positive, got {self.eps!r}")
         return self

@@ -23,7 +23,10 @@ cells.  The projection couples the interior densities through
 multiplier together: in the time modes they split into one small block per
 mode pair, and ``_projection_operator`` caches the blocks' inverse per grid
 (four symbols on flat grids, one dense block per mode on the conformal
-circle), so a projection is one pass into the modes and one back.
+circle), so a projection is one pass into the modes and one back
+(``_solve_in_modes``).  With the coupling switched off, ``K = I``, the same
+operator and pass serve the unweighted ``project_continuity`` through
+``spacetime_poisson``: one space-time operator for both projections.
 
 Step 1 is exact: ``(a, b)`` carry only the kinetic energy, so ``a`` is the
 real root of the Benamou-Brenier cubic (``_kinetic_prox``), and ``c``
@@ -308,7 +311,7 @@ def _entropy_prox(a, sigma, eps, V):
 
 
 # ---------------------------------------------------------------------------
-# The space-time kernels
+# The space-time operator
 # ---------------------------------------------------------------------------
 
 def _time_difference(grid: Grid):
@@ -386,38 +389,9 @@ def _pseudo_inverse(sym):
 
 
 @functools.lru_cache(maxsize=16)
-def _spacetime_kernel(grid: Grid):
-    """The factors ``(basis, spatial)`` of ``spacetime_poisson``, cached per
-    grid and read-only.
-
-    The operator is ``lam_k + L`` per time mode ``k`` of the midpoints,
-    ``lam_k`` the eigenvalue of ``_time_modes`` and ``L = -div_g grad``.  On
-    flat grids ``spatial = (Q, inv)``, the spatial eigenbasis and the
-    pseudo-inverse symbol; on the conformal circle one dense pseudo-inverse
-    block per mode.  The only masked mode is the constant.
-    """
-    basis, lam = _time_modes(grid, interior=False)
-    if grid.flat:
-        mu, Q = _space_eigenbasis(grid)
-        spatial = (Q, _pseudo_inverse(lam.reshape((-1,) + (1,) * grid.dim) + mu))
-    else:
-        L = _symmetrized(lambda f: -laplace_beltrami(f, grid), grid)
-        wroot = np.sqrt(grid.sqrt_g)
-        blocks = []
-        for lam_k in lam:
-            op = lam_k * np.eye(grid.n_space) + L
-            nu, U = _eigh(0.5 * (op + op.T))
-            blocks.append((U * _pseudo_inverse(nu)) @ U.T * wroot / wroot[:, None])
-        spatial = np.array(blocks)
-        spatial.flags.writeable = False
-    basis.flags.writeable = False
-    return basis, spatial
-
-
-@functools.lru_cache(maxsize=16)
-def _projection_operator(grid: Grid):
-    """The inverse of ``_weighted_projection``'s normal equations in the
-    time modes, cached per grid and read-only.
+def _projection_operator(grid: Grid, coupled):
+    """The inverse of the continuity projections' normal equations in the
+    time modes, cached per grid and coupling and read-only.
 
     With ``D`` the node difference onto the midpoints (``_time_difference``),
     ``K = I + T (x) S`` the coupling of the interior densities,
@@ -426,25 +400,28 @@ def _projection_operator(grid: Grid):
 
         K m + D^T phi = rhs_m,        -D m + L phi = rhs_phi.
 
-    The time bases of ``_time_modes`` take ``D`` to
+    ``_weighted_projection`` solves them ``coupled``; uncoupled, ``K = I``,
+    they are ``project_continuity``'s, and with ``rhs_m = 0`` the multiplier
+    solves ``(D D^T + L) phi = rhs_phi``, the operator of
+    ``spacetime_poisson``.  The time bases of ``_time_modes`` take ``D`` to
     ``C = basis_mid D basis_int^T``, nonzero only at
     ``C[j+1, j] = c_j = +-sqrt(lam_j)``, and ``T`` to
-    ``t_j = 1 - tau^2 lam_j / 4``.  So interior mode ``j`` and midpoint mode
-    ``j + 1`` form the block ``[[I + t_j S, c_j], [-c_j, L]]``, invertible
-    since ``c_j != 0``, and midpoint mode 0 is ``L`` alone, whose
-    pseudo-inverse masks the constants.  On flat grids one spatial
-    eigenbasis ``Q`` diagonalizes ``S`` and ``L``: ``spatial = (Q, (a, b, c,
-    d))``, the symbols of the inverse, ``m = a rhs_m + b rhs_phi`` and
-    ``phi = c rhs_m + d rhs_phi`` per mode pair (``d`` has one more time
-    mode, the first).  On the conformal circle ``spatial`` holds one dense
-    inverse of order ``2 n`` per midpoint mode, acting on ``(rhs_m, rhs_phi)``
-    stacked; the first block's ``rhs_m`` rows and columns are zero.
-    Returns ``(basis_int, basis_mid, spatial)``.
+    ``t_j = 1 - tau^2 lam_j / 4`` (``t_j = 0`` uncoupled).  So interior mode
+    ``j`` and midpoint mode ``j + 1`` form the block
+    ``[[I + t_j S, c_j], [-c_j, L]]``, invertible since ``c_j != 0``, and
+    midpoint mode 0 is ``L`` alone, whose pseudo-inverse masks the constants.
+    On flat grids one spatial eigenbasis ``Q`` diagonalizes ``S`` and ``L``:
+    ``spatial = (Q, (a, b, c, d))``, the symbols of the inverse,
+    ``m = a rhs_m + b rhs_phi`` and ``phi = c rhs_m + d rhs_phi`` per mode
+    pair (``d`` has one more time mode, the first).  On the conformal circle
+    ``spatial`` holds one dense inverse of order ``2 n`` per midpoint mode,
+    acting on ``(rhs_m, rhs_phi)`` stacked; the first block's ``rhs_m`` rows
+    and columns are zero.  Returns ``(basis_int, basis_mid, spatial)``.
     """
     basis_int, lam = _time_modes(grid, interior=True)
     basis_mid, _ = _time_modes(grid, interior=False)
     c = np.diagonal(basis_mid @ _time_difference(grid) @ basis_int.T, -1)
-    t = 1.0 - 0.25 * grid.tau ** 2 * lam
+    t = 1.0 - 0.25 * grid.tau ** 2 * lam if coupled else np.zeros_like(lam)
     mu, Q = _space_eigenbasis(grid)
     if grid.flat:
         axis = grid if grid.dim == 1 else _axis_grid(grid)
@@ -489,26 +466,49 @@ def _in_time_modes(field, basis):
     return (basis @ field.reshape(len(basis), -1)).reshape(field.shape)
 
 
+def _solve_in_modes(rhs_m, rhs_phi, grid: Grid, coupled):
+    """``(m_int, phi)`` solving the normal equations of
+    ``_projection_operator(grid, coupled)``: one pass into the time and
+    spatial modes and one back."""
+    Nt = grid.n_time
+    basis_int, basis_mid, spatial = _projection_operator(grid, coupled)
+    r_hat = _in_time_modes(rhs_m, basis_int)
+    b_hat = _in_time_modes(rhs_phi, basis_mid)
+    if grid.flat:
+        Q, (a, b, c, d) = spatial
+        r_hat = _along_space(r_hat, Q, grid.dim)
+        b_hat = _along_space(b_hat, Q, grid.dim)
+        m_hat = a * r_hat
+        m_hat += b * b_hat[1:]
+        phi_hat = d * b_hat
+        phi_hat[1:] += c * r_hat
+        m_hat = _along_space(m_hat, Q.T, grid.dim)
+        phi_hat = _along_space(phi_hat, Q.T, grid.dim)
+    else:
+        # rhs_m moved up to the midpoint mode it pairs with, beside rhs_phi
+        stacked = np.zeros((Nt, 2, grid.n_space))
+        stacked[1:, 0] = r_hat
+        stacked[:, 1] = b_hat
+        stacked = np.matmul(spatial, stacked.reshape(Nt, -1, 1)).reshape(stacked.shape)
+        m_hat, phi_hat = stacked[1:, 0], stacked[:, 1]
+    return _in_time_modes(m_hat, basis_int.T), _in_time_modes(phi_hat, basis_mid.T)
+
+
 def spacetime_poisson(rhs, grid: Grid):
     """Solve the space-time problem ``(D D^T - Lap_g) phi = rhs`` on the Nt
     midpoints, ``D`` the difference from the interior nodes onto the
     midpoints, so that the time block is the Neumann Laplacian ``-d_tt``.
     Periodic in space, mean-zero gauge: the rhs loses its component along
     the kernel, the space-time constants, and the solution is
-    sqrt(g)-orthogonal to them.  Direct, by the cached factors of
-    ``_spacetime_kernel``.
+    sqrt(g)-orthogonal to them.  Direct, by the one cached space-time
+    operator of the projections, ``_projection_operator``, uncoupled and
+    with no density right-hand side.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (grid.n_time,) + grid.space_shape:
         raise ValueError(f"rhs shape {rhs.shape}, expected {(grid.n_time,) + grid.space_shape}")
-    basis, spatial = _spacetime_kernel(grid)
-    hat = _in_time_modes(rhs, basis)
-    if grid.flat:
-        Q, inv = spatial
-        hat = _along_space(_along_space(hat, Q, grid.dim) * inv, Q.T, grid.dim)
-    else:
-        hat = np.matmul(spatial, hat[..., None])[..., 0]
-    return _in_time_modes(hat, basis.T)
+    interior = np.zeros((grid.n_time - 1,) + grid.space_shape)
+    return _solve_in_modes(interior, rhs, grid, coupled=False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -562,31 +562,10 @@ def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid, end_coupling):
     rhs_phi[-1] -= m1 / tau
     np.negative(rhs_phi, out=rhs_phi)
 
-    basis_int, basis_mid, spatial = _projection_operator(grid)
-    r_hat = _in_time_modes(rhs_m, basis_int)
-    b_hat = _in_time_modes(rhs_phi, basis_mid)
-    if grid.flat:
-        Q, (a, b, c, d) = spatial
-        r_hat = _along_space(r_hat, Q, grid.dim)
-        b_hat = _along_space(b_hat, Q, grid.dim)
-        m_hat = a * r_hat
-        m_hat += b * b_hat[1:]
-        phi_hat = d * b_hat
-        phi_hat[1:] += c * r_hat
-        m_hat = _along_space(m_hat, Q.T, grid.dim)
-        phi_hat = _along_space(phi_hat, Q.T, grid.dim)
-    else:
-        # rhs_m moved up to the midpoint mode it pairs with, beside rhs_phi
-        stacked = np.zeros((Nt, 2, grid.n_space))
-        stacked[1:, 0] = r_hat
-        stacked[:, 1] = b_hat
-        stacked = np.matmul(spatial, stacked.reshape(Nt, -1, 1)).reshape(stacked.shape)
-        m_hat, phi_hat = stacked[1:, 0], stacked[:, 1]
     m_new = np.empty((Nt + 1,) + grid.space_shape)
     m_new[0] = m0
     m_new[-1] = m1
-    m_new[1:-1] = _in_time_modes(m_hat, basis_int.T)
-    phi = _in_time_modes(phi_hat, basis_mid.T)
+    m_new[1:-1], phi = _solve_in_modes(rhs_m, rhs_phi, grid, coupled=True)
     return m_new, qb - covariant_gradient(phi, grid), phi
 
 

@@ -252,6 +252,34 @@ class TestRun:
         assert "finite" in capsys.readouterr().err
         assert main(["check", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("overrides", [
+        {"grid": {"dim": True, "n_space": 16, "n_time": 8, "horizon": 1.0}},
+        {"grid": {"dim": 1, "n_space": 16, "n_time": 8, "horizon": True}},
+        {"solver": {"method": "prox", "eps": True}},
+        {"solver": {"method": "prox", "eps_list": [0.1, True]}},
+        {"marginals": {"family": "bump_pair", "width": True}},
+        {"marginals": {"family": "bump_pair", "peak": True}},
+        {"marginals": {"family": "step", "floor": True}},
+        {"marginals": {"family": "point_like", "smoothing_steps": True}},
+        {"grid": {"dim": 1, "n_space": 16, "n_time": 8, "horizon": 1.0,
+                  "metric_profile": {"id": "conformal_sine", "amplitude": True}}},
+        {"reference": {"profile": "cosine", "frequency": True}},
+    ], ids=["dim", "horizon", "eps", "eps_list", "width", "peak", "floor", "smoothing_steps",
+            "amplitude", "frequency"])
+    def test_boolean_number_exits_before_solving(self, tmp_path, monkeypatch, capsys, overrides):
+        # JSON true is no number, though Python's bool is an int
+        import otgeo.cli as cli
+
+        def unreachable(*args):
+            raise AssertionError("a solver ran on a boolean number")
+        monkeypatch.setattr(cli, "solve_prox", unreachable)
+        monkeypatch.setattr(cli, "solve_elliptic", unreachable)
+        path, cfg = write_config(tmp_path, **overrides)
+        assert main(["check", str(path)]) == EXIT_CONFIG
+        assert run(path) == (EXIT_CONFIG, [])
+        assert "config error" in capsys.readouterr().err
+        assert not Path(cfg["output"]["directory"]).exists()
+
     def test_verbose_run_logs_progress(self, tmp_path, capsys, caplog):
         path, _ = write_config(tmp_path)
         caplog.set_level(logging.INFO, logger="otgeo")
@@ -385,7 +413,26 @@ class TestRun:
         ({}, [{"id": "heat_bound", "beta": "2"}]),
         ({"n_time": 2}, ["heat_bound"]),
         ({"n_time": 2}, [{"id": "energy", "with_heat_bound": True}]),
-    ], ids=["conformal-sweep", "zero-horizon", "beta-one", "beta-string", "two-levels", "two-levels-energy"])
+        ({}, [{"id": "heat_bound", "beta": float("inf")}]),
+        ({}, [{"id": "duality", "gap_factor": "x"}]),
+        ({}, [{"id": "duality", "gap_factor": float("nan")}]),
+        ({}, [{"id": "duality", "gap_factor": -1e-4}]),
+        ({}, [{"id": "displacement_convexity", "tol_conv": "x"}]),
+        ({}, [{"id": "displacement_convexity", "tol_conv": -1.0}]),
+        ({}, [{"id": "interior_bounds", "peaks": "ab"}]),
+        ({}, [{"id": "interior_bounds", "peaks": []}]),
+        ({}, [{"id": "interior_bounds", "peaks": [4.0, True]}]),
+        ({}, [{"id": "interior_bounds", "window": 3}]),
+        ({}, [{"id": "interior_bounds", "window": [0.75, 0.25]}]),
+        ({}, [{"id": "interior_bounds", "window": [0.25, float("inf")]}]),
+        ({}, [{"id": "interior_bounds", "window": [0.501, 0.502]}]),
+        ({}, [{"id": "energy", "required": "no"}]),
+        ({}, [{"id": "energy", "with_heat_bound": 1}]),
+    ], ids=["conformal-sweep", "zero-horizon", "beta-one", "beta-string", "two-levels",
+            "two-levels-energy", "beta-inf", "gap_factor-string", "gap_factor-nan",
+            "gap_factor-negative", "tol_conv-string", "tol_conv-negative", "peaks-string",
+            "peaks-empty", "peaks-bool", "window-number", "window-reversed", "window-inf",
+            "window-no-node", "required-string", "with_heat_bound-number"])
     def test_check_rejecting_its_options_exits_2(self, tmp_path, capsys, grid, checks):
         # found by check and run alike, before anything is solved or written
         path, cfg = write_config(

@@ -349,6 +349,16 @@ class TestSolveElliptic:
         assert np.max(np.abs(m.values - 1.0)) < 1e-8
         assert np.ptp(u.values) < 1e-8
 
+    def test_list_marginals_solved_as_arrays(self):
+        # the same lists solve_prox takes; validate keeps check_marginals' arrays
+        g = build_grid(1, 16, 8, 1.0)
+        ref = ReferenceMeasure.from_potential(0.0, g)
+        ones = [1.0] * 16
+        problem = EllipticProblem(g, ref, 0.1, ones, ones)
+        u, m, rep = solve_elliptic(problem)
+        assert isinstance(problem.m0, np.ndarray) and isinstance(problem.m1, np.ndarray)
+        assert np.max(np.abs(m.values - 1.0)) < 1e-8
+
     def test_positivity_precondition(self):
         # a negative cell or a mass off 1 is no probability density; an empty
         # cell is (test_odd_shift_and_empty_cells_solve)

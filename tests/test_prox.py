@@ -274,6 +274,15 @@ class TestSpacetimePoisson:
         assert np.max(np.abs(grad_m + (phi[:-1] - phi[1:]) / g.tau)) < 1e-10
         assert np.max(np.abs(w - qb + covariant_gradient(phi, g))) < 1e-12
 
+    @pytest.mark.parametrize("dim,n,metric", GRID_KINDS, ids=GRID_KIND_IDS)
+    def test_cached_operator_is_read_only(self, dim, n, metric):
+        # one cache entry per coupling; the uncoupled one serves spacetime_poisson
+        g = build_grid(dim, n, 6, 1.0, metric)
+        for coupled in (True, False):
+            basis_int, basis_mid, spatial = prox._projection_operator(g, coupled)
+            arrays = [basis_int, basis_mid]
+            arrays += [spatial[0], *spatial[1]] if g.flat else [spatial]
+            assert not any(a.flags.writeable for a in arrays)
 
     def test_time_difference_is_subdiagonal_in_the_modes(self):
         # C = basis_mid D basis_int^T pairs interior mode j with midpoint mode
@@ -308,13 +317,14 @@ class TestSpacetimePoisson:
 
 
 class TestProjectContinuity:
-    @pytest.mark.parametrize("metric", [None, CONFORMAL])
-    def test_projection_feasible_and_idempotent(self, metric):
+    @pytest.mark.parametrize("dim,n,metric", GRID_KINDS, ids=GRID_KIND_IDS)
+    def test_projection_feasible_and_idempotent(self, dim, n, metric):
         rng = np.random.default_rng(3)
-        g = build_grid(1, 32, 16, 1.0, metric)
-        m0, m1 = smooth_pair(g, width=0.15)
-        m = DensityPath(np.tile(m0, (17, 1)), g)
-        w = MomentumField(rng.standard_normal((16, 32, 1)), g)
+        g = build_grid(dim, n, 16, 1.0, metric)
+        m0, m1 = (1.0 + rng.random(g.space_shape) for _ in range(2))
+        m0, m1 = m0 / integrate(m0, g), m1 / integrate(m1, g)
+        m = DensityPath(np.tile(m0, (17,) + (1,) * dim), g)
+        w = MomentumField(rng.standard_normal((16,) + g.space_shape + (dim,)), g)
         mp, wp = project_continuity(m, w, m0, m1, g)
         assert continuity_residual(mp, wp)[1] < 1e-9
         mp2, wp2 = project_continuity(mp, wp, m0, m1, g)
