@@ -1,11 +1,13 @@
 """Experiment orchestration: configs in, reproducible artifacts out.
 
-``otgeo run <config.json>`` builds the grid, marginals and reference
-measure, runs the requested solver(s), evaluates the requested diagnostics
-and writes the artifacts (solved fields in the ot-field v1 format, solver
-and diagnostics reports as JSON, CSV tables, SVG plots).  ``otgeo check``
-validates a config without running; ``otgeo sweep`` forces the
-regularization-sweep mode.
+:func:`validate_config` reads a config once and builds all a run needs but
+the solves: grid, reference measure, marginals, solver configs and the
+checks, their options filled in from :data:`CHECK_OPTIONS`.  ``otgeo check``
+stops there, so it finds every config error that ``otgeo run`` would; ``run``
+then creates the output directory, solves on what was built, evaluates the
+diagnostics and writes the artifacts (solved fields in the ot-field v1
+format, solver and diagnostics reports as JSON, CSV tables, SVG plots).
+``otgeo sweep`` forces the regularization-sweep mode.
 
 Every artifact embeds the SHA-256 digest of the canonical config; nothing
 volatile (wall time, hostnames) is persisted, so two runs of the same
@@ -24,15 +26,16 @@ import logging
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import build_grid, write_field
-from .transport import ReferenceMeasure, dual_pair
+from .grid import Grid, build_grid, write_field
+from .transport import ReferenceMeasure, check_marginals, dual_pair
 from .prox import ProxConfig, ProxError, solve_prox
 from .elliptic import EllipticConfig, EllipticError, EllipticProblem, solve_elliptic
 from .oracles import heat_competitor_bound
-from .families import make_marginals, FAMILIES
+from .families import make_marginals
 from .diagnostics import (
     DiagnosticsReport,
     SweepSpec,
@@ -52,9 +55,18 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_DIAGNOSTIC = 4
 
-KNOWN_CHECKS = ("energy", "duality", "displacement_convexity", "heat_bound",
-                "time_scaling", "interior_bounds", "sweep")
-DEFAULT_REQUIRED = {"energy": True, "duality": True}
+# each diagnostics check's options with their defaults; a check item may set
+# no other option (``tol_conv`` None calibrates it, ``window`` None is the
+# middle half of the horizon)
+CHECK_OPTIONS = {
+    "energy": {"required": True, "with_heat_bound": False},
+    "duality": {"required": True, "gap_factor": 1e-4},
+    "displacement_convexity": {"required": False, "tol_conv": None},
+    "heat_bound": {"required": False, "beta": 2.0},
+    "time_scaling": {"required": False, "T_alt": 2.0},
+    "interior_bounds": {"required": False, "peaks": (4.0, 40.0), "window": None},
+    "sweep": {"required": False},
+}
 
 # progress lines; nothing is shown unless a handler is attached (``--verbose``)
 logger = logging.getLogger("otgeo")
@@ -119,144 +131,87 @@ REFERENCE_PROFILES = {
 }
 
 
-def load_config(path):
+class Setup(NamedTuple):
+    """Everything a run needs but the solves, as :func:`validate_config`
+    built it from one config."""
+
+    grid: Grid
+    reference: ReferenceMeasure
+    m0: np.ndarray
+    m1: np.ndarray
+    method: str
+    eps: float
+    prox: ProxConfig
+    elliptic: EllipticConfig
+    checks: list  # (id, options) pairs, every option of CHECK_OPTIONS resolved
+    out_dir: str
+    formats: list
+
+
+def _read_json(path):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}")
-    validate_config(cfg)
-    return cfg
 
 
-def validate_config(cfg):
-    dim = _need(cfg, "grid.dim", int)
-    if dim not in (1, 2):
-        raise ConfigError("grid.dim must be 1 or 2")
-    n = _need(cfg, "grid.n_space", int)
-    if n < 4:
-        raise ConfigError("grid.n_space must be >= 4")
-    if _need(cfg, "grid.n_time", int) < 2:
-        raise ConfigError("grid.n_time must be >= 2")
-    if not 0 < _need(cfg, "grid.horizon", (int, float)) < math.inf:
-        raise ConfigError("grid.horizon must be finite and positive")
-    metric = _need(cfg, "grid.metric_profile", dict, {})
-    if metric.get("id", "flat") not in METRIC_PROFILES:
-        raise ConfigError(f"grid.metric_profile.id unknown: {metric.get('id')!r}")
+def load_config(path) -> Setup:
+    """The :class:`Setup` of the config file at ``path``."""
+    return validate_config(_read_json(path))
 
-    family = _need(cfg, "marginals.family", str)
-    if family not in FAMILIES:
-        raise ConfigError(f"marginals.family unknown: {family!r} (known: {sorted(FAMILIES)})")
 
-    ref = _need(cfg, "reference", dict, {})
-    if ref.get("profile", "zero") not in REFERENCE_PROFILES:
-        raise ConfigError(f"reference.profile unknown: {ref.get('profile')!r}")
+def validate_config(cfg) -> Setup:
+    """Build everything ``cfg`` asks for but the solves; the one reading of a config.
+
+    The builders' own rules decide what is valid: the grid's ranges, the
+    family parameters, nonnegative unit-mass marginals, the solver configs
+    and the sweep's eps list.  A ``ValueError`` of a builder comes back as a
+    :class:`ConfigError` naming the block.
+    """
+    metric_cfg = _need(cfg, "grid.metric_profile", dict, {})
+    ref_cfg = _need(cfg, "reference", dict, {})
+    metric_id = _need(cfg, "grid.metric_profile.id", str, "flat")
+    if metric_id not in METRIC_PROFILES:
+        raise ConfigError(f"grid.metric_profile.id unknown: {metric_id!r}")
+    profile = _need(cfg, "reference.profile", str, "zero")
+    if profile not in REFERENCE_PROFILES:
+        raise ConfigError(f"reference.profile unknown: {profile!r}")
     for block in ("grid.metric_profile", "marginals", "reference"):
         for key, typ in PARAMETER_TYPES.items():
             _need(cfg, f"{block}.{key}", typ, None)
+
+    shape = [_need(cfg, f"grid.{key}", int) for key in ("dim", "n_space", "n_time")]
+    horizon = _need(cfg, "grid.horizon", (int, float))
+    length = _need(cfg, "grid.length", (int, float), 1.0)
+    try:
+        grid = build_grid(*shape, horizon, METRIC_PROFILES[metric_id](metric_cfg), length)
+    except ValueError as err:
+        raise ConfigError(f"grid: {err}")
+    reference = ReferenceMeasure.from_potential(
+        REFERENCE_PROFILES[profile](ref_cfg, grid.axis_coords(), grid.dim), grid)
+    family = _need(cfg, "marginals.family", str)
+    params = {k: v for k, v in cfg["marginals"].items() if k != "family"}
+    try:
+        m0, m1 = check_marginals(*make_marginals(family, params, grid), grid)
+    except ValueError as err:
+        raise ConfigError(f"marginals: {err}")
 
     method = _need(cfg, "solver.method", str)
     if method not in ("prox", "elliptic", "both"):
         raise ConfigError("solver.method must be prox, elliptic or both")
     eps = cfg["solver"].get("eps")
     eps_list = _need(cfg, "solver.eps_list", (list, type(None)), None)
-    if eps is None and eps_list is None:
-        raise ConfigError("solver needs eps or eps_list")
+    if eps is None and not eps_list:
+        raise ConfigError("solver needs eps or a non-empty eps_list")
     for e in ([eps] if eps is not None else []) + list(eps_list or []):
         if not _is_number(e) or not 0 < e < math.inf:
             raise ConfigError("solver.eps values must be finite positive numbers")
-
-    _solver_configs(cfg)
-
-    _need(cfg, "diagnostics", dict, {})
-    for item in _need(cfg, "diagnostics.checks", list, []):
-        if not isinstance(item, (str, dict)):
-            raise ConfigError("config field diagnostics.checks has an item of wrong type "
-                              f"({type(item).__name__}, expected str/dict)")
-        cid = item if isinstance(item, str) else item.get("id")
-        if cid not in KNOWN_CHECKS:
-            raise ConfigError(f"diagnostics check unknown: {cid!r} (known: {KNOWN_CHECKS})")
-        _validate_check_options(cid, {} if isinstance(item, str) else item, cfg)
-    return cfg
-
-
-def _is_number(value):
-    """Whether a config value is a JSON number; ``true`` and ``false`` are not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _validate_check_options(cid, opts, cfg):
-    """Reject the options a check would refuse only after both solves."""
-    def fail(message):
-        raise ConfigError(f"diagnostics check {cid}: {message}")
-
-    def number(name, default):
-        value = opts.get(name, default)
-        if not _is_number(value) or not -math.inf < value < math.inf:
-            fail(f"{name} must be a finite number, got {value!r}")
-        return value
-
-    for name in ("required", "with_heat_bound"):
-        if not isinstance(opts.get(name, False), bool):
-            fail(f"{name} must be true or false, got {opts[name]!r}")
-    if cid == "heat_bound" and number("beta", 2.0) <= 1:
-        fail("beta must exceed 1")
-    if (cid == "heat_bound" or (cid == "energy" and opts.get("with_heat_bound"))) \
-            and cfg["grid"]["n_time"] < 3:
-        fail("the heat bound's window needs grid.n_time >= 3")
-    if cid == "time_scaling" and number("T_alt", 2.0) <= 0:
-        fail("T_alt must be positive")
-    if cid == "duality" and number("gap_factor", 1e-4) < 0:
-        fail("gap_factor must be nonnegative")
-    if cid == "displacement_convexity" and opts.get("tol_conv") is not None \
-            and number("tol_conv", None) < 0:
-        fail("tol_conv must be nonnegative")
-    if cid == "interior_bounds":
-        peaks = opts.get("peaks", [4.0, 40.0])
-        if not (isinstance(peaks, list) and peaks
-                and all(_is_number(p) and 0 < p < math.inf for p in peaks)):
-            fail(f"peaks must be a non-empty list of finite positive numbers, got {peaks!r}")
-        if "window" in opts:
-            window = opts["window"]
-            if not (isinstance(window, list) and len(window) == 2
-                    and all(_is_number(v) and -math.inf < v < math.inf for v in window)
-                    and window[0] < window[1]):
-                fail(f"window must be two finite numbers a < b, got {window!r}")
-            nodes = np.linspace(0.0, cfg["grid"]["horizon"], cfg["grid"]["n_time"] + 1)
-            if not np.any((nodes >= window[0] - 1e-12) & (nodes <= window[1] + 1e-12)):
-                fail(f"window {window!r} holds no time node")
-    if cid == "sweep" and cfg["grid"].get("metric_profile", {}).get("id", "flat") != "flat":
-        raise ConfigError("diagnostics check sweep needs the flat metric (its W2 oracles "
-                          "are flat-only), not grid.metric_profile "
-                          f"{cfg['grid']['metric_profile']['id']!r}")
-
-
-def _build_setup(cfg):
-    gblock = cfg["grid"]
-    metric_cfg = gblock.get("metric_profile", {"id": "flat"})
-    metric = METRIC_PROFILES[metric_cfg.get("id", "flat")](metric_cfg)
-    grid = build_grid(gblock["dim"], gblock["n_space"], gblock["n_time"],
-                      gblock["horizon"], metric, gblock.get("length", 1.0))
-
-    ref_cfg = cfg.get("reference", {"profile": "zero"})
-    V = REFERENCE_PROFILES[ref_cfg.get("profile", "zero")](
-        ref_cfg, grid.axis_coords(), grid.dim)
-    reference = ReferenceMeasure.from_potential(V, grid)
-
-    mblock = cfg["marginals"]
-    params = {k: v for k, v in mblock.items() if k != "family"}
-    m0, m1 = make_marginals(mblock["family"], params, grid)
-    return grid, reference, m0, m1
-
-
-def _solver_configs(cfg):
-    sp = cfg["solver"].get("prox", {})
-    se = cfg["solver"].get("elliptic", {})
     try:
-        prox_cfg = ProxConfig(**sp)
-        ell_cfg = EllipticConfig(**se)
+        prox_cfg = ProxConfig(**cfg["solver"].get("prox", {}))
+        ell_cfg = EllipticConfig(**cfg["solver"].get("elliptic", {}))
     except TypeError as err:
         raise ConfigError(f"solver block: {err}")
     for block, solver_cfg in (("prox", prox_cfg), ("elliptic", ell_cfg)):
@@ -264,18 +219,87 @@ def _solver_configs(cfg):
             solver_cfg.validate()
         except ValueError as err:
             raise ConfigError(f"solver.{block}: {err}")
-    return prox_cfg, ell_cfg
+
+    _need(cfg, "diagnostics", dict, {})
+    checks = []
+    for item in _need(cfg, "diagnostics.checks", list, []):
+        if not isinstance(item, (str, dict)):
+            raise ConfigError("config field diagnostics.checks has an item of wrong type "
+                              f"({type(item).__name__}, expected str/dict)")
+        given = {"id": item} if isinstance(item, str) else item
+        cid = given.get("id")
+        if not isinstance(cid, str) or cid not in CHECK_OPTIONS:
+            raise ConfigError(f"diagnostics check unknown: {cid!r} "
+                              f"(known: {tuple(CHECK_OPTIONS)})")
+        unknown = sorted(set(given) - {"id", *CHECK_OPTIONS[cid]})
+        if unknown:
+            raise ConfigError(f"diagnostics check {cid}: unknown option {unknown[0]!r} "
+                              f"(known: {sorted(CHECK_OPTIONS[cid])})")
+        opts = {name: given.get(name, default) for name, default in CHECK_OPTIONS[cid].items()}
+        _validate_check_options(cid, opts, grid)
+        if cid == "sweep":
+            try:
+                opts["spec"] = SweepSpec(
+                    eps_list=tuple(eps_list or SweepSpec.eps_list), family=family,
+                    family_params=params, grid=grid, solver_config=prox_cfg).validate()
+            except ValueError as err:
+                raise ConfigError(f"diagnostics check sweep: {err}")
+        checks.append((cid, opts))
+
+    _need(cfg, "output", dict, {})
+    return Setup(grid, reference, m0, m1, method, eps if eps is not None else eps_list[0],
+                 prox_cfg, ell_cfg, checks,
+                 _need(cfg, "output.directory", str, "otgeo-out"),
+                 _need(cfg, "output.formats", list, ["json", "csv", "svg"]))
 
 
-def _check_specs(cfg):
-    """Normalize the diagnostics block to (id, options) pairs."""
-    out = []
-    for item in cfg.get("diagnostics", {}).get("checks", []):
-        if isinstance(item, str):
-            out.append((item, {}))
-        else:
-            out.append((item["id"], {k: v for k, v in item.items() if k != "id"}))
-    return out
+def _is_number(value):
+    """Whether a config value is a JSON number; ``true`` and ``false`` are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _validate_check_options(cid, opts, grid):
+    """Reject the resolved options a check would refuse only after both solves."""
+    def fail(message):
+        raise ConfigError(f"diagnostics check {cid}: {message}")
+
+    def number(name):
+        value = opts[name]
+        if not _is_number(value) or not -math.inf < value < math.inf:
+            fail(f"{name} must be a finite number, got {value!r}")
+        return value
+
+    for name in ("required", "with_heat_bound"):
+        if name in opts and not isinstance(opts[name], bool):
+            fail(f"{name} must be true or false, got {opts[name]!r}")
+    if cid == "heat_bound" and number("beta") <= 1:
+        fail("beta must exceed 1")
+    if (cid == "heat_bound" or (cid == "energy" and opts["with_heat_bound"])) \
+            and grid.n_time < 3:
+        fail("the heat bound's window needs grid.n_time >= 3")
+    if cid == "time_scaling" and number("T_alt") <= 0:
+        fail("T_alt must be positive")
+    if cid == "duality" and number("gap_factor") < 0:
+        fail("gap_factor must be nonnegative")
+    if cid == "displacement_convexity" and opts["tol_conv"] is not None \
+            and number("tol_conv") < 0:
+        fail("tol_conv must be nonnegative")
+    if cid == "interior_bounds":
+        peaks = opts["peaks"]
+        if not (isinstance(peaks, (list, tuple)) and peaks
+                and all(_is_number(p) and 0 < p < math.inf for p in peaks)):
+            fail(f"peaks must be a non-empty list of finite positive numbers, got {peaks!r}")
+        window = opts["window"]
+        if window is not None:
+            if not (isinstance(window, list) and len(window) == 2
+                    and all(_is_number(v) and -math.inf < v < math.inf for v in window)
+                    and window[0] < window[1]):
+                fail(f"window must be two finite numbers a < b, got {window!r}")
+            nodes = grid.time_nodes()
+            if not np.any((nodes >= window[0] - 1e-12) & (nodes <= window[1] + 1e-12)):
+                fail(f"window {window!r} holds no time node")
+    if cid == "sweep" and not grid.flat:
+        fail("needs the flat metric (its W2 oracles are flat-only)")
 
 
 def run(config, out_dir=None, verbose=False):
@@ -298,47 +322,34 @@ def run(config, out_dir=None, verbose=False):
 
 def _run(config, out_dir):
     try:
-        if isinstance(config, dict):
-            cfg = validate_config(config)
-        else:
-            cfg = load_config(config)
+        cfg = config if isinstance(config, dict) else _read_json(config)
+        setup = validate_config(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG, []
 
     digest = config_digest(cfg)
-    out = Path(out_dir or cfg.get("output", {}).get("directory", "otgeo-out"))
+    out = Path(out_dir or setup.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    formats = cfg.get("output", {}).get("formats", ["json", "csv", "svg"])
-    artifacts = []
-
-    try:
-        grid, reference, m0, m1 = _build_setup(cfg)
-        prox_cfg, ell_cfg = _solver_configs(cfg)
-    except (ConfigError, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG, []
-    method = cfg["solver"]["method"]
-    eps_list = cfg["solver"].get("eps_list")
-    eps = cfg["solver"].get("eps", eps_list[0] if eps_list else None)
+    grid, reference, m0, m1, eps = setup.grid, setup.reference, setup.m0, setup.m1, setup.eps
     report = DiagnosticsReport()
     solve_reports = {}
     fields = {}
 
     try:
-        if method in ("prox", "both"):
+        if setup.method in ("prox", "both"):
             logger.info("prox solve at eps=%s", eps)
-            m, w, u, rep = solve_prox(m0, m1, reference, eps, grid, prox_cfg)
+            m, w, u, rep = solve_prox(m0, m1, reference, eps, grid, setup.prox)
             solve_reports["prox"] = rep
             fields["prox"] = (m, w, u)
-        if method in ("elliptic", "both"):
+        if setup.method in ("elliptic", "both"):
             logger.info("elliptic solve at eps=%s", eps)
             problem = EllipticProblem(grid, reference, eps, m0, m1)
-            ue, me, repe = solve_elliptic(problem, ell_cfg)
+            ue, me, repe = solve_elliptic(problem, setup.elliptic)
             solve_reports["elliptic"] = repe
             _, we = dual_pair(repe.multiplier, m0, m1, reference, eps, grid)
             fields["elliptic"] = (me, we, ue)
-        if method == "both":
+        if setup.method == "both":
             l1 = float(np.sum(np.abs(fields["prox"][0].values
                                      - fields["elliptic"][0].values)
                               * grid.cell_volume) * grid.tau)
@@ -352,8 +363,7 @@ def _run(config, out_dir):
     objective = solve_reports.get("prox", solve_reports.get("elliptic")).objective
 
     try:
-        _run_checks(cfg, report, grid, reference, m0, m1, m, w, u, objective,
-                    eps, eps_list, prox_cfg)
+        _run_checks(setup, report, m, w, u, objective)
     except (ProxError, EllipticError) as err:
         print(f"solver error during diagnostics: {err}", file=sys.stderr)
         return EXIT_SOLVER, []
@@ -361,8 +371,8 @@ def _run(config, out_dir):
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG, []
 
-    artifacts += _write_artifacts(out, digest, formats, grid, fields,
-                                  solve_reports, report)
+    artifacts = _write_artifacts(out, digest, setup.formats, grid, fields,
+                                 solve_reports, report)
 
     if not report.all_required_passed():
         failed = [e.check for e in report.entries if e.required and not e.passed]
@@ -371,60 +381,44 @@ def _run(config, out_dir):
     return EXIT_OK, artifacts
 
 
-def _run_checks(cfg, report, grid, reference, m0, m1, m, w, u, objective,
-                eps, eps_list, prox_cfg):
-    for cid, opts in _check_specs(cfg):
-        required = opts.get("required", DEFAULT_REQUIRED.get(cid, False))
+def _run_checks(setup: Setup, report, m, w, u, objective):
+    grid, reference, m0, m1, eps = setup.grid, setup.reference, setup.m0, setup.m1, setup.eps
+    for cid, opts in setup.checks:
+        required = opts["required"]
         logger.info("diagnostic: %s", cid)
         if cid == "energy":
             bound = None
-            if opts.get("with_heat_bound"):
+            if opts["with_heat_bound"]:
                 bound, _ = heat_competitor_bound(m0, m1, reference, eps, grid)
             report.add(check_energy(m, u, reference, eps, grid, objective=objective,
                                     upper_bound=bound, required=required))
         elif cid == "duality":
             report.add(check_duality(u, m, w, reference, eps, grid, objective=objective,
-                                     gap_factor=opts.get("gap_factor", 1e-4),
-                                     required=required))
+                                     gap_factor=opts["gap_factor"], required=required))
         elif cid == "displacement_convexity":
-            tol = opts.get("tol_conv")
+            tol = opts["tol_conv"]
             if tol is None:
-                tol = calibrate_tol_conv(reference, eps, grid, prox_cfg)
-            # the sign assertion needs flat geometry and a grid-convex (or
-            # zero) reference potential; otherwise only record the profile
-            V = reference.potential_V
-            d2v = [np.roll(V, -1, ax) - 2 * V + np.roll(V, 1, ax)
-                   for ax in range(grid.dim)]
-            convex_v = bool(all(np.min(d) >= -1e-12 for d in d2v))
+                tol = calibrate_tol_conv(reference, eps, grid, setup.prox)
             report.add(check_displacement_convexity(
-                m, u, eps, grid, tol, reference=reference,
-                assert_convexity=convex_v, required=required))
+                m, u, eps, grid, tol, reference=reference, required=required))
         elif cid == "heat_bound":
-            bound, parts = heat_competitor_bound(
-                m0, m1, reference, eps, grid,
-                beta=opts.get("beta", 2.0))
+            bound, parts = heat_competitor_bound(m0, m1, reference, eps, grid,
+                                                 beta=opts["beta"])
             report.add(check_heat_bound(m0, m1, eps, grid, objective, bound, parts,
                                         required=required))
         elif cid == "time_scaling":
-            report.add(check_time_scaling(
-                m0, m1, reference, eps, grid, opts.get("T_alt", 2.0),
-                prox_cfg, required=required))
+            report.add(check_time_scaling(m0, m1, reference, eps, grid, opts["T_alt"],
+                                          setup.prox, required=required))
         elif cid == "interior_bounds":
-            peaks = opts.get("peaks", [4.0, 40.0])
-            window = tuple(opts["window"]) if "window" in opts else None
             fam = []
-            for peak in peaks:
+            for peak in opts["peaks"]:
                 mm0, mm1 = make_marginals("bump_pair", {"peak": peak, "floor": 1e-3}, grid)
-                mp, wp, upx, _ = solve_prox(mm0, mm1, reference, eps, grid, prox_cfg)
+                mp, wp, upx, _ = solve_prox(mm0, mm1, reference, eps, grid, setup.prox)
                 fam.append({"m": mp, "u": upx, "eps": eps, "sup_m0": float(np.max(mm0))})
-            report.add(check_interior_bounds(fam, grid, window=window, required=required))
+            report.add(check_interior_bounds(fam, grid, window=opts["window"],
+                                             required=required))
         elif cid == "sweep":
-            spec = SweepSpec(
-                eps_list=tuple(eps_list or (0.2, 0.1, 0.05, 0.025)),
-                family=cfg["marginals"]["family"],
-                family_params={k: v for k, v in cfg["marginals"].items() if k != "family"},
-                grid=grid, solver_config=prox_cfg)
-            report.add(epsilon_sweep(spec, required=required))
+            report.add(epsilon_sweep(opts["spec"], required=required))
 
 
 def _write_artifacts(out: Path, digest, formats, grid, fields, solve_reports,
@@ -543,31 +537,26 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
-    if args.command == "check":
-        try:
-            load_config(args.config)
-        except ConfigError as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return EXIT_CONFIG
-        print("config ok")
-        return EXIT_OK
-
-    if args.command == "sweep":
-        try:
-            cfg = load_config(args.config)
-        except ConfigError as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return EXIT_CONFIG
-        if not cfg["solver"].get("eps_list"):
-            print("config error: sweep mode needs solver.eps_list", file=sys.stderr)
-            return EXIT_CONFIG
-        checks = cfg.setdefault("diagnostics", {}).setdefault("checks", [])
-        if not any((c if isinstance(c, str) else c.get("id")) == "sweep" for c in checks):
-            checks.append("sweep")
-        code, _ = run(cfg, out_dir=args.out, verbose=args.verbose)
+    if args.command == "run":
+        code, _ = run(args.config, out_dir=args.out, verbose=args.verbose)
         return code
-
-    code, _ = run(args.config, out_dir=args.out, verbose=args.verbose)
+    try:
+        if args.command == "check":
+            load_config(args.config)
+            print("config ok")
+            return EXIT_OK
+        # sweep: add the sweep check to the config, then run it like any other
+        cfg = _read_json(args.config)
+        if not _need(cfg, "solver.eps_list", list, None):
+            raise ConfigError("sweep mode needs solver.eps_list")
+        diagnostics = _need(cfg, "diagnostics", dict, {})
+        checks = _need(cfg, "diagnostics.checks", list, [])
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    if not any(c == "sweep" or isinstance(c, dict) and c.get("id") == "sweep" for c in checks):
+        cfg["diagnostics"] = {**diagnostics, "checks": checks + ["sweep"]}
+    code, _ = run(cfg, out_dir=args.out, verbose=args.verbose)
     return code
 
 

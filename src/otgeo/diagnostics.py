@@ -238,16 +238,19 @@ def calibrate_tol_conv(reference: ReferenceMeasure, eps, grid: Grid,
 
 def check_displacement_convexity(m: DensityPath, u: Potential, eps, grid: Grid,
                                  tol_conv, reference: ReferenceMeasure = None,
-                                 assert_convexity=True, required=False) -> CheckEntry:
+                                 required=False) -> CheckEntry:
     """Convexity of the entropy along the optimal curve (flat geometry).
 
     Computes second differences of the relative entropy profile (asserted
     nonnegative up to ``tol_conv`` when the reference potential is convex
-    along the grid or zero), the chord inequality with its fitted
-    semiconvexity constant, and the interior entropy ceiling with its
-    fitted offset.
+    along the grid or zero; otherwise only recorded), the chord inequality
+    with its fitted semiconvexity constant, and the interior entropy
+    ceiling with its fitted offset.
     """
     V = reference.potential_V if reference is not None else None
+    convex_v = V is None or all(
+        np.min(np.roll(V, -1, ax) - 2 * V + np.roll(V, 1, ax)) >= -1e-12
+        for ax in range(grid.dim))
     phi_rel = entropy_profile(m, grid, V)
     phi_plain = entropy_profile(m, grid, None)
     tau, T = grid.tau, grid.horizon
@@ -266,7 +269,7 @@ def check_displacement_convexity(m: DensityPath, u: Potential, eps, grid: Grid,
         + 0.5 * d * abs(np.log(eps))
     L_fit = float(np.max(phi_plain[interior] - ceiling_base))
 
-    passed = (min_d2 >= -tol_conv) if assert_convexity else True
+    passed = (min_d2 >= -tol_conv) if convex_v else True
     return CheckEntry(
         check="displacement_convexity",
         inputs_digest=_digest(m.values, eps),

@@ -4,7 +4,9 @@ Each family produces a pair of unit-mass grid densities.  Both solvers
 take any nonnegative pair of unit mass, the paper's L1 data, so the
 families need not be positive: ``point_like`` loads one cell per marginal,
 optionally regularized by a few steps of the grid's Laplace-Beltrami heat
-flow, on every grid.
+flow, on every grid.  A family rejects a parameter it cannot use (a
+width that is not positive, centres or cells that are not two points of
+the grid) with a ``ValueError`` that names the parameter.
 """
 
 from __future__ import annotations
@@ -13,6 +15,33 @@ import numpy as np
 
 from .grid import Grid, integrate, read_field
 from .oracles import heat_semigroup
+
+
+def _positive(params, key, default):
+    """The family parameter ``key``; ``ValueError`` unless finite and positive."""
+    value = params.get(key, default)
+    if not 0 < value < np.inf:
+        raise ValueError(f"{key} must be finite and positive, got {value!r}")
+    return value
+
+
+def _two_points(params, key, default, grid: Grid):
+    """The family's two points ``key`` (``centers`` or ``cells``) as an array
+    of shape ``(2,)`` on the circle or ``(2, 2)`` on the torus; ``ValueError``
+    unless they are finite numbers, and for cells grid indices."""
+    value = params.get(key, default)
+    try:
+        points = np.asarray(value)
+    except ValueError:  # ragged nesting
+        points = np.asarray(None)
+    kinds = "i" if key == "cells" else "if"
+    if points.shape != (2,) * grid.dim or points.dtype.kind not in kinds \
+            or not np.all(np.isfinite(points)) \
+            or (key == "cells" and not np.all((0 <= points) & (points < grid.n_space))):
+        what = "cell indices in [0, n_space)" if key == "cells" else "finite numbers"
+        raise ValueError(f"{key} must be two {'' if grid.dim == 1 else 'pairs of '}"
+                         f"{what}, got {value!r}")
+    return points
 
 
 def _periodic_bump(grid: Grid, center, width):
@@ -28,21 +57,21 @@ def _periodic_bump(grid: Grid, center, width):
     return q / integrate(q, grid)
 
 
+# the two bump or step centres when none are given, per grid dimension
+_CENTERS = {1: (0.0, 0.5), 2: ((0.0, 0.0), (0.5, 0.5))}
+
+
 def _uniform(grid: Grid, params):
     m = np.full(grid.space_shape, 1.0 / grid.volume)
     return m, m.copy()
 
 
 def _bump_pair(grid: Grid, params):
-    width = params.get("width", 0.08)
-    peak = params.get("peak")
-    if peak is not None:
-        width = 1.0 / (np.sqrt(2.0 * np.pi) * peak)
+    width = _positive(params, "width", 0.08)
+    if params.get("peak") is not None:
+        width = 1.0 / (np.sqrt(2.0 * np.pi) * _positive(params, "peak", None))
     floor = params.get("floor", 0.0)
-    if grid.dim == 1:
-        centers = params.get("centers", (0.0, 0.5))
-    else:
-        centers = params.get("centers", ((0.0, 0.0), (0.5, 0.5)))
+    centers = _two_points(params, "centers", _CENTERS[grid.dim], grid)
     out = []
     for c in centers:
         q = _periodic_bump(grid, c, width) + floor
@@ -51,10 +80,9 @@ def _bump_pair(grid: Grid, params):
 
 
 def _step(grid: Grid, params):
-    width = params.get("width", 0.3)
+    width = _positive(params, "width", 0.3)
     floor = params.get("floor", 0.05)
-    centers = params.get("centers", (0.0, 0.5)) if grid.dim == 1 else \
-        params.get("centers", ((0.0, 0.0), (0.5, 0.5)))
+    centers = _two_points(params, "centers", _CENTERS[grid.dim], grid)
     x = grid.axis_coords()
     out = []
     for c in centers:
@@ -71,14 +99,17 @@ def _step(grid: Grid, params):
 
 
 def _point_like(grid: Grid, params):
-    steps = int(params.get("smoothing_steps", 0))
-    cells = params.get("cells", (0, grid.n_space // 2)) if grid.dim == 1 else \
-        params.get("cells", ((0, 0), (grid.n_space // 2, grid.n_space // 2)))
+    steps = params.get("smoothing_steps", 0)
+    if not steps >= 0:
+        raise ValueError(f"smoothing_steps must be >= 0, got {steps!r}")
+    steps = int(steps)
+    half = grid.n_space // 2
+    cells = _two_points(params, "cells", (0, half) if grid.dim == 1 else ((0, 0), (half, half)),
+                        grid)
     out = []
     for cell in cells:
         m = np.zeros(grid.space_shape)
-        idx = (cell,) if grid.dim == 1 and np.isscalar(cell) else tuple(np.atleast_1d(cell))
-        m[idx] = 1.0
+        m[tuple(np.atleast_1d(cell))] = 1.0
         m /= integrate(m, grid)
         if steps > 0:
             m = heat_semigroup(m, steps * grid.h ** 2, grid)
@@ -91,9 +122,14 @@ def _point_like(grid: Grid, params):
 
 
 def _from_files(grid: Grid, params):
+    if not {"file0", "file1"} <= params.keys():
+        raise ValueError(f"the file family needs file0 and file1, got {sorted(params)}")
     out = []
     for key in ("file0", "file1"):
-        values, _, _, _ = read_field(params[key], grid)
+        try:
+            values, _, _, _ = read_field(params[key], grid)
+        except OSError as err:
+            raise ValueError(f"{key}: {err}")
         m = values[0]
         if not np.all(np.isfinite(m)):
             raise ValueError(f"{params[key]}: non-finite density")

@@ -24,6 +24,7 @@ from otgeo.cli import (
     load_config,
     main,
     run,
+    validate_config,
 )
 
 
@@ -101,6 +102,33 @@ class TestMakeMarginals:
         g = build_grid(1, 32, 8, 1.0)
         with pytest.raises(ValueError, match="unknown marginal family"):
             make_marginals("nope", {}, g)
+
+    @pytest.mark.parametrize("dim,family,params,name", [
+        (1, "bump_pair", {"width": 0}, "width"),
+        (1, "bump_pair", {"width": -0.1}, "width"),
+        (1, "bump_pair", {"width": float("inf")}, "width"),
+        (1, "step", {"width": 0}, "width"),
+        (1, "bump_pair", {"peak": 0}, "peak"),
+        (1, "bump_pair", {"peak": float("nan")}, "peak"),
+        (1, "point_like", {"smoothing_steps": -1}, "smoothing_steps"),
+        (1, "bump_pair", {"centers": [0.0]}, "centers"),
+        (1, "bump_pair", {"centers": ["a", 0.5]}, "centers"),
+        (1, "step", {"centers": [0.0, float("nan")]}, "centers"),
+        (2, "bump_pair", {"centers": [0.0, 0.5]}, "centers"),
+        (2, "step", {"centers": [[0.0, 0.0], [0.5]]}, "centers"),
+        (1, "point_like", {"cells": [100, 3]}, "cells"),
+        (1, "point_like", {"cells": [-1, 3]}, "cells"),
+        (1, "point_like", {"cells": [1.5, 3]}, "cells"),
+        (1, "point_like", {"cells": [0]}, "cells"),
+        (2, "point_like", {"cells": [[0, 0], [16, 0]]}, "cells"),
+        (1, "file", {"file1": "m1.txt"}, "file0"),
+        (1, "file", {"file0": "m0.txt"}, "file1"),
+        (1, "file", {"file0": "/nonexistent/m0.txt", "file1": "/nonexistent/m1.txt"}, "file0"),
+    ])
+    def test_unusable_parameter_rejected_by_name(self, dim, family, params, name):
+        g = build_grid(dim, 16, 8, 1.0)
+        with pytest.raises(ValueError, match=name):
+            make_marginals(family, params, g)
 
     def test_2d_bump_pair(self):
         g = build_grid(2, 12, 4, 1.0)
@@ -279,6 +307,54 @@ class TestRun:
         assert run(path) == (EXIT_CONFIG, [])
         assert "config error" in capsys.readouterr().err
         assert not Path(cfg["output"]["directory"]).exists()
+
+    @pytest.mark.parametrize("patch,name", [
+        ({"grid": {"length": "x"}}, "length"),
+        ({"grid": {"length": 0}}, "length"),
+        ({"grid": {"length": True}}, "length"),
+        ({"grid": {"metric_profile": {"id": "conformal_sine", "amplitude": 2.0}}}, "metric"),
+        ({"solver": {"method": "prox", "eps_list": [0.1, 0.2]},
+          "diagnostics": {"checks": ["sweep"]}}, "eps_list"),
+        ({"solver": {"method": "prox", "eps_list": []}}, "eps_list"),
+        ({"marginals": {"family": "bump_pair", "width": 0}}, "width"),
+        ({"marginals": {"family": "bump_pair", "width": -0.1}}, "width"),
+        ({"marginals": {"family": "step", "width": 0}}, "width"),
+        ({"marginals": {"family": "bump_pair", "peak": 0}}, "peak"),
+        ({"marginals": {"family": "bump_pair", "width": 0.15, "floor": -0.5}}, "negative cell"),
+        ({"marginals": {"family": "point_like", "smoothing_steps": -1}}, "smoothing_steps"),
+        ({"marginals": {"family": "bump_pair", "centers": [0.0]}}, "centers"),
+        ({"marginals": {"family": "bump_pair", "centers": ["a", 0.5]}}, "centers"),
+        ({"marginals": {"family": "point_like", "cells": [100, 3]}}, "cells"),
+        ({"marginals": {"family": "file", "file1": "m1.txt"}}, "file0"),
+        ({"diagnostics": {"checks": [{"id": "duality", "gap_facotr": 0}]}}, "gap_facotr"),
+        ({"diagnostics": {"checks": [{"id": "duality", "with_heat_bound": True}]}},
+         "with_heat_bound"),
+        ({"output": {"directory": 5}}, "output.directory"),
+    ], ids=["length-string", "length-zero", "length-bool", "metric-negative",
+            "sweep-eps_list-increasing", "eps_list-empty", "width-zero", "width-negative",
+            "step-width-zero", "peak-zero", "floor-negative", "smoothing_steps-negative",
+            "centers-one", "centers-string", "cells-outside", "file0-missing",
+            "check-option-misspelt", "check-option-of-another-check", "output-directory-number"])
+    def test_config_built_before_any_solve(self, tmp_path, monkeypatch, capsys, patch, name):
+        # check builds what run builds, so both reject the config, and run
+        # neither solves nor creates its output directory
+        import otgeo.cli as cli
+
+        def unreachable(*args):
+            raise AssertionError("a solver ran on a rejected config")
+        monkeypatch.setattr(cli, "solve_prox", unreachable)
+        monkeypatch.setattr(cli, "solve_elliptic", unreachable)
+        path, _ = write_config(tmp_path, **{
+            "marginals": {"family": "bump_pair", "width": 0.15},
+            "solver": {"method": "both", "eps": 0.1}, **patch,
+            "grid": {"dim": 1, "n_space": 16, "n_time": 8, "horizon": 1.0,
+                     **patch.get("grid", {})}})
+        assert main(["check", str(path)]) == EXIT_CONFIG
+        assert run(path) == (EXIT_CONFIG, [])
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("config error") == 3 and name in err
+        assert not (tmp_path / "out").exists()
 
     def test_verbose_run_logs_progress(self, tmp_path, capsys, caplog):
         path, _ = write_config(tmp_path)
@@ -461,7 +537,6 @@ class TestRun:
         assert energy["passed"] and "energy_ceiling" in energy["values"]
 
     def test_heat_bound_entry_unchanged(self, tmp_path):
-        from otgeo.cli import _build_setup
         from otgeo.diagnostics import CheckEntry, _digest, _grid_info
         from otgeo.oracles import heat_competitor_bound
         path, cfg = write_config(
@@ -478,7 +553,8 @@ class TestRun:
         objective = json.loads(
             (out / "solve_report.json").read_text())["solvers"]["elliptic"]["objective"]
         # the entry as the CLI used to build it inline
-        grid, reference, m0, m1 = _build_setup(cfg)
+        setup = validate_config(cfg)
+        grid, reference, m0, m1 = setup.grid, setup.reference, setup.m0, setup.m1
         bound, parts = heat_competitor_bound(m0, m1, reference, 0.1, grid, beta=2.0)
         gap = bound - objective
         expected = CheckEntry(

@@ -118,6 +118,18 @@ class TestDisplacementConvexity:
         assert entry.values["lambda_eps"] >= 0.0
         assert entry.values["min_second_difference"] >= -tol
 
+    @pytest.mark.parametrize("potential,asserted", [
+        (None, True), (0.0, True), (0.3, False)], ids=["no-reference", "zero", "cosine"])
+    def test_sign_asserted_only_for_grid_convex_potential(self, bump_solution, potential,
+                                                          asserted):
+        # tol_conv = -1e9 asks for second differences >= 1e9, which no profile
+        # has: the check fails exactly when it asserts the sign
+        g, _, _, m, w, u, rep = bump_solution
+        ref = None if potential is None else ReferenceMeasure.from_potential(
+            potential * np.cos(2 * np.pi * g.axis_coords()), g)
+        entry = check_displacement_convexity(m, u, 0.1, g, tol_conv=-1e9, reference=ref)
+        assert entry.passed is not asserted
+
     def test_entropy_profile_values(self):
         g = build_grid(1, 32, 4, 1.0)
         from otgeo.transport import DensityPath
