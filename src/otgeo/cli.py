@@ -4,9 +4,9 @@
 the solves: grid, reference measure, marginals, solver configs and the
 checks, their options filled in from :data:`CHECK_OPTIONS`.  ``otgeo check``
 stops there, so it finds every config error that ``otgeo run`` would; ``run``
-then creates the output directory, solves on what was built, evaluates the
-diagnostics and writes the artifacts (solved fields in the ot-field v1
-format, solver and diagnostics reports as JSON, CSV tables, SVG plots).
+then solves on what was built, evaluates the diagnostics, and creates the
+output directory only to write the artifacts (solved fields in the ot-field
+v1 format, solver and diagnostics reports as JSON, CSV tables, SVG plots).
 ``otgeo sweep`` forces the regularization-sweep mode.
 
 Every artifact embeds the SHA-256 digest of the canonical config; nothing
@@ -181,7 +181,9 @@ def validate_config(cfg) -> Setup:
         raise ConfigError(f"reference.profile unknown: {profile!r}")
     for block in ("grid.metric_profile", "marginals", "reference"):
         for key, typ in PARAMETER_TYPES.items():
-            _need(cfg, f"{block}.{key}", typ, None)
+            value = _need(cfg, f"{block}.{key}", typ, None)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{block}.{key} must be a finite number, got {value!r}")
 
     shape = [_need(cfg, f"grid.{key}", int) for key in ("dim", "n_space", "n_time")]
     horizon = _need(cfg, "grid.horizon", (int, float))
@@ -190,8 +192,14 @@ def validate_config(cfg) -> Setup:
         grid = build_grid(*shape, horizon, METRIC_PROFILES[metric_id](metric_cfg), length)
     except ValueError as err:
         raise ConfigError(f"grid: {err}")
-    reference = ReferenceMeasure.from_potential(
-        REFERENCE_PROFILES[profile](ref_cfg, grid.axis_coords(), grid.dim), grid)
+    unknown = sorted(set(cfg) - {"grid", "marginals", "reference", "solver", "diagnostics", "output"})
+    if unknown:
+        raise ConfigError(f"unknown config field: {unknown[0]}")
+    try:
+        reference = ReferenceMeasure.from_potential(
+            REFERENCE_PROFILES[profile](ref_cfg, grid.axis_coords(), grid.dim), grid)
+    except ValueError as err:
+        raise ConfigError(f"reference: {err}")
     family = _need(cfg, "marginals.family", str)
     params = {k: v for k, v in cfg["marginals"].items() if k != "family"}
     try:
@@ -247,10 +255,12 @@ def validate_config(cfg) -> Setup:
         checks.append((cid, opts))
 
     _need(cfg, "output", dict, {})
+    formats = _need(cfg, "output.formats", list, ["json", "csv", "svg"])
+    if not all(item in ("json", "csv", "svg") for item in formats):
+        raise ConfigError(f"output.formats items must be json, csv or svg, got {formats!r}")
     return Setup(grid, reference, m0, m1, method, eps if eps is not None else eps_list[0],
-                 prox_cfg, ell_cfg, checks,
-                 _need(cfg, "output.directory", str, "otgeo-out"),
-                 _need(cfg, "output.formats", list, ["json", "csv", "svg"]))
+                 prox_cfg, ell_cfg, checks, _need(cfg, "output.directory", str, "otgeo-out"),
+                 formats)
 
 
 def _is_number(value):
@@ -330,7 +340,6 @@ def _run(config, out_dir):
 
     digest = config_digest(cfg)
     out = Path(out_dir or setup.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid, reference, m0, m1, eps = setup.grid, setup.reference, setup.m0, setup.m1, setup.eps
     report = DiagnosticsReport()
     solve_reports = {}
@@ -424,6 +433,7 @@ def _run_checks(setup: Setup, report, m, w, u, objective):
 def _write_artifacts(out: Path, digest, formats, grid, fields, solve_reports,
                      report: DiagnosticsReport):
     artifacts = []
+    out.mkdir(parents=True, exist_ok=True)
 
     def save(path, text):
         path.write_text(text)

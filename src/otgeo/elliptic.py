@@ -41,6 +41,7 @@ from .grid import Grid, covariant_gradient, face_average
 from .transport import (
     ROUNDING,
     ReferenceMeasure,
+    _dual_minimizer,
     check_marginals,
     continuity_defect,
     dual_pair,
@@ -145,10 +146,11 @@ def _evaluate(phi, problem: EllipticProblem):
     """``(G, m, w, defect, max |defect|)`` at the multiplier ``phi``; the
     pair is skipped when ``G`` overflows to ``-inf``."""
     args = (problem.m0, problem.m1, problem.reference, problem.eps, problem.grid)
-    value = dual_value(phi, *args)
+    minimizer = _dual_minimizer(phi, *args[2:])
+    value = dual_value(phi, *args, minimizer)
     if not np.isfinite(value):
         return value, None, None, None, np.inf
-    m, w = dual_pair(phi, *args)
+    m, w = dual_pair(phi, *args, minimizer)
     defect = continuity_defect(m, w)
     return value, m, w, defect, float(np.max(np.abs(defect)))
 
@@ -168,9 +170,9 @@ def _expand(left_cols, right_rows):
 
 
 def _pattern(rows, cols, shape):
-    """The CSR pattern ``(indptr, indices)`` holding the entries
-    ``(rows, cols)``, and each entry's position in it."""
-    keys, land = np.unique(rows * shape[1] + cols, return_inverse=True)
+    """The CSR pattern ``(indptr, indices)`` holding the entries ``(rows, cols)``,
+    and each entry's position in it; the keys are int64, past 2^31 beyond 46 340 unknowns."""
+    keys, land = np.unique(rows.astype(np.int64) * shape[1] + cols, return_inverse=True)
     indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
     return indptr.astype(np.int32), (keys % shape[1]).astype(np.int32), land
 

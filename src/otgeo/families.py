@@ -17,11 +17,11 @@ from .grid import Grid, integrate, read_field
 from .oracles import heat_semigroup
 
 
-def _positive(params, key, default):
-    """The family parameter ``key``; ``ValueError`` unless finite and positive."""
+def _positive(params, key, default, zero=False):
+    """The family parameter ``key``; ``ValueError`` unless finite and positive (``zero``: >= 0)."""
     value = params.get(key, default)
-    if not 0 < value < np.inf:
-        raise ValueError(f"{key} must be finite and positive, got {value!r}")
+    if not (0 <= value if zero else 0 < value) or not value < np.inf:
+        raise ValueError(f"{key} must be finite and {'>= 0' if zero else 'positive'}, got {value!r}")
     return value
 
 
@@ -70,7 +70,7 @@ def _bump_pair(grid: Grid, params):
     width = _positive(params, "width", 0.08)
     if params.get("peak") is not None:
         width = 1.0 / (np.sqrt(2.0 * np.pi) * _positive(params, "peak", None))
-    floor = params.get("floor", 0.0)
+    floor = _positive(params, "floor", 0.0, zero=True)
     centers = _two_points(params, "centers", _CENTERS[grid.dim], grid)
     out = []
     for c in centers:
@@ -81,7 +81,7 @@ def _bump_pair(grid: Grid, params):
 
 def _step(grid: Grid, params):
     width = _positive(params, "width", 0.3)
-    floor = params.get("floor", 0.05)
+    floor = _positive(params, "floor", 0.05, zero=True)
     centers = _two_points(params, "centers", _CENTERS[grid.dim], grid)
     x = grid.axis_coords()
     out = []

@@ -154,97 +154,98 @@ def build_grid(dim, n_space, n_time, horizon, metric_profile=None, length=1.0) -
     sqrt_g = np.sqrt(g)
     cellv = sqrt_g * (length / n_space) ** dim
     # face a of cell i lies between cells i and i + e_a
-    face_g = np.stack([0.5 * (g + _shifted(g, axis, 1)) for axis in range(dim)], axis=-1)
+    face_g = np.stack([0.5 * (g + np.roll(g, -1, axis)) for axis in range(dim)], axis=-1)
     grid = Grid(dim, n_space, n_time, float(horizon), float(length), g,
                 sqrt_g=sqrt_g, cell_volume=cellv, volume=float(np.sum(cellv)),
                 face_metric=face_g, face_volume=np.sqrt(face_g) * (length / n_space) ** dim)
     return grid
 
 
-def _shifted(a, axis, step):
-    """``a[i + step]`` along a periodic ``axis``, ``step`` +1 or -1: the same
-    as ``np.roll(a, -step, axis)``, by one contiguous copy of the flattened
-    array and one copy of the wrapped edge."""
-    a = np.ascontiguousarray(a, dtype=float)
-    axis %= a.ndim
-    out = np.empty(a.shape)
-    k = math.prod(a.shape[axis + 1:])
-    src, dst = a.reshape(-1), out.reshape(-1)
-    lead = (slice(None),) * axis
-    if step > 0:
-        dst[:-k] = src[k:]
-        out[lead + (-1,)] = a[lead + (0,)]
-    else:
-        dst[k:] = src[:-k]
-        out[lead + (0,)] = a[lead + (-1,)]
-    return out
-
-
-def covariant_gradient(field, grid: Grid) -> np.ndarray:
+def covariant_gradient(field, grid: Grid, out=None) -> np.ndarray:
     """Covariant gradient with raised index on the faces: component ``a`` is
     ``(u[i + e_a] - u[i]) / (h g_f)``.
 
     Accepts any array whose trailing axes match the spatial shape (extra
     leading axes, e.g. time, pass through).  Returns an array with one
     extra trailing axis of length ``dim`` holding the face components.
+    ``out``, here and in the other stencils, receives the result; a caller
+    that passes it has built it and the input for the grid, unchecked then.
     """
-    out = _face_pairs(np.subtract, field, grid)
+    out = _face_pairs(np.subtract, field, grid, out)
     out /= grid.h if grid.flat else grid.h * grid.face_metric
     return out
 
 
-def divergence_g(vector_field, grid: Grid) -> np.ndarray:
+def divergence_g(vector_field, grid: Grid, out=None) -> np.ndarray:
     """Metric divergence ``div_g X = (1/sqrt g) sum_k (sqrt g X^k)_{x_k}``:
     the flux ``face_volume X`` out of each cell through its faces, per cell
     volume.  It is the exact negative adjoint of :func:`covariant_gradient`
     under the volume weights (discrete Stokes holds exactly).
     """
-    X = np.asarray(vector_field, dtype=float)
-    if X.shape[-1] != grid.dim:
-        raise ValueError(f"vector field needs a trailing axis of length {grid.dim}")
-    _check_spatial(X[..., 0], grid)
-    out = _flux_sum(np.subtract, X, grid)
+    out = _flux_sum(np.subtract, vector_field, grid, out)
     out /= grid.h if grid.flat else grid.h * grid.cell_volume
     return out
 
 
-def face_average(field, grid: Grid) -> np.ndarray:
+def face_average(field, grid: Grid, out=None) -> np.ndarray:
     """Average of a cell scalar over the two cells of each face,
     ``(f[i] + f[i + e_a]) / 2``, with the face axis trailing."""
-    out = _face_pairs(np.add, field, grid)
+    out = _face_pairs(np.add, field, grid, out)
     out *= 0.5
     return out
 
 
-def cell_average(face_field, grid: Grid) -> np.ndarray:
+def cell_average(face_field, grid: Grid, out=None) -> np.ndarray:
     """Volume-weighted average of a face scalar over each cell's two faces
     per axis, summed over the axes:
     ``sum_a (fv P[i - e_a] + fv P[i]) / (2 cv[i])``.  It is the adjoint of
     :func:`face_average` under the face and cell volumes, so
     ``integrate(cell_average(P))`` is the face sum ``sum fv P``."""
-    out = _flux_sum(np.add, face_field, grid)
+    out = _flux_sum(np.add, face_field, grid, out)
     out /= 2.0 if grid.flat else 2.0 * grid.cell_volume
     return out
 
 
-def _face_pairs(ufunc, field, grid: Grid):
+def _pairs(ufunc, f, axis, out, forward):
+    """``ufunc(f[i + 1], f[i])`` along a periodic ``axis`` into ``out[i]``
+    (``forward``) or ``out[i + 1]``: one call on the arrays flattened and
+    shifted by one step of ``axis``, then one that overwrites the pairs it
+    got wrong, those across the wrap.  ``out`` must flatten to a view."""
+    k = math.prod(f.shape[axis + 1:])
+    src, dst = f.reshape(-1), out.reshape(-1)
+    ufunc(src[k:], src[:-k], out=dst[:-k] if forward else dst[k:])
+    lead = (slice(None),) * axis
+    ufunc(f[lead + (0, ...)], f[lead + (-1, ...)], out=out[lead + (-1 if forward else 0, ...)])
+    return out
+
+
+def _face_pairs(ufunc, field, grid: Grid, out):
     """``ufunc(f[i + e_a], f[i])`` of a cell field per face, face axis trailing."""
-    field = np.asarray(field, dtype=float)
-    _check_spatial(field, grid)
-    pairs = [ufunc(_shifted(field, a - grid.dim, 1), field) for a in range(grid.dim)]
-    return pairs[0][..., None] if grid.dim == 1 else np.stack(pairs, axis=-1)
+    if out is None:
+        field = np.asarray(field, dtype=float)
+        _check_spatial(field, grid)
+        out = np.empty(field.shape + (grid.dim,))
+    for a in range(grid.dim):
+        _pairs(ufunc, field, field.ndim - grid.dim + a, out[..., a], forward=True)
+    return out
 
 
-def _flux_sum(ufunc, face_field, grid: Grid):
+def _flux_sum(ufunc, face_field, grid: Grid, out):
     """``sum_a ufunc(F[i], F[i - e_a])`` of the flux ``F = fv P`` of a face
     field; on flat grids, where every face and cell volume is ``h^dim``,
     the flux is taken per unit volume, ``F = P``."""
-    P = np.asarray(face_field, dtype=float)
-    terms = []
+    if out is None:
+        face_field = np.asarray(face_field, dtype=float)
+        if face_field.shape[-1] != grid.dim:
+            raise ValueError(f"face field needs a trailing axis of length {grid.dim}")
+        _check_spatial(face_field[..., 0], grid)
+        out = np.empty(face_field.shape[:-1])
     for a in range(grid.dim):
-        flux = P[..., a] if grid.flat else P[..., a] * grid.face_volume[..., a]
-        terms.append(ufunc(flux, _shifted(flux, a - grid.dim, -1)))
-    return sum(terms[1:], terms[0])
+        flux = face_field[..., a] if grid.flat else face_field[..., a] * grid.face_volume[..., a]
+        term = _pairs(ufunc, flux, flux.ndim - grid.dim + a, np.empty_like(out) if a else out, False)
+        if a:
+            out += term
+    return out
 
 
 def laplace_beltrami(field, grid: Grid) -> np.ndarray:

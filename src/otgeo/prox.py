@@ -79,6 +79,7 @@ import functools
 import numbers
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -192,7 +193,7 @@ class SolveReport:
 # Pointwise prox
 # ---------------------------------------------------------------------------
 
-def _kinetic_prox(a, bsq, sigma):
+def _kinetic_prox(a, bsq, sigma, out=None):
     """Density of the kinetic prox on a face, the Benamou-Brenier cubic.
 
     The minimizer over ``m >= 0`` and ``b'`` of
@@ -207,10 +208,10 @@ def _kinetic_prox(a, bsq, sigma):
     ``(m - a)(m + sigma)^2 - q`` in ``m`` itself restores the digits that
     ``x - sigma`` loses when ``m << sigma``.  Cells with
     ``2 sigma a + bsq <= 0`` (the vacuum) sit at the boundary minimum ``m = 0``.
+    ``out``, of the shape of ``a`` (an array or a scalar), receives the density.
     """
-    shape = np.shape(a)
-    a = np.atleast_1d(np.asarray(a, dtype=float))     # in-place steps need arrays
-    bsq = np.asarray(bsq, dtype=float)
+    if np.ndim(a) == 0:                                    # in-place steps need arrays
+        return _kinetic_prox(np.array([a], dtype=float), bsq, sigma)[0]
     vacuum = (2.0 * sigma) * a + bsq <= 0.0
     q = (0.5 * sigma) * bsq
     s = a + sigma
@@ -228,8 +229,7 @@ def _kinetic_prox(a, bsq, sigma):
     u += half_q
     np.cbrt(u, out=u)
     u[u == 0.0] = 1.0
-    x = s_sq
-    x /= 9.0 * u
+    x = np.divide(s_sq, 9.0 * u, out=out)
     x += u
     x += s / 3.0                                           # Cardano
     trig = disc < 0.0
@@ -255,7 +255,7 @@ def _kinetic_prox(a, bsq, sigma):
     residual /= slope
     m -= residual
     m[vacuum] = 0.0
-    return m.reshape(shape)
+    return m
 
 
 def _wright_omega(x):
@@ -268,8 +268,9 @@ def _wright_omega(x):
     Below -50, ``exp(x)`` is omega to double precision and is returned
     directly; it underflows to 0 below about -745.
     """
-    shape = np.shape(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))     # in-place steps need arrays
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:                                        # in-place steps need arrays
+        return _wright_omega(x[None])[0]
     xc = np.maximum(x, -50.0)
     high = np.maximum(xc, 1.0)
     log_high = np.log(high)
@@ -291,23 +292,24 @@ def _wright_omega(x):
     if x.min(initial=0.0) < -50.0:
         tail = x < -50.0
         w[tail] = np.exp(x[tail])
-    return w.reshape(shape)
+    return w
 
 
-def _entropy_prox(a, sigma, eps, V):
+def _entropy_prox(a, sigma, eps, V, out=None, shift=None):
     """Entropy prox at an interior node: the minimizer over ``m > 0`` of
     ``eps m (log m + V) + (m - a)^2 / (2 sigma)``, ``eps > 0``.
 
     The first-order condition ``(m - a)/sigma + eps (log m + V + 1) = 0``
     becomes ``w + log w = z`` for ``m = sigma eps w``, so ``w`` is the Wright
     omega function (``_wright_omega``) of
-    ``z = a/(sigma eps) - V - 1 - log(sigma eps)``; it cannot overflow and
-    underflows to ``m = 0`` only for ``z`` below about -745.
+    ``z = a/(sigma eps) - shift``, ``shift = V + 1 + log(sigma eps)`` (a
+    caller may hold it); it cannot overflow and underflows to ``m = 0`` only
+    for ``z`` below about -745.  ``out``, of ``a``'s shape, receives ``m``.
     """
     se = sigma * eps
-    w = _wright_omega(np.asarray(a, dtype=float) / se - (V + 1.0 + np.log(se)))
-    w *= se
-    return w
+    z = np.divide(a, se, out=out)
+    z -= V + 1.0 + np.log(se) if shift is None else shift
+    return np.multiply(_wright_omega(z), se, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -454,44 +456,59 @@ def _projection_operator(grid: Grid, coupled):
     return basis_int, basis_mid, spatial
 
 
-def _along_space(field, matrix, dim):
-    """Apply ``matrix`` along every spatial axis of a space-time field."""
+def _along_space(field, matrix, dim, out=None, work=None):
+    """Apply ``matrix`` along every spatial axis of a space-time field (into ``out``)."""
     if dim == 1:
-        return field @ matrix
-    return matrix.T @ field @ matrix
+        return np.matmul(field, matrix, out=out)
+    return np.matmul(np.matmul(matrix.T, field, out=work), matrix, out=out)
 
 
-def _in_time_modes(field, basis):
-    """``basis`` applied along the time axis of a space-time field."""
-    return (basis @ field.reshape(len(basis), -1)).reshape(field.shape)
+def _mode_work(grid: Grid, coupled):
+    """The cached ``operator`` and the arrays of :func:`_solve_in_modes`, made
+    once for any number of passes: ``rhs_m`` and ``rhs_phi`` to fill, the path
+    ``m`` (interior solved, endpoints the caller's), ``phi``, the modes and
+    ``tmp``, one row per node, midpoint or mode (``time_in`` and ``time_out``
+    view them as ``(time, cells)``), and a momentum ``w``."""
+    Nt, shape = grid.n_time, grid.space_shape
+    work = SimpleNamespace(operator=_projection_operator(grid, coupled),
+                           m=np.empty((Nt + 1,) + shape), w=np.empty((Nt,) + shape + (grid.dim,)))
+    work.rhs_m = np.zeros((Nt - 1,) + shape)
+    work.rhs_phi, work.phi, work.tmp = np.empty((3, Nt) + shape)
+    # conformal: rhs_m's modes sit one mode up beside rhs_phi's; the first stays 0
+    stacked, solved = np.zeros((2, Nt, 2) + shape)
+    work.spatial_modes = stacked.reshape(Nt, -1, 1), solved.reshape(Nt, -1, 1)
+    work.r, work.b, work.r_sp, work.b_sp = stacked[1:, 0], stacked[:, 1], solved[1:, 0], solved[:, 1]
+    rows = [a.reshape(len(a), -1) for a in (work.rhs_m, work.r, work.rhs_phi, work.b,
+                                            work.r_sp, work.m[1:-1], work.b_sp, work.phi)]
+    work.time_in, work.time_out = rows[:4], rows[4:]
+    return work
 
 
-def _solve_in_modes(rhs_m, rhs_phi, grid: Grid, coupled):
-    """``(m_int, phi)`` solving the normal equations of
-    ``_projection_operator(grid, coupled)``: one pass into the time and
-    spatial modes and one back."""
-    Nt = grid.n_time
-    basis_int, basis_mid, spatial = _projection_operator(grid, coupled)
-    r_hat = _in_time_modes(rhs_m, basis_int)
-    b_hat = _in_time_modes(rhs_phi, basis_mid)
+def _solve_in_modes(work, grid: Grid):
+    """Solve the normal equations of ``work.operator`` (``_mode_work``) for
+    ``rhs_m`` and ``rhs_phi`` by one pass into the time and spatial modes and
+    one back, into the interior of ``work.m`` and ``work.phi``; returns both."""
+    basis_int, basis_mid, spatial = work.operator
+    rhs_m, r, rhs_phi, b = work.time_in
+    np.matmul(basis_int, rhs_m, out=r)
+    np.matmul(basis_mid, rhs_phi, out=b)
     if grid.flat:
-        Q, (a, b, c, d) = spatial
-        r_hat = _along_space(r_hat, Q, grid.dim)
-        b_hat = _along_space(b_hat, Q, grid.dim)
-        m_hat = a * r_hat
-        m_hat += b * b_hat[1:]
-        phi_hat = d * b_hat
-        phi_hat[1:] += c * r_hat
-        m_hat = _along_space(m_hat, Q.T, grid.dim)
-        phi_hat = _along_space(phi_hat, Q.T, grid.dim)
+        Q, (sa, sb, sc, sd) = spatial
+        r, b, r_sp, b_sp, tmp = work.r, work.b, work.r_sp, work.b_sp, work.tmp  # space-shaped
+        _along_space(r, Q, grid.dim, r_sp, tmp[1:])
+        _along_space(b, Q, grid.dim, b_sp, tmp)
+        np.multiply(sa, r_sp, out=r)
+        r += np.multiply(sb, b_sp[1:], out=tmp[1:])
+        np.multiply(sd, b_sp, out=b)
+        b[1:] += np.multiply(sc, r_sp, out=tmp[1:])
+        _along_space(r, Q.T, grid.dim, r_sp, tmp[1:])
+        _along_space(b, Q.T, grid.dim, b_sp, tmp)
     else:
-        # rhs_m moved up to the midpoint mode it pairs with, beside rhs_phi
-        stacked = np.zeros((Nt, 2, grid.n_space))
-        stacked[1:, 0] = r_hat
-        stacked[:, 1] = b_hat
-        stacked = np.matmul(spatial, stacked.reshape(Nt, -1, 1)).reshape(stacked.shape)
-        m_hat, phi_hat = stacked[1:, 0], stacked[:, 1]
-    return _in_time_modes(m_hat, basis_int.T), _in_time_modes(phi_hat, basis_mid.T)
+        np.matmul(spatial, work.spatial_modes[0], out=work.spatial_modes[1])
+    r_sp, m_int, b_sp, phi = work.time_out
+    np.matmul(basis_int.T, r_sp, out=m_int)
+    np.matmul(basis_mid.T, b_sp, out=phi)
+    return work.m, work.phi
 
 
 def spacetime_poisson(rhs, grid: Grid):
@@ -507,8 +524,9 @@ def spacetime_poisson(rhs, grid: Grid):
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (grid.n_time,) + grid.space_shape:
         raise ValueError(f"rhs shape {rhs.shape}, expected {(grid.n_time,) + grid.space_shape}")
-    interior = np.zeros((grid.n_time - 1,) + grid.space_shape)
-    return _solve_in_modes(interior, rhs, grid, coupled=False)[1]
+    work = _mode_work(grid, coupled=False)
+    work.rhs_phi[...] = rhs
+    return _solve_in_modes(work, grid)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +558,7 @@ def _end_coupling(m0, m1, grid: Grid):
     return 0.25 * _pair_average(np.stack((m0, m1)), grid)
 
 
-def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid, end_coupling):
+def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid, end_coupling, work=None):
     """Constrained least-squares step of the splitting.
 
     Minimizes ``|A m - qa|^2 + |w - qb|^2_g + |m_int - qc|^2``, with the face
@@ -550,23 +568,23 @@ def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid, end_coupling):
     sides are ``rhs_m = A*(qa - A m_ends) + qc`` (``end_coupling``) and
     ``rhs_phi = -div_g qb`` plus the marginals' time differences; one pass
     into the time and spatial modes and one back give ``m_int`` and ``phi``.
-    Returns ``(m_full, w, phi)``.
+    Returns ``(m_full, w, phi)``, arrays of ``work`` (``_mode_work``, coupled).
     """
-    Nt, tau = grid.n_time, grid.tau
-    qa_cells = cell_average(qa, grid)
-    rhs_m = 0.5 * (qa_cells[:-1] + qa_cells[1:]) + qc
+    work = work or _mode_work(grid, coupled=True)
+    rhs_m, rhs_phi, tau = work.rhs_m, work.rhs_phi, grid.tau
+    cells = cell_average(qa, grid, out=work.tmp)
+    np.add(np.multiply(np.add(cells[:-1], cells[1:], out=rhs_m), 0.5, out=rhs_m), qc, out=rhs_m)
     rhs_m[0] -= end_coupling[0]
     rhs_m[-1] -= end_coupling[1]
-    rhs_phi = divergence_g(qb, grid)
+    divergence_g(qb, grid, out=rhs_phi)
     rhs_phi[0] += m0 / tau
     rhs_phi[-1] -= m1 / tau
     np.negative(rhs_phi, out=rhs_phi)
 
-    m_new = np.empty((Nt + 1,) + grid.space_shape)
+    m_new, phi = _solve_in_modes(work, grid)
     m_new[0] = m0
     m_new[-1] = m1
-    m_new[1:-1], phi = _solve_in_modes(rhs_m, rhs_phi, grid, coupled=True)
-    return m_new, qb - covariant_gradient(phi, grid), phi
+    return m_new, np.subtract(qb, covariant_gradient(phi, grid, out=work.w), out=work.w), phi
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +612,7 @@ def anderson_fixed_point(apply, x, max_evaluations):
     d_g = np.empty((memory, x.size))
     d_f = np.empty((memory, x.size))
     gram = np.zeros((memory, memory))
+    ridged = np.empty(memory * memory)            # count x count at its head
     g, g_trial = np.empty((2, x.size))            # residuals, swapped each step
     count = slot = evaluations = 0
 
@@ -607,12 +626,13 @@ def anderson_fixed_point(apply, x, max_evaluations):
     fx, g_norm, stop = evaluate(x, g)
     while not stop and evaluations < max_evaluations:
         trial = fx
-        trace = np.trace(gram[:count, :count])
+        trace = gram[:count, :count].trace()
         extrapolated = trace > 0
         if extrapolated:
-            ridged = gram[:count, :count].copy()
-            ridged.flat[::count + 1] += 1e-12 * trace
-            gamma = np.linalg.solve(ridged, d_g[:count] @ g)
+            square = ridged[:count * count].reshape(count, count)
+            square[...] = gram[:count, :count]
+            ridged[:count * count:count + 1] += 1e-12 * trace
+            gamma = np.linalg.solve(square, d_g[:count] @ g)
             trial = fx - gamma @ d_f[:count]
         f_trial, g_trial_norm, stop = evaluate(trial, g_trial)
         if extrapolated and g_trial_norm > g_norm and not stop and evaluations < max_evaluations:
@@ -667,56 +687,60 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     # multiplier block lam is laid out like L z = (A m, w, interior m); so are
     # the buffers of L z, of y = (a, b, c) and of the consensus weights.
     interior = m_full[1:-1].shape
-    n_m, n_w = int(np.prod(interior)), w.size
+    n_m, n_w = m_full[1:-1].size, w.size
     x = np.concatenate((m_full[1:-1].ravel(), w.ravel(), np.zeros(2 * n_w + n_m)))
-
-    def blocks(flat):
-        """The ``(a, b, c)`` views of a flat array laid out like ``L z``."""
-        return (flat[:n_w].reshape(w.shape), flat[n_w:2 * n_w].reshape(w.shape),
-                flat[2 * n_w:].reshape(interior))
 
     V = reference.potential_V
     sigma = 1.0 / r
+    shift = V + 1.0 + np.log(sigma * eps)            # _entropy_prox's, once a solve
     res_history = []
     obj_history = []
     face_weight = np.broadcast_to(grid.face_volume * tau, w.shape)
     consensus_weight = np.concatenate((
         face_weight.ravel(), (grid.face_metric * face_weight).ravel(),
         np.broadcast_to(grid.cell_volume * tau, interior).ravel()))
-    lz, y, scaled, relaxed, work = np.empty((5, 2 * n_w + n_m))
-    lz_a, lz_b, lz_c = blocks(lz)
-    y_a, y_b, y_c = blocks(y)
+    # the (a, b, c) blocks of lz, y and work (the prox input, then the projection's)
+    lz, y, work, scaled, relaxed = buffers = np.empty((5, 2 * n_w + n_m))
+    lz_a, y_a, pa = buffers[:3, :n_w].reshape((3,) + w.shape)
+    lz_b, y_b, pb = buffers[:3, n_w:2 * n_w].reshape((3,) + w.shape)
+    lz_c, y_c, pc = buffers[:3, 2 * n_w:].reshape((3,) + interior)
     path = m_full.copy()            # endpoints stay the marginals
+    path_interior = path[1:-1].reshape(-1)
+    projection = _mode_work(grid, coupled=True)
+    mid = projection.tmp            # free outside the projection
     end_coupling = _end_coupling(m0, m1, grid)
     last = {"gap": np.inf}
 
-    def image_of(density, momentum):
-        """Fill ``lz`` with ``L z`` of a staggered pair."""
-        lz_a[...] = face_average(0.5 * (density[:-1] + density[1:]), grid)
-        lz_b[...] = momentum
+    def image_of(density):
+        """Fill the density blocks of ``lz``, ``A m`` and interior ``m``."""
+        np.multiply(np.add(density[:-1], density[1:], out=mid), 0.5, out=mid)
+        face_average(mid, grid, out=lz_a)
         lz_c[...] = density[1:-1]
 
     def admm_map(state):
         # reads state only: Anderson may pass the image it still holds
         lam = state[n_m + n_w:]
-        path[1:-1] = state[:n_m].reshape(interior)
-        image_of(path, state[n_m:n_m + n_w].reshape(w.shape))
+        path_interior[...] = state[:n_m]
+        image_of(path)
+        lz[n_w:2 * n_w] = state[n_m:n_m + n_w]
 
-        # 1. pointwise prox on the copies, one kinetic cell per face
-        np.divide(lam, r, out=scaled)
-        pa, pb, pc = blocks(np.add(lz, scaled, out=work))
-        y_a[...] = _kinetic_prox(pa, grid.face_metric * pb * pb, sigma)
-        y_b[...] = pb * (y_a / (y_a + sigma))
-        y_c[...] = _entropy_prox(pc, sigma, eps, V)
+        # 1. pointwise prox on the copies, one kinetic cell per face (|b|^2 waits in y_b)
+        np.add(lz, np.divide(lam, r, out=scaled), out=work)
+        bsq = np.multiply(np.multiply(grid.face_metric, pb, out=y_b), pb, out=y_b)
+        _kinetic_prox(pa, bsq, sigma, y_a)
+        np.multiply(np.divide(y_a, np.add(y_a, sigma, out=y_b), out=y_b), pb, out=y_b)
+        _entropy_prox(pc, sigma, eps, V, y_c, shift)
 
         # 2. weighted continuity projection of the relaxed point
         np.add(np.multiply(y, RELAXATION, out=relaxed),
                np.multiply(lz, 1.0 - RELAXATION, out=work), out=relaxed)
-        m_new, w_new, phi = _weighted_projection(
-            *blocks(np.subtract(relaxed, scaled, out=work)), m0, m1, grid, end_coupling)
+        np.subtract(relaxed, scaled, out=work)
+        m_new, w_new, phi = _weighted_projection(pa, pb, pc, m0, m1, grid, end_coupling,
+                                                 projection)
 
         # 3. relaxed multiplier ascent; consensus is measured against y = (a, b, c)
-        image_of(m_new, w_new)
+        image_of(m_new)
+        lz_b[...] = w_new
         out = np.empty_like(state)
         out[:n_m] = lz[2 * n_w:]
         out[n_m:n_m + n_w] = lz[n_w:2 * n_w]
@@ -726,7 +750,6 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         defect = np.subtract(lz, y, out=work)
         defect *= defect
         res_history.append(float(np.sqrt(defect @ consensus_weight)))
-        last.update(m=m_new, w=w_new, phi=phi)
 
         # 4. certified stop: F at the projected pair against G at its multiplier;
         # weak duality needs the pair feasible, so a negative density is not checked
@@ -745,7 +768,7 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     iterations, converged = anderson_fixed_point(admm_map, x, config.max_outer_iterations)
     res_history = np.asarray(res_history)
     obj_history = np.asarray(obj_history)
-    m_full, w, phi = last["m"], last["w"], last["phi"]
+    m_full, w, phi = projection.m, projection.w, projection.phi
     consensus, gap = res_history[-1], last["gap"]
     if not converged:
         raise ProxError(

@@ -59,8 +59,13 @@ class ReferenceMeasure:
 
     @classmethod
     def from_potential(cls, V, grid: Grid) -> "ReferenceMeasure":
+        """``ValueError`` unless ``V`` and its log-normalizer are finite."""
         V = np.zeros(grid.space_shape) + np.asarray(V, dtype=float)
-        return cls(V, float(np.log(integrate(np.exp(-V), grid))))
+        with np.errstate(over="ignore", divide="ignore"):
+            log_z = float(np.log(integrate(np.exp(-V), grid)))
+        if not (np.all(np.isfinite(V)) and np.isfinite(log_z)):
+            raise ValueError(f"the potential V and its log-normalizer ({log_z}) must be finite")
+        return cls(V, log_z)
 
     def stationary_density(self, grid: Grid) -> np.ndarray:
         return np.exp(-self.potential_V - self.log_normalizer)
@@ -259,7 +264,8 @@ def _dual_minimizer(phi, reference: ReferenceMeasure, eps: float, grid: Grid):
     return grad, gsq, m_int
 
 
-def dual_value(phi, m0, m1, reference: ReferenceMeasure, eps: float, grid: Grid) -> float:
+def dual_value(phi, m0, m1, reference: ReferenceMeasure, eps: float, grid: Grid,
+               minimizer=None) -> float:
     """Closed-form discrete dual ``G(phi)`` of ``F_eps`` under the continuity
     constraint, for a multiplier ``phi`` at the ``Nt`` interval midpoints.
 
@@ -270,24 +276,24 @@ def dual_value(phi, m0, m1, reference: ReferenceMeasure, eps: float, grid: Grid)
     ``G(phi) <= min F_eps <= F_eps(m, w)`` for every ``phi`` and every
     feasible pair, so ``F_eps - G`` certifies optimality.  ``G`` is concave,
     and its cell-volume-weighted gradient is ``tau`` times the continuity
-    defect of :func:`dual_pair`.
+    defect of :func:`dual_pair`.  ``minimizer``: ``_dual_minimizer`` at ``phi``, if at hand.
     """
     tau, cv, V = grid.tau, grid.cell_volume, reference.potential_V
-    _, gsq, m_int = _dual_minimizer(phi, reference, eps, grid)
+    _, gsq, m_int = minimizer or _dual_minimizer(phi, reference, eps, grid)
     ends = phi[-1] * m1 - phi[0] * m0 - 0.25 * tau * (m0 * gsq[0] + m1 * gsq[-1])
     entropy = entropy_density(m0, V) + entropy_density(m1, V)
     return float(np.sum((ends + 0.5 * tau * eps * entropy) * cv)
                  - tau * eps * np.sum(m_int * cv))
 
 
-def dual_pair(phi, m0, m1, reference: ReferenceMeasure, eps: float, grid: Grid):
+def dual_pair(phi, m0, m1, reference: ReferenceMeasure, eps: float, grid: Grid, minimizer=None):
     """The pair ``(m, w)`` that minimizes the Lagrangian of :func:`dual_value`
     at the multiplier ``phi``: the endpoints are ``m0`` and ``m1``, the
     interior density is ``m[j] = exp(s[j] / eps - V - 1)`` with
     ``s[j] = (phi[j] - phi[j-1]) / tau + (|grad phi[j-1]|^2 + |grad phi[j]|^2) / 4``
     (``metric_norm_sq``), and the momentum is ``w[k] = -M[k] grad phi[k]``.
     """
-    grad, _, m_int = _dual_minimizer(phi, reference, eps, grid)
+    grad, _, m_int = minimizer or _dual_minimizer(phi, reference, eps, grid)
     m = np.concatenate([np.asarray(m0, float)[None], m_int, np.asarray(m1, float)[None]])
     path = DensityPath(m, grid)
     return path, MomentumField(-face_average(path.midpoints(), grid) * grad, grid)

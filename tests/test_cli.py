@@ -320,7 +320,13 @@ class TestRun:
         ({"marginals": {"family": "bump_pair", "width": -0.1}}, "width"),
         ({"marginals": {"family": "step", "width": 0}}, "width"),
         ({"marginals": {"family": "bump_pair", "peak": 0}}, "peak"),
-        ({"marginals": {"family": "bump_pair", "width": 0.15, "floor": -0.5}}, "negative cell"),
+        ({"marginals": {"family": "bump_pair", "width": 0.15, "floor": -0.5}}, "floor"),
+        ({"marginals": {"family": "bump_pair", "width": 0.15, "floor": -1e-6}}, "floor"),
+        ({"marginals": {"family": "bump_pair", "width": 0.15, "floor": float("inf")}}, "floor"),
+        ({"reference": {"profile": "cosine", "amplitude": float("inf")}}, "reference.amplitude"),
+        ({"reference": {"profile": "cosine", "amplitude": 1000.0}}, "log-normalizer"),
+        ({"output": {"formats": ["json", "pdf"]}}, "output.formats"),
+        ({"grid_x": 1}, "grid_x"),
         ({"marginals": {"family": "point_like", "smoothing_steps": -1}}, "smoothing_steps"),
         ({"marginals": {"family": "bump_pair", "centers": [0.0]}}, "centers"),
         ({"marginals": {"family": "bump_pair", "centers": ["a", 0.5]}}, "centers"),
@@ -332,7 +338,9 @@ class TestRun:
         ({"output": {"directory": 5}}, "output.directory"),
     ], ids=["length-string", "length-zero", "length-bool", "metric-negative",
             "sweep-eps_list-increasing", "eps_list-empty", "width-zero", "width-negative",
-            "step-width-zero", "peak-zero", "floor-negative", "smoothing_steps-negative",
+            "step-width-zero", "peak-zero", "floor-negative", "floor-slightly-negative",
+            "floor-infinite", "reference-amplitude-infinite", "reference-amplitude-huge",
+            "output-format-unknown", "unknown-top-level-field", "smoothing_steps-negative",
             "centers-one", "centers-string", "cells-outside", "file0-missing",
             "check-option-misspelt", "check-option-of-another-check", "output-directory-number"])
     def test_config_built_before_any_solve(self, tmp_path, monkeypatch, capsys, patch, name):
@@ -348,7 +356,8 @@ class TestRun:
             "marginals": {"family": "bump_pair", "width": 0.15},
             "solver": {"method": "both", "eps": 0.1}, **patch,
             "grid": {"dim": 1, "n_space": 16, "n_time": 8, "horizon": 1.0,
-                     **patch.get("grid", {})}})
+                     **patch.get("grid", {})},
+            "output": {"directory": str(tmp_path / "out"), **patch.get("output", {})}})
         assert main(["check", str(path)]) == EXIT_CONFIG
         assert run(path) == (EXIT_CONFIG, [])
         assert main(["run", str(path)]) == EXIT_CONFIG
@@ -405,6 +414,16 @@ class TestRun:
         payload = json.loads((Path(cfg["output"]["directory"]) / "solve_report.json").read_text())
         assert payload["solvers"]["prox"]["objective"] == pytest.approx(
             -0.1 * ref.log_normalizer, abs=2e-6)
+
+    def test_solver_error_leaves_no_directory(self, tmp_path, capsys):
+        # exit 3 writes no artifact, so the output directory is never made
+        from otgeo.cli import EXIT_SOLVER
+        path, cfg = write_config(tmp_path, marginals={"family": "bump_pair", "width": 0.15},
+                                 solver={"method": "prox", "eps": 0.1,
+                                         "prox": {"max_outer_iterations": 1}})
+        assert run(path) == (EXIT_SOLVER, [])
+        assert "solver error" in capsys.readouterr().err
+        assert not Path(cfg["output"]["directory"]).exists()
 
     def test_bitwise_reproducibility(self, tmp_path):
         path, cfg = write_config(tmp_path)

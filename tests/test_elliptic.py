@@ -19,6 +19,7 @@ from otgeo.elliptic import (
     _evaluate,
     _hessian_plan,
     _operators,
+    _pattern,
     newton_step,
     solve_elliptic,
 )
@@ -220,6 +221,22 @@ class TestScatterAssembly:
         assert _hessian_plan(build_grid(1, 12, 6, 1.0, metric)) is plan
         assert _hessian_plan(build_grid(1, 12, 6, 1.0)) is not plan
 
+    def test_pattern_keys_past_int32(self):
+        # row * n_columns + column passes 2^31: the keys must not wrap
+        rows, cols = np.array([50000, 0, 50000], np.int32), np.array([49999, 3, 7], np.int32)
+        indptr, indices, land = _pattern(rows, cols, (50001, 50000))
+        assert indptr[0] == 0 and indptr[50000] == 1 and indptr[-1] == 3
+        assert indices.tolist() == [3, 7, 49999] and land.tolist() == [2, 0, 1]
+
+    def test_plan_past_46340_unknowns(self):
+        # 1-D 256x182 has 46 591 free unknowns, past the int32 keys' sqrt(2^31)
+        g = build_grid(1, 256, 182, 1.0)
+        indptr, indices = _hessian_plan(g)[4:6]
+        assert indptr.size == g.n_space * g.n_time and indptr[-1] == indices.size
+        assert np.all(np.diff(indptr) > 0)
+        _hessian_plan.cache_clear()         # the plan holds about 0.2 GB
+        _operators.cache_clear()
+
     @pytest.mark.parametrize("dim, n, nt", [(1, 32, 16), (1, 8, 4), (2, 16, 8), (2, 12, 6)])
     def test_band_width_of_the_folded_order(self, dim, n, nt):
         # each ring folded: n + 4 below the diagonal in 1-D, n^2 + 4 n in 2-D
@@ -299,6 +316,19 @@ class TestNewton:
         with pytest.raises(EllipticError, match="not finite") as err:
             newton_step(phi, prob)
         assert err.value.iterate is phi
+
+    def test_evaluation_minimizes_the_lagrangian_once(self, monkeypatch):
+        # G and the pair come from one closed-form minimizer per point
+        import otgeo.elliptic as ell
+        import otgeo.transport as tr
+        calls = []
+        for module in (ell, tr):
+            original = module._dual_minimizer
+            monkeypatch.setattr(module, "_dual_minimizer",
+                                lambda *args, f=original: calls.append(1) or f(*args))
+        problem = bump_problem(n=16, nt=8)
+        _evaluate(np.zeros((8, 16)), problem)
+        assert len(calls) == 1
 
     def test_each_newton_point_is_evaluated_once(self, monkeypatch):
         import otgeo.elliptic as ell

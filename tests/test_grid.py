@@ -114,6 +114,35 @@ class TestFaceStencil:
         rhs = float(np.sum(face_average(f, g) * P * g.face_volume))
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
 
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=["slice", "path"])
+    @pytest.mark.parametrize("dim,metric", [(1, None), (1, CONFORMAL), (2, None)],
+                             ids=["flat", "conformal", "flat2d"])
+    def test_stencils_are_their_roll_definitions(self, dim, metric, lead):
+        # the slice stencils do the arithmetic of the np.roll forms, value for value
+        rng = np.random.default_rng(5)
+        g = build_grid(dim, 7, 4, 1.0, metric)
+        f = rng.standard_normal(lead + g.space_shape)
+        P = rng.standard_normal(lead + g.space_shape + (dim,))
+        axes = [f.ndim - dim + a for a in range(dim)]
+        flux = P if g.flat else P * g.face_volume
+        cells = 1.0 if g.flat else g.cell_volume
+        forward = [np.roll(f, -1, axis) for axis in axes]
+        back = [np.roll(flux[..., a], 1, axis) for a, axis in enumerate(axes)]
+        expected = {
+            covariant_gradient: np.stack([s - f for s in forward], axis=-1)
+            / (g.h if g.flat else g.h * g.face_metric),
+            face_average: np.stack([s + f for s in forward], axis=-1) * 0.5,
+            divergence_g: sum([flux[..., a] - s for a, s in enumerate(back)][1:],
+                              flux[..., 0] - back[0]) / (g.h * cells),
+            cell_average: sum([flux[..., a] + s for a, s in enumerate(back)][1:],
+                              flux[..., 0] + back[0]) / (2.0 * cells),
+        }
+        for stencil, want in expected.items():
+            arg = f if stencil in (covariant_gradient, face_average) else P
+            assert np.array_equal(stencil(arg, g), want)
+            out = np.empty_like(want)
+            assert stencil(arg, g, out=out) is out and np.array_equal(out, want)
+
     def test_face_average_of_one_cell(self):
         g = build_grid(2, 6, 4, 1.0)
         f = np.zeros(g.space_shape)
