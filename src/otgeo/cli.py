@@ -101,6 +101,19 @@ def _need(cfg, path, typ=None, default=...):
     return node
 
 
+# the fields of the config and of each of its blocks but ``marginals``, which
+# holds ``family`` and the fields its family reads (``families.FAMILIES``);
+# ``solver.prox`` and ``solver.elliptic`` hold the fields of their solver configs
+CONFIG_FIELDS = {
+    "": ("grid", "marginals", "reference", "solver", "diagnostics", "output"),
+    "grid": ("dim", "n_space", "n_time", "horizon", "length", "metric_profile"),
+    "grid.metric_profile": ("id", "amplitude", "frequency"),
+    "reference": ("profile", "amplitude", "frequency"),
+    "solver": ("method", "eps", "eps_list", "prox", "elliptic"),
+    "diagnostics": ("checks",),
+    "output": ("directory", "formats"),
+}
+
 # parameters of the marginal families and of the metric and reference profiles
 PARAMETER_TYPES = {"width": (int, float), "peak": (int, float), "floor": (int, float),
                    "amplitude": (int, float), "frequency": (int, float),
@@ -171,6 +184,12 @@ def validate_config(cfg) -> Setup:
     and the sweep's eps list.  A ``ValueError`` of a builder comes back as a
     :class:`ConfigError` naming the block.
     """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
+    for block, fields in CONFIG_FIELDS.items():
+        unknown = sorted(set(_need(cfg, block, dict, {}) if block else cfg) - set(fields))
+        if unknown:
+            raise ConfigError(f"unknown config field: {block + '.' if block else ''}{unknown[0]}")
     metric_cfg = _need(cfg, "grid.metric_profile", dict, {})
     ref_cfg = _need(cfg, "reference", dict, {})
     metric_id = _need(cfg, "grid.metric_profile.id", str, "flat")
@@ -192,9 +211,6 @@ def validate_config(cfg) -> Setup:
         grid = build_grid(*shape, horizon, METRIC_PROFILES[metric_id](metric_cfg), length)
     except ValueError as err:
         raise ConfigError(f"grid: {err}")
-    unknown = sorted(set(cfg) - {"grid", "marginals", "reference", "solver", "diagnostics", "output"})
-    if unknown:
-        raise ConfigError(f"unknown config field: {unknown[0]}")
     try:
         reference = ReferenceMeasure.from_potential(
             REFERENCE_PROFILES[profile](ref_cfg, grid.axis_coords(), grid.dim), grid)

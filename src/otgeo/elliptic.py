@@ -15,29 +15,36 @@ Newton runs from ``phi = 0`` on
 
 where ``E v = ds(v)`` linearizes the exponent of the interior density,
 ``D`` is the forward difference onto the cell faces and ``M_k`` the face
-density.  The products are expanded once per grid into terms on a fixed
-sparse pattern, so each step only scatters the current weights onto it;
-the Hessian is factored once per step by banded Cholesky (time levels in
-turn, each ring folded along every spatial axis, lower band width
-``n + 4`` in 1-D and ``n^2 + 4 n`` in 2-D).  The Hessian's kernel is the
-space-time constants, so pinning ``phi`` at one node removes it.  The line
-search is Armijo on ``G``.  The marginals may have empty cells: every face
-density ``M_k`` touches an interior node, whose density is positive.
+density.  Both are a fixed stencil: row ``(j, i)`` of ``E`` has entries at
+cells ``i`` and ``i +- e_a`` of levels ``j - 1`` and ``j``, and each face
+joins two cells.  A plan cached per grid keeps where the product of each
+pair of a row's entries, and each face term, lands in LAPACK band
+storage, so a step writes the Hessian straight into its band with one
+``bincount`` and factors it by banded Cholesky (time levels in turn, each
+ring folded along every spatial axis, lower band width ``n + 4`` in 1-D
+and ``n^2 + 4 n`` in 2-D); the solution is checked by applying the
+Hessian matrix-free.  The Hessian's kernel is the space-time constants,
+so pinning ``phi`` at one node removes it.  The line search is Armijo on
+``G``.  The marginals may have empty cells: every face density ``M_k``
+touches an interior node, whose density is positive.
 
-SciPy is imported inside the functions that use it, so that importing the
-package, or running only the primal route, loads numpy alone.
+SciPy's ``linalg`` is imported inside :func:`newton_step`, so that
+importing the package, or running only the primal route, loads numpy
+alone.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Grid, covariant_gradient, face_average
+from .grid import Grid, covariant_gradient, divergence_g, face_average
 from .transport import (
     ROUNDING,
     ReferenceMeasure,
@@ -56,6 +63,10 @@ from .prox import SolveReport, _positive_real
 # Armijo's sufficient-increase fraction, also the defect decrease a step
 # needs when the change in G is at rounding level
 ARMIJO = 1e-4
+# halvings of a Newton step before the line search gives up
+MAX_BACKTRACKS = 30
+# the Newton system's residual bound, relative to its right-hand side
+LINEAR_TOLERANCE = 1e-10
 
 
 class EllipticError(Exception):
@@ -75,18 +86,14 @@ class EllipticError(Exception):
 class EllipticConfig:
     newton_tolerance: float = 1e-9
     max_newton_iterations: int = 60
-    max_backtracks: int = 30
-    linear_tolerance: float = 1e-10
 
     def validate(self):
-        for name in ("newton_tolerance", "linear_tolerance"):
-            value = getattr(self, name)
-            if not _positive_real(value):
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-        for name in ("max_newton_iterations", "max_backtracks"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not _positive_real(self.newton_tolerance):
+            raise ValueError("newton_tolerance must be a finite positive number, "
+                             f"got {self.newton_tolerance!r}")
+        value = self.max_newton_iterations
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"max_newton_iterations must be an integer >= 1, got {value!r}")
         return self
 
 
@@ -110,38 +117,6 @@ class EllipticProblem:
         return self
 
 
-@functools.lru_cache(maxsize=16)
-def _operators(grid: Grid):
-    """Sparse operators on the free entries of a flattened midpoint field,
-    cached per grid: the time difference and the neighbour sum onto the
-    interior nodes, and per axis the forward difference onto the faces and
-    the sum over each cell's two faces per cell volume.  Entry 0, node 0 of
-    level 0 (the constants' gauge), is left out of the columns."""
-    from scipy import sparse
-
-    nt, n = grid.n_time, grid.n_space
-    nsp = n ** grid.dim
-    space = sparse.identity(nsp, format="csr")
-    up = sparse.csr_matrix(np.roll(np.eye(n), 1, axis=1))       # (up u)_i = u_{i+1}
-    eye = sparse.identity(n, format="csr")
-
-    def axes(matrix):
-        """``matrix`` along each spatial axis, on every time level."""
-        per_axis = [matrix] if grid.dim == 1 else [sparse.kron(matrix, eye), sparse.kron(eye, matrix)]
-        return [sparse.kron(sparse.identity(nt), a, format="csr") for a in per_axis]
-
-    free = np.arange(1, nt * nsp)
-    keep = sparse.identity(nt * nsp, format="csr")[:, free]
-    shift = sparse.diags([-1.0, 1.0], [0, 1], shape=(nt - 1, nt))
-    diff = sparse.kron(shift / grid.tau, space, format="csr") @ keep
-    pair_sum = sparse.kron(abs(shift), space, format="csr")
-    forward = [d @ keep for d in axes((up - eye) / grid.h)]
-    per_volume = sparse.diags(np.tile(1.0 / grid.cell_volume.ravel(), nt))
-    faces = [per_volume @ s for s in axes(eye + up.T)]
-    free.flags.writeable = False
-    return free, diff, pair_sum, forward, faces
-
-
 def _evaluate(phi, problem: EllipticProblem):
     """``(G, m, w, defect, max |defect|)`` at the multiplier ``phi``; the
     pair is skipped when ``G`` overflows to ``-inf``."""
@@ -155,164 +130,158 @@ def _evaluate(phi, problem: EllipticProblem):
     return value, m, w, defect, float(np.max(np.abs(defect)))
 
 
-def _expand(left_cols, right_rows):
-    """The terms of ``left @ diag(v) @ right`` for sparse factors given by
-    the column indices of ``left``'s entries and the row indices of
-    ``right``'s: per term the entry of ``left`` and the entry of ``right``
-    it multiplies, and its index into ``v``."""
-    order = np.argsort(right_rows, kind="stable")
-    count = np.bincount(right_rows, minlength=max(left_cols.max(), right_rows.max()) + 1)
-    reps = count[left_cols]
-    left_term = np.repeat(np.arange(left_cols.size), reps)
-    offset = np.arange(left_term.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    right_term = order[(np.cumsum(count) - count)[left_cols[left_term]] + offset]
-    return left_term, right_term, left_cols[left_term]
+class _Plan(NamedTuple):
+    """Where the terms of ``-Hess G`` land in band storage on one grid."""
+
+    columns: np.ndarray    # per entry of E's rows, its unknown's index
+    positions: np.ndarray  # per term, its flat index into the band
+    shape: tuple           # the band's (lower width + 1, unknowns)
+    rank: np.ndarray       # per midpoint node, its unknown's index
+    order: np.ndarray      # per unknown, its midpoint node
 
 
-def _pattern(rows, cols, shape):
-    """The CSR pattern ``(indptr, indices)`` holding the entries ``(rows, cols)``,
-    and each entry's position in it; the keys are int64, past 2^31 beyond 46 340 unknowns."""
-    keys, land = np.unique(rows.astype(np.int64) * shape[1] + cols, return_inverse=True)
-    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
-    return indptr.astype(np.int32), (keys % shape[1]).astype(np.int32), land
+def _rows(center, neighbours):
+    """The entries of each row ``(j, i)`` of ``E``, from fields on the
+    levels: ``center`` at cell ``i`` and per axis the pair
+    ``neighbours[a]`` at ``i + e_a`` and ``i - e_a``, first on level
+    ``j - 1``, then on level ``j``; shape ``(entries, rows)``."""
+    level = np.stack([center, *(field for pair in neighbours for field in pair)])
+    return np.concatenate([level[:, :-1], level[:, 1:]]).reshape(2 * len(level), -1)
 
 
 @functools.lru_cache(maxsize=16)
 def _hessian_plan(grid: Grid):
-    """How ``-Hess G`` is scattered onto a CSR pattern fixed per grid.
+    """Where each term of ``-Hess G`` lands in LAPACK lower band storage.
 
-    With ``D`` the axes' forward differences stacked, ``L = pair_sum faces / 4``
-    and ``g = fv grad phi``, the Hessian is ``lin^T diag(c) lin + D^T diag(W) D``
-    with ``lin = diff + L diag(g) D``, ``c = (tau / eps) cv m`` at the
-    interior nodes and ``W = tau fv M / g_f``.  Each of the three products
-    is expanded once into terms; per term the plan keeps where it lands,
-    its two factors (their entries in ``lin``, or their product where both
-    are constant) and its index into ``g``, ``c`` or ``W``.  It also keeps
-    where the lower triangle lands in LAPACK band storage of a time-major
-    order with each level's ring folded along every spatial axis, whose
-    lower band width is ``n + 4`` in 1-D (``2 n - 1`` in the natural order,
-    because of the wrap) and ``n^2 + 4 n`` in 2-D.  Every array of the plan
-    is read-only, since the plan is cached and its index arrays back every
-    Hessian."""
-    from scipy import sparse
-
-    free, diff, pair_sum, forward, faces = _operators(grid)
-    stack = sparse.vstack(forward, format="coo")
-    # d|grad phi|^2 = cell_average(2 grad D dphi) per level; s takes a quarter
-    # of it from each adjacent level
-    left = (0.25 * pair_sum @ sparse.hstack(faces)).tocoo()
-    fixed = diff.tocoo()
-    a, b, k = _expand(left.col, stack.row)
-    lin_indptr, lin_cols, land = _pattern(np.concatenate([fixed.row, left.row[a]]),
-                                          np.concatenate([fixed.col, stack.col[b]]), diff.shape)
-    lin_base = np.bincount(land[:fixed.nnz], fixed.data, minlength=lin_cols.size)
-    lin = (land[fixed.nnz:], left.data[a] * stack.data[b], k)
-
-    lin_rows = np.repeat(np.arange(diff.shape[0]), np.diff(lin_indptr))
-    a, b, k = _expand(lin_rows, lin_rows)
-    p, q, j = _expand(stack.row, stack.row)
-    size = (free.size, free.size)
-    indptr, indices, land = _pattern(np.concatenate([lin_cols[a], stack.col[p]]),
-                                     np.concatenate([lin_cols[b], stack.col[q]]), size)
-    density = (land[:a.size], a, b, k)
-    kinetic = (land[a.size:], stack.data[p] * stack.data[q], j)
-
-    # level by level, each ring folded (cells 0, n-1, 1, n-2, ...) along every
-    # axis, so cells up to two apart on a ring, across the wrap too, lie at
-    # most 4 places apart in the fold; the gauge node, dropped, comes first
-    n = grid.n_space
+    The unknowns are the midpoint nodes but node 0 of level 0, the
+    constants' gauge, in a time-major order with each level's ring folded
+    (cells 0, n-1, 1, n-2, ...) along every spatial axis, so cells up to
+    two apart on a ring, across the wrap too, lie at most 4 places apart:
+    the lower band width is ``n + 4`` in 1-D (``2 n - 1`` in the natural
+    order, because of the wrap) and ``n^2 + 4 n`` in 2-D.  The terms are
+    the products of each pair ``p <= q`` of a row's entries, then per face
+    the three of ``D^T D``: the diagonal at either end and their coupling.
+    The gauge's index is the number of unknowns, and a term that touches it
+    lands in one spare slot past the band.  The band is stored by columns,
+    as LAPACK reads it.  Every array is read-only, since the plan is
+    cached and backs every Hessian."""
+    n, axes = grid.n_space, range(1, grid.dim + 1)
     fold = np.minimum(2 * np.arange(n), 2 * (n - np.arange(n)) - 1)
     rank = np.arange(grid.n_time)
-    for _ in range(grid.dim):
+    for _ in axes:
         rank = n * rank[..., None] + fold
-    rank = rank.ravel()[free] - 1
-    rows = rank[np.repeat(np.arange(free.size), np.diff(indptr))]
-    cols = rank[indices]
-    lower = np.flatnonzero(rows >= cols)
-    below = rows[lower] - cols[lower]
-    position = below * free.size + cols[lower]
-    order = np.argsort(rank)
-    for array in (lin_base, *lin, *density, *kinetic, indptr, indices, lower, position, order, rank):
+    size = rank.size - 1
+    rank = (rank - 1) % (size + 1)          # the gauge, first in the fold, goes last
+    columns = _rows(rank, [(np.roll(rank, -1, a), np.roll(rank, 1, a)) for a in axes])
+    p, q = np.triu_indices(len(columns))
+    # each face joins a cell and the next one along the face's axis
+    cell = np.stack([rank for _ in axes]).ravel()
+    after = np.stack([np.roll(rank, -1, a) for a in axes]).ravel()
+    first = np.concatenate([columns[p].ravel(), cell, after, cell])
+    second = np.concatenate([columns[q].ravel(), cell, after, after])
+    low, below = np.minimum(first, second), np.abs(first - second)
+    gauge = np.maximum(first, second) == size
+    width = int(below[~gauge].max()) + 1
+    positions = np.where(gauge, size * width, low * width + below)
+    order = np.argsort(rank.ravel())[:size]
+    plan = _Plan(columns, positions, (width, size), rank.ravel(), order)
+    for array in (columns, positions, plan.rank, order):
         array.flags.writeable = False
-    band = (lower, position, (below.max() + 1, free.size), order, rank)
-    return lin_base, lin, density, kinetic, indptr, indices, band
+    return plan
 
 
-def _dual_hessian(phi, m, problem: EllipticProblem):
-    """``-Hess G`` at ``phi`` on the free entries (CSR, on the pattern of
-    :func:`_hessian_plan`); ``m`` is the pair's density path at ``phi``."""
-    from scipy import sparse
+def _hessian_terms(phi, m, problem: EllipticProblem):
+    """What ``-Hess G`` at ``phi`` is made of: the entries of ``E`` laid out
+    by :func:`_rows`, the weight ``(tau / eps) cv m`` of each row and the
+    face density times ``tau``; ``m`` is the pair's density path at ``phi``.
 
+    Per level, ``d|grad phi|^2`` moves the quarter-flux
+    ``q = fv grad phi / (4 h)`` into each cell through its faces, and ``s``
+    takes a quarter of it from each adjacent level."""
     grid = problem.grid
-    lin_base, lin, density, kinetic, indptr, indices, _ = _hessian_plan(grid)
-    fv = grid.face_volume
-    cv = np.broadcast_to(grid.cell_volume, phi.shape)
-    # the face fields axis by axis, as the differences are stacked
-    g = np.moveaxis(fv * covariant_gradient(phi, grid), -1, 0).ravel()
-    weight = grid.tau * fv * face_average(m.midpoints(), grid) / grid.face_metric
-    weight = np.moveaxis(weight, -1, 0).ravel()
-    c = (grid.tau / problem.eps) * (cv[1:] * m.values[1:-1]).ravel()
-
-    land, coefficient, k = lin
-    lin_values = lin_base + np.bincount(land, coefficient * g[k], minlength=lin_base.size)
-    land, a, b, k = density
-    data = np.bincount(land, lin_values[a] * lin_values[b] * c[k], minlength=indices.size)
-    land, coefficient, k = kinetic
-    data += np.bincount(land, coefficient * weight[k], minlength=indices.size)
-    size = indptr.size - 1
-    return sparse.csr_matrix((data, indices, indptr), shape=(size, size))
+    cv = grid.cell_volume
+    q = grid.face_volume * covariant_gradient(phi, grid) / (4.0 * grid.h)
+    neighbours = [(q[..., a] / cv, -np.roll(q[..., a], 1, a + 1) / cv) for a in range(grid.dim)]
+    entries = _rows(-sum(up + down for up, down in neighbours), neighbours)
+    entries[0] -= 1.0 / grid.tau
+    entries[len(entries) // 2] += 1.0 / grid.tau
+    weight = (grid.tau / problem.eps) * (cv * m.values[1:-1]).ravel()
+    return entries, weight, grid.tau * face_average(m.midpoints(), grid)
 
 
-def _banded_solve(hess, rhs, band):
-    """``hess^-1 rhs`` by Cholesky of the band that :func:`_hessian_plan`
-    keeps; ``LinAlgError`` when ``hess`` is not positive definite."""
-    from scipy.linalg import solveh_banded
+def _band(terms, plan: _Plan, grid: Grid):
+    """``-Hess G`` in the band storage of :func:`_hessian_plan`, written from
+    :func:`_hessian_terms` with one ``bincount``."""
+    entries, weight, face = terms
+    p, q = np.triu_indices(len(entries))
+    kinetic = np.moveaxis(face * grid.face_volume / (grid.face_metric * grid.h ** 2), -1, 0).ravel()
+    values = np.concatenate([(weight * entries[p] * entries[q]).ravel(), kinetic, kinetic, -kinetic])
+    size = math.prod(plan.shape)
+    band = np.bincount(plan.positions, values, minlength=size + 1)[:size]
+    return band.reshape(plan.shape[::-1]).T
 
-    lower, position, shape, order, rank = band
-    banded = np.zeros(shape)
-    banded.flat[position] = hess.data[lower]
-    return solveh_banded(banded, rhs[order], overwrite_ab=True, lower=True,
-                         check_finite=False)[rank]
+
+def _apply(terms, x, plan: _Plan, grid: Grid):
+    """``-Hess G x`` for ``x`` on the unknowns, matrix-free: ``E`` from the
+    entries of :func:`_hessian_terms`, the face part as
+    ``-cv div_g(tau M grad x)`` by the grid's stencils."""
+    entries, weight, face = terms
+    x = np.append(x, 0.0)                   # the gauge
+    flux = weight * np.einsum("er,er->r", entries, x[plan.columns])
+    out = np.bincount(plan.columns.ravel(), (entries * flux).ravel(), minlength=x.size)
+    field = x[plan.rank].reshape(face.shape[:-1])
+    kinetic = -grid.cell_volume * divergence_g(face * covariant_gradient(field, grid), grid)
+    return out[:-1] + kinetic.ravel()[plan.order]
 
 
-def newton_step(phi, problem: EllipticProblem, config: EllipticConfig = None, point=None):
+def _max_row_sum(band):
+    """The largest absolute row sum of the symmetric matrix whose lower band is ``band``."""
+    band = np.abs(band)
+    sums = band.sum(axis=0)                 # each column on and below the diagonal
+    for below in range(1, band.shape[0]):
+        sums[below:] += band[below, :-below]
+    return sums.max()
+
+
+def newton_step(phi, problem: EllipticProblem, point=None):
     """One damped Newton step; returns ``(phi_next, step_norm, point_next)``.
 
     ``point`` is :func:`_evaluate` at ``phi`` (computed when not given), so
-    a Newton loop evaluates each point once.  A trial step of length
-    ``alpha`` is accepted when ``G`` rises by ``ARMIJO alpha`` times the
-    predicted rise, or, when the change in ``G`` is at rounding level, when
-    the defect's max-norm falls by the factor ``1 - ARMIJO alpha`` or lies
-    below ``ROUNDING max(m) / tau``, the rounding level of its time
-    difference.
+    a Newton loop evaluates each point once.  The Newton system is solved
+    by banded Cholesky and checked matrix-free to ``LINEAR_TOLERANCE``.  A
+    trial step of length ``alpha`` is accepted when ``G`` rises by
+    ``ARMIJO alpha`` times the predicted rise, or, when the change in ``G``
+    is at rounding level, when the defect's max-norm falls by the factor
+    ``1 - ARMIJO alpha`` or lies below ``ROUNDING max(m) / tau``, the
+    rounding level of its time difference.
     """
-    from scipy.linalg import LinAlgError
+    from scipy.linalg import LinAlgError, solveh_banded
 
-    config = config or EllipticConfig()
     point = _evaluate(phi, problem) if point is None else point
     value, m, _, defect, residual = point
     if not np.isfinite(value):
         raise EllipticError(f"G is not finite at the Newton point ({value})", iterate=phi)
-    free = _operators(problem.grid)[0]
-    hess = _dual_hessian(phi, m, problem)
-    rhs = (problem.grid.tau * problem.grid.cell_volume * defect).ravel()[free]
+    grid = problem.grid
+    plan = _hessian_plan(grid)
+    terms = _hessian_terms(phi, m, problem)
+    rhs = (grid.tau * grid.cell_volume * defect).ravel()[plan.order]
     try:
-        solution = _banded_solve(hess, rhs, _hessian_plan(problem.grid)[-1])
+        solution = solveh_banded(_band(terms, plan, grid), rhs, overwrite_ab=True, lower=True,
+                                 check_finite=False)
     except LinAlgError as err:
         raise EllipticError(f"linear solve failed ({err})", iterate=phi) from err
-    lin_res = np.linalg.norm(hess @ solution - rhs)
-    limit = config.linear_tolerance * np.linalg.norm(rhs)
+    lin_res = np.linalg.norm(_apply(terms, solution, plan, grid) - rhs)
+    limit = LINEAR_TOLERANCE * np.linalg.norm(rhs)
     if not lin_res <= limit:
-        # allow for rounding noise of the matrix-vector check itself
-        noise = 1e-13 * abs(hess).sum(axis=1).max() * max(np.linalg.norm(solution), 1.0)
+        # allow for rounding noise of the matrix-vector check itself; the
+        # solve overwrote the band, so it is written again
+        noise = 1e-13 * _max_row_sum(_band(terms, plan, grid)) * max(np.linalg.norm(solution), 1.0)
         if not lin_res <= limit + noise:
             raise EllipticError(f"linear solve stalled (residual {lin_res:.2e})", iterate=phi)
-    step = np.zeros(phi.size)
-    step[free] = solution
-    step = step.reshape(phi.shape)
+    step = np.append(solution, 0.0)[plan.rank].reshape(phi.shape)
     slope = float(rhs @ solution)
     alpha = 1.0
-    for _ in range(config.max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         trial = phi + alpha * step
         trial_point = _evaluate(trial, problem)
         rise = trial_point[0] - value
@@ -355,7 +324,7 @@ def solve_elliptic(problem: EllipticProblem, config: EllipticConfig = None):
             if len(residuals) > config.max_newton_iterations:
                 raise EllipticError(f"Newton did not converge in {config.max_newton_iterations} "
                                     f"steps (residual {residuals[-1]:.3e})", iterate=phi)
-            phi, _, point = newton_step(phi, problem, config, point)
+            phi, _, point = newton_step(phi, problem, point)
             values.append(point[0])
             residuals.append(point[-1])
     except EllipticError as err:

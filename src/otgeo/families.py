@@ -4,9 +4,10 @@ Each family produces a pair of unit-mass grid densities.  Both solvers
 take any nonnegative pair of unit mass, the paper's L1 data, so the
 families need not be positive: ``point_like`` loads one cell per marginal,
 optionally regularized by a few steps of the grid's Laplace-Beltrami heat
-flow, on every grid.  A family rejects a parameter it cannot use (a
-width that is not positive, centres or cells that are not two points of
-the grid) with a ``ValueError`` that names the parameter.
+flow, on every grid.  A family rejects a parameter it does not read and
+one it cannot use (a width that is not positive, centres or cells that
+are not two points of the grid) with a ``ValueError`` that names the
+parameter.
 """
 
 from __future__ import annotations
@@ -142,12 +143,13 @@ def _from_files(grid: Grid, params):
     return out[0], out[1]
 
 
+# each family's builder and the parameters it reads
 FAMILIES = {
-    "uniform": _uniform,
-    "bump_pair": _bump_pair,
-    "step": _step,
-    "point_like": _point_like,
-    "file": _from_files,
+    "uniform": (_uniform, ()),
+    "bump_pair": (_bump_pair, ("width", "peak", "floor", "centers")),
+    "step": (_step, ("width", "floor", "centers")),
+    "point_like": (_point_like, ("smoothing_steps", "cells")),
+    "file": (_from_files, ("file0", "file1")),
 }
 
 
@@ -156,4 +158,10 @@ def make_marginals(family, params, grid: Grid):
     if family not in FAMILIES:
         raise ValueError(f"unknown marginal family {family!r}; "
                          f"known: {sorted(FAMILIES)}")
-    return FAMILIES[family](grid, params or {})
+    build, names = FAMILIES[family]
+    params = params or {}
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise ValueError(f"unknown parameter {unknown[0]!r} of the {family} family; "
+                         f"known: {list(names)}")
+    return build(grid, params)

@@ -180,6 +180,7 @@ class TestConfigValidation:
          "solver.elliptic.max_newton_iterations"),
         ({"solver": {"method": "elliptic", "eps": 0.1, "elliptic": {"max_bisections": -1}}},
          "solver.elliptic.max_bisections"),
+        # removed when the line search's halvings became a constant (MAX_BACKTRACKS)
         ({"solver": {"method": "elliptic", "eps": 0.1, "elliptic": {"max_backtracks": 0}}},
          "solver.elliptic.max_backtracks"),
         ({"solver": {"method": "both", "eps": 0.1, "elliptic": {"delta_final": -1e-6}}},
@@ -188,6 +189,7 @@ class TestConfigValidation:
          "solver.elliptic.newton_tolerance"),
         ({"solver": {"method": "prox", "eps": 0.1, "prox": {"penalty": "1"}}},
          "solver.prox.penalty"),
+        # removed when the linear check's bound became a constant (LINEAR_TOLERANCE)
         ({"solver": {"method": "both", "eps": 0.1, "elliptic": {"linear_tolerance": "1e-10"}}},
          "solver.elliptic.linear_tolerance"),
         # removed with the delta continuation; rho has no counterpart in F_eps
@@ -336,13 +338,27 @@ class TestRun:
         ({"diagnostics": {"checks": [{"id": "duality", "with_heat_bound": True}]}},
          "with_heat_bound"),
         ({"output": {"directory": 5}}, "output.directory"),
+        # a misspelt field in each block
+        ({"grid": {"lenght": 2.0}}, "grid.lenght"),
+        ({"grid": {"metric_profile": {"id": "conformal_sine", "amplitdue": 0.5}}},
+         "grid.metric_profile.amplitdue"),
+        ({"marginals": {"family": "bump_pair", "widht": 0.15}}, "'widht' of the bump_pair"),
+        ({"marginals": {"family": "bump_pair", "width": 0.15, "cells": [0, 8]}},
+         "'cells' of the bump_pair"),
+        ({"reference": {"profile": "cosine", "amplitdue": 0.3}}, "reference.amplitdue"),
+        ({"solver": {"method": "both", "eps": 0.1, "epsilon": 0.5}}, "solver.epsilon"),
+        ({"output": {"directroy": "results"}}, "output.directroy"),
+        ({"diagnostics": {"checks": [], "check": ["energy"]}}, "diagnostics.check"),
     ], ids=["length-string", "length-zero", "length-bool", "metric-negative",
             "sweep-eps_list-increasing", "eps_list-empty", "width-zero", "width-negative",
             "step-width-zero", "peak-zero", "floor-negative", "floor-slightly-negative",
             "floor-infinite", "reference-amplitude-infinite", "reference-amplitude-huge",
             "output-format-unknown", "unknown-top-level-field", "smoothing_steps-negative",
             "centers-one", "centers-string", "cells-outside", "file0-missing",
-            "check-option-misspelt", "check-option-of-another-check", "output-directory-number"])
+            "check-option-misspelt", "check-option-of-another-check", "output-directory-number",
+            "grid-field-misspelt", "metric-field-misspelt", "marginals-field-misspelt",
+            "marginals-field-of-another-family", "reference-field-misspelt",
+            "solver-field-misspelt", "output-field-misspelt", "diagnostics-field-misspelt"])
     def test_config_built_before_any_solve(self, tmp_path, monkeypatch, capsys, patch, name):
         # check builds what run builds, so both reject the config, and run
         # neither solves nor creates its output directory

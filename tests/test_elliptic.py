@@ -3,6 +3,7 @@ Newton behavior, and the solve."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import spsolve
 
 from elliptic_reference import dual_hessian
@@ -14,12 +15,12 @@ from otgeo.elliptic import (
     EllipticConfig,
     EllipticError,
     EllipticProblem,
-    _dual_hessian,
-    _banded_solve,
+    _apply,
+    _band,
     _evaluate,
     _hessian_plan,
-    _operators,
-    _pattern,
+    _hessian_terms,
+    _max_row_sum,
     newton_step,
     solve_elliptic,
 )
@@ -154,12 +155,31 @@ def hessian_case(case):
     return EllipticProblem(g, ref, 0.15, m0, np.roll(m0, 2, axis=0))
 
 
+def dense(band, plan):
+    """The symmetric matrix whose lower band is ``band``, on the free nodes
+    in their natural order (the reference's)."""
+    size = band.shape[1]
+    H = np.zeros((size, size))
+    for below in range(band.shape[0]):
+        cols = np.arange(size - below)
+        H[cols + below, cols] = H[cols, cols + below] = band[below, :size - below]
+    free = plan.rank[1:]
+    return H[np.ix_(free, free)]
+
+
+def hessian(phi, problem):
+    """``-Hess G`` at ``phi`` as the solver assembles it, dense in natural order."""
+    g = problem.grid
+    plan = _hessian_plan(g)
+    return dense(_band(_hessian_terms(phi, _evaluate(phi, problem)[1], problem), plan, g), plan)
+
+
 def assert_hessian_matches_finite_differences(problem, seed):
     """The assembled ``-Hess G`` against central differences of ``grad G``."""
     g = problem.grid
     phi = 0.05 * np.random.default_rng(seed).standard_normal((g.n_time,) + g.space_shape)
-    free = _operators(g)[0]
-    H = _dual_hessian(phi, _evaluate(phi, problem)[1], problem).toarray()
+    free = np.arange(1, phi.size)
+    H = hessian(phi, problem)
     weight = g.tau * np.broadcast_to(g.cell_volume, phi.shape)
 
     def gradient(p):
@@ -184,18 +204,43 @@ def plan_arrays(part):
 
 
 class TestScatterAssembly:
-    """The Hessian scattered on the cached pattern against the sparse-product
-    reference assembly, and the linear solves it feeds."""
+    """The Hessian scattered into band storage against the sparse-product
+    reference assembly, its matrix-free product, and the linear solves."""
 
     @pytest.mark.parametrize("case", ["1d-conformal", "1d-flat-varying-V", "2d-varying-V"])
     def test_matches_reference_assembly(self, case):
         problem = hessian_case(case)
         g = problem.grid
         phi = 0.05 * np.random.default_rng(31).standard_normal((g.n_time,) + g.space_shape)
-        m = _evaluate(phi, problem)[1]
-        H = _dual_hessian(phi, m, problem).toarray()
-        reference = dual_hessian(phi, m, problem).toarray()
+        H = hessian(phi, problem)
+        reference = dual_hessian(phi, _evaluate(phi, problem)[1], problem).toarray()
         assert np.max(np.abs(H - reference)) <= 1e-15 * np.max(np.abs(H))
+
+    @pytest.mark.parametrize("case", ["1d-conformal", "2d-varying-V"])
+    def test_max_row_sum_of_the_band(self, case):
+        # the rounding allowance of the linear check reads |H|_inf off the band
+        problem = hessian_case(case)
+        g = problem.grid
+        phi = 0.05 * np.random.default_rng(33).standard_normal((g.n_time,) + g.space_shape)
+        plan = _hessian_plan(g)
+        band = _band(_hessian_terms(phi, _evaluate(phi, problem)[1], problem), plan, g)
+        expected = np.abs(dense(band, plan)).sum(axis=1).max()
+        assert _max_row_sum(band) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("case", ["1d-conformal", "1d-flat-varying-V", "2d-varying-V"])
+    def test_matrix_free_product_matches_reference(self, case):
+        problem = hessian_case(case)
+        g = problem.grid
+        rng = np.random.default_rng(32)
+        phi = 0.05 * rng.standard_normal((g.n_time,) + g.space_shape)
+        m = _evaluate(phi, problem)[1]
+        terms, plan = _hessian_terms(phi, m, problem), _hessian_plan(g)
+        reference = dual_hessian(phi, m, problem)
+        for _ in range(3):
+            x = rng.standard_normal(phi.size - 1)              # the free nodes, natural order
+            product = _apply(terms, x[plan.order - 1], plan, g)
+            expected = (reference @ x)[plan.order - 1]
+            assert np.max(np.abs(product - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("shape", [{}, {"metric": lambda x: 1 + 0.5 * np.sin(2 * np.pi * x)},
                                        {"n": 12, "nt": 6, "dim": 2}],
@@ -205,13 +250,14 @@ class TestScatterAssembly:
         # stable, so they differ by about cond(H) times the rounding unit
         problem = bump_problem(**shape)
         g = problem.grid
-        free = _operators(g)[0]
+        plan = _hessian_plan(g)
         phi = np.zeros((g.n_time,) + g.space_shape)
         for _ in range(3):
             _, m, _, defect, _ = _evaluate(phi, problem)
-            rhs = (g.tau * g.cell_volume * defect).ravel()[free]
-            solution = _banded_solve(_dual_hessian(phi, m, problem), rhs, _hessian_plan(g)[-1])
-            expected = spsolve(dual_hessian(phi, m, problem).tocsc(), rhs)
+            rhs = (g.tau * g.cell_volume * defect).ravel()
+            band = _band(_hessian_terms(phi, m, problem), plan, g)
+            solution = solveh_banded(band, rhs[plan.order], lower=True)[plan.rank[1:]]
+            expected = spsolve(dual_hessian(phi, m, problem).tocsc(), rhs[1:])
             assert np.linalg.norm(solution - expected) <= 1e-12 * np.linalg.norm(expected)
             phi = newton_step(phi, problem)[0]
 
@@ -221,29 +267,25 @@ class TestScatterAssembly:
         assert _hessian_plan(build_grid(1, 12, 6, 1.0, metric)) is plan
         assert _hessian_plan(build_grid(1, 12, 6, 1.0)) is not plan
 
-    def test_pattern_keys_past_int32(self):
-        # row * n_columns + column passes 2^31: the keys must not wrap
-        rows, cols = np.array([50000, 0, 50000], np.int32), np.array([49999, 3, 7], np.int32)
-        indptr, indices, land = _pattern(rows, cols, (50001, 50000))
-        assert indptr[0] == 0 and indptr[50000] == 1 and indptr[-1] == 3
-        assert indices.tolist() == [3, 7, 49999] and land.tolist() == [2, 0, 1]
-
     def test_plan_past_46340_unknowns(self):
-        # 1-D 256x182 has 46 591 free unknowns, past the int32 keys' sqrt(2^31)
+        # 1-D 256x182 has 46 591 free unknowns, past sqrt(2^31): the plan builds,
+        # and every term lands inside the band or in the spare slot past it
         g = build_grid(1, 256, 182, 1.0)
-        indptr, indices = _hessian_plan(g)[4:6]
-        assert indptr.size == g.n_space * g.n_time and indptr[-1] == indices.size
-        assert np.all(np.diff(indptr) > 0)
-        _hessian_plan.cache_clear()         # the plan holds about 0.2 GB
-        _operators.cache_clear()
+        plan = _hessian_plan(g)
+        size = g.n_space * g.n_time - 1
+        assert plan.shape == (g.n_space + 5, size)
+        assert plan.positions.dtype == np.int64
+        assert 0 <= plan.positions.min() and plan.positions.max() == size * plan.shape[0]
+        assert np.array_equal(np.sort(plan.rank), np.arange(size + 1)) and plan.rank[0] == size
+        _hessian_plan.cache_clear()
 
     @pytest.mark.parametrize("dim, n, nt", [(1, 32, 16), (1, 8, 4), (2, 16, 8), (2, 12, 6)])
     def test_band_width_of_the_folded_order(self, dim, n, nt):
         # each ring folded: n + 4 below the diagonal in 1-D, n^2 + 4 n in 2-D
         g = build_grid(dim, n, nt, 1.0)
-        rows, columns = _hessian_plan(g)[-1][2]
+        rows, columns = _hessian_plan(g).shape
         assert rows == (n + 4 if dim == 1 else n * n + 4 * n) + 1
-        assert columns == _operators(g)[0].size
+        assert columns == n ** dim * nt - 1
 
     @pytest.mark.parametrize("case", ["1d-conformal", "2d-varying-V"])
     def test_newton_step_leaves_the_cached_plan_unchanged(self, case):
@@ -260,8 +302,8 @@ class TestScatterAssembly:
     def test_indefinite_hessian_raises_with_iterate_and_history(self, monkeypatch):
         import otgeo.elliptic as ell
         problem = bump_problem(n=16, nt=8)
-        original = ell._dual_hessian
-        monkeypatch.setattr(ell, "_dual_hessian", lambda *args: -original(*args))
+        original = ell._band
+        monkeypatch.setattr(ell, "_band", lambda *args: -original(*args))
         with pytest.raises(EllipticError, match="linear solve failed") as info:
             solve_elliptic(problem)
         err = info.value
@@ -420,8 +462,7 @@ class TestSolveElliptic:
             solve_elliptic(EllipticProblem(g, ref, eps, np.ones(16), np.ones(16)))
 
     @pytest.mark.parametrize("field,value", [
-        ("newton_tolerance", np.nan), ("linear_tolerance", np.inf),
-        ("newton_tolerance", True), ("max_backtracks", True),
+        ("newton_tolerance", np.nan), ("newton_tolerance", True),
     ])
     def test_config_rejects_non_finite_and_bool(self, field, value):
         # a NaN tolerance made the Newton loop stop at once and report success
