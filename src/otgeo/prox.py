@@ -2,23 +2,22 @@
 
 The discrete functional is minimized over staggered pairs ``(m, w)``
 (momenta on the cell faces, ``grid``) subject to the continuity constraint
-by an alternating-direction augmented Lagrangian.  Pointwise copies
-``y = (a, b, c)`` of the staggered variables carry the energies (``a``: the
+by over-relaxed ADMM (Eckstein & Bertsekas 1992, ``alpha = RELAXATION =
+1.5``).  Pointwise copies ``y = (a, b, c)`` carry the energies (``a``: the
 face density for the kinetic kernel, ``b``: momentum, ``c``: interior-node
 density for the entropy), the staggered copy is kept exactly feasible by a
 weighted projection onto the continuity set, and a multiplier enforces
-consensus between the two:
+consensus between ``y`` and ``L z = (A m, w, interior m)``, ``A`` averaging
+the density over each interval's two nodes and each face's two cells.
+After one step ``L z = P_C(t)`` and ``lambda / r = P_C(t) - t`` depend on
+the projection input ``t`` alone, so the loop runs the splitting in its
+relaxed Douglas-Rachford form, a map of ``t`` laid out like ``L z``:
 
-    1. pointwise prox on the copies              (two closed forms per face or cell)
-    2. weighted continuity projection            (one space-time operator)
-       of the relaxed point  h = alpha y + (1 - alpha) L z
-    3. relaxed multiplier ascent                 lambda += r (L z' - h).
+    1. weighted continuity projection            (m, w, phi), L z = P_C(t)
+    2. pointwise prox of the reflection          y = prox(2 L z - t)
+    3. relaxed step                              T(t) = t + alpha (y - L z).
 
-Steps 2 and 3 are over-relaxed (Eckstein & Bertsekas 1992) with
-``alpha = RELAXATION = 1.5``; ``L z = (A m, w, interior m)`` is the image of
-the staggered copy before the projection and ``L z'`` after it, ``A``
-averaging the density over each interval's two nodes and each face's two
-cells.  The projection couples the interior densities through
+The projection couples the interior densities through
 ``K = I + T (x) A_x* A_x`` and solves the normal equations for them and the
 multiplier together: in the time modes they split into one small block per
 mode pair, and ``_projection_operator`` caches the blocks' inverse per grid
@@ -28,27 +27,25 @@ circle), so a projection is one pass into the modes and one back
 operator and pass serve the unweighted ``project_continuity`` through
 ``spacetime_poisson``: one space-time operator for both projections.
 
-Step 1 is exact: ``(a, b)`` carry only the kinetic energy, so ``a`` is the
+Step 2 is exact: ``(a, b)`` carry only the kinetic energy, so ``a`` is the
 real root of the Benamou-Brenier cubic (``_kinetic_prox``), and ``c``
 carries only the entropy, so it is a Wright omega value (``_entropy_prox``).
 Omega is evaluated in numpy, from the regional starts of Lawrence, Corless &
 Jeffrey (2012) and two Fritsch-Shafer-Crowley steps (``_wright_omega``).
 
-Steps 1-3 form a map ``T`` of the state ``x = (interior m, w, lambda)``,
-and the loop runs ``T`` under safeguarded type-II Anderson acceleration
-(``anderson_fixed_point``, memory ``ANDERSON_MEMORY = 5``; Zhang,
-O'Donoghue & Boyd 2020, Fu, Zhang & Boyd 2020): each step extrapolates
-from the last few residuals ``x - T(x)`` and keeps the extrapolated point
-only if its residual is no larger than the current one; otherwise the
-memory is cleared and the loop goes on from the plain image ``T(x)``.
-``iterations``, ``residual_history`` and ``max_outer_iterations`` all
-count evaluations of ``T``, that is weighted projections.  The state is
-packed flat, its multiplier block ``lambda`` laid out like
-``L z = (A m, w, interior m)``; the map keeps ``L z``, ``y``, the volume
-weights and its work arrays in flat buffers of the same layout, allocated
-once a solve, so that the scaled multiplier, the prox input, the relaxed
-point, the projection input, the ascent and the consensus norm are each one
-array operation over the whole block.
+The start is the projected interpolation of the marginals, ``z_0``; ADMM's
+first half step from it, with a zero multiplier, gives
+``t_1 = L z_0 + alpha (prox(L z_0) - L z_0)``, so that projection ``k`` of
+the loop is ADMM's projection ``k``.  The loop runs ``T`` under
+safeguarded type-II Anderson acceleration (``anderson_fixed_point``,
+memory ``ANDERSON_MEMORY = 5``; Zhang, O'Donoghue & Boyd 2020, Fu, Zhang &
+Boyd 2020): each step extrapolates from the last few residuals
+``t - T(t)`` and keeps the extrapolated point only if its residual is no
+larger than the current one; otherwise the memory is cleared and the loop
+goes on from the plain image ``T(t)``.  ``iterations``,
+``residual_history`` and ``max_outer_iterations`` all count evaluations
+of ``T``, that is weighted projections; ``residual_history`` holds the
+consensus ``|y - L z|`` within each map, in the volume weights.
 
 The stop is certified by weak duality.  With ``phi`` the solution of a
 weighted projection, ``r phi`` is a multiplier of the continuity
@@ -107,9 +104,9 @@ from .transport import (
     potential_from_multiplier,
 )
 
-# Over-relaxation factor of the ADMM splitting; 1 is plain ADMM.
+# Over-relaxation factor alpha of the splitting; 1 is plain ADMM.
 RELAXATION = 1.5
-# Number of past steps the Anderson acceleration of the ADMM map mixes.
+# Number of past steps the Anderson acceleration of the splitting's map mixes.
 ANDERSON_MEMORY = 5
 
 
@@ -165,6 +162,8 @@ class SolveReport:
     wall_time: float
     velocity_discrepancy: float = 0.0
     certified_gap: float = None
+    # primal only: gap checks skipped because the projected density had a negative cell
+    skipped_gap_checks: int = None
     residual_history: np.ndarray = field(default=None, repr=False)
     objective_history: np.ndarray = field(default=None, repr=False)
     # the dual route's final multiplier phi; transport.dual_pair gives its pair
@@ -182,8 +181,9 @@ class SolveReport:
             "velocity_discrepancy": float(self.velocity_discrepancy),
             "converged": bool(self.converged),
         }
-        if self.certified_gap is not None:
+        if self.certified_gap is not None:                 # primal route only
             out["certified_gap"] = float(self.certified_gap)
+            out["skipped_gap_checks"] = int(self.skipped_gap_checks)
         if include_volatile:
             out["wall_time"] = float(self.wall_time)
         return out
@@ -588,7 +588,7 @@ def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid, end_coupling, work=None
 
 
 # ---------------------------------------------------------------------------
-# Anderson acceleration and the ADMM driver
+# Anderson acceleration and the splitting's driver
 # ---------------------------------------------------------------------------
 
 def anderson_fixed_point(apply, x, max_evaluations):
@@ -658,8 +658,10 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     that its terminal trace pairs to zero against ``m1``.
 
     ``report.iterations`` counts weighted projections, that is evaluations
-    of the ADMM map; ``report.residual_history`` holds the consensus of each
-    and ``report.objective_history`` ``F_eps`` at each gap check.
+    of the map; ``report.residual_history`` holds the consensus ``|y - L z|``
+    within each (``consensus_gap`` the last), ``report.objective_history``
+    ``F_eps`` at each gap check and ``skipped_gap_checks`` the checks
+    skipped for a negative density.
 
     Raises ``ValueError`` for marginals with a non-finite or negative cell
     or a mass off 1 (``transport.check_marginals``) and ``ProxError`` when
@@ -683,33 +685,32 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
                                              grid), m0, m1, grid)
     m_full, w = start[0].values, start[1].values
 
-    # The map's state x = (interior m, w, lam) is packed flat, and the
-    # multiplier block lam is laid out like L z = (A m, w, interior m); so are
-    # the buffers of L z, of y = (a, b, c) and of the consensus weights.
-    interior = m_full[1:-1].shape
+    # The map's state t, the projection input, is laid out like L z = (A m, w,
+    # interior m); so are the buffers of L z, y, the prox input and the weights.
+    faces, interior = w.shape, m_full[1:-1].shape
     n_m, n_w = m_full[1:-1].size, w.size
-    x = np.concatenate((m_full[1:-1].ravel(), w.ravel(), np.zeros(2 * n_w + n_m)))
 
     V = reference.potential_V
     sigma = 1.0 / r
     shift = V + 1.0 + np.log(sigma * eps)            # _entropy_prox's, once a solve
     res_history = []
     obj_history = []
-    face_weight = np.broadcast_to(grid.face_volume * tau, w.shape)
+    face_weight = np.broadcast_to(grid.face_volume * tau, faces)
     consensus_weight = np.concatenate((
         face_weight.ravel(), (grid.face_metric * face_weight).ravel(),
         np.broadcast_to(grid.cell_volume * tau, interior).ravel()))
-    # the (a, b, c) blocks of lz, y and work (the prox input, then the projection's)
-    lz, y, work, scaled, relaxed = buffers = np.empty((5, 2 * n_w + n_m))
-    lz_a, y_a, pa = buffers[:3, :n_w].reshape((3,) + w.shape)
-    lz_b, y_b, pb = buffers[:3, n_w:2 * n_w].reshape((3,) + w.shape)
-    lz_c, y_c, pc = buffers[:3, 2 * n_w:].reshape((3,) + interior)
-    path = m_full.copy()            # endpoints stay the marginals
-    path_interior = path[1:-1].reshape(-1)
+
+    def blocks(v):
+        """The ``(a, b, c)`` blocks of a flat array laid out like ``L z``."""
+        return v[:n_w].reshape(faces), v[n_w:2 * n_w].reshape(faces), v[2 * n_w:].reshape(interior)
+
+    lz, y, work = np.empty((3, 2 * n_w + n_m))
+    (lz_a, lz_b, lz_c), (y_a, y_b, y_c), (pa, pb, pc) = map(blocks, (lz, y, work))
     projection = _mode_work(grid, coupled=True)
+    projection.w = lz_b             # the projected momentum is L z's middle block
     mid = projection.tmp            # free outside the projection
     end_coupling = _end_coupling(m0, m1, grid)
-    last = {"gap": np.inf}
+    last = {"gap": np.inf, "skipped": 0}
 
     def image_of(density):
         """Fill the density blocks of ``lz``, ``A m`` and interior ``m``."""
@@ -717,44 +718,36 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         face_average(mid, grid, out=lz_a)
         lz_c[...] = density[1:-1]
 
-    def admm_map(state):
-        # reads state only: Anderson may pass the image it still holds
-        lam = state[n_m + n_w:]
-        path_interior[...] = state[:n_m]
-        image_of(path)
-        lz[n_w:2 * n_w] = state[n_m:n_m + n_w]
-
-        # 1. pointwise prox on the copies, one kinetic cell per face (|b|^2 waits in y_b)
-        np.add(lz, np.divide(lam, r, out=scaled), out=work)
+    def relaxed_step(t):
+        """``t + alpha (y - L z)``, a new array, for ``y = prox(2 L z - t)``
+        (``|b|^2`` waits in ``y_b``); leaves ``y - L z`` in ``work``."""
+        np.subtract(np.multiply(lz, 2.0, out=work), t, out=work)
         bsq = np.multiply(np.multiply(grid.face_metric, pb, out=y_b), pb, out=y_b)
         _kinetic_prox(pa, bsq, sigma, y_a)
         np.multiply(np.divide(y_a, np.add(y_a, sigma, out=y_b), out=y_b), pb, out=y_b)
         _entropy_prox(pc, sigma, eps, V, y_c, shift)
+        out = np.multiply(np.subtract(y, lz, out=work), RELAXATION)
+        out += t
+        return out
 
-        # 2. weighted continuity projection of the relaxed point
-        np.add(np.multiply(y, RELAXATION, out=relaxed),
-               np.multiply(lz, 1.0 - RELAXATION, out=work), out=relaxed)
-        np.subtract(relaxed, scaled, out=work)
-        m_new, w_new, phi = _weighted_projection(pa, pb, pc, m0, m1, grid, end_coupling,
+    def dr_map(t):
+        # reads t only: Anderson may pass the image it still holds
+        # 1. weighted continuity projection of t and its image L z
+        m_new, w_new, phi = _weighted_projection(*blocks(t), m0, m1, grid, end_coupling,
                                                  projection)
-
-        # 3. relaxed multiplier ascent; consensus is measured against y = (a, b, c)
         image_of(m_new)
-        lz_b[...] = w_new
-        out = np.empty_like(state)
-        out[:n_m] = lz[2 * n_w:]
-        out[n_m:n_m + n_w] = lz[n_w:2 * n_w]
-        ascent = np.subtract(lz, relaxed, out=out[n_m + n_w:])
-        ascent *= r
-        ascent += lam
-        defect = np.subtract(lz, y, out=work)
-        defect *= defect
-        res_history.append(float(np.sqrt(defect @ consensus_weight)))
 
-        # 4. certified stop: F at the projected pair against G at its multiplier;
+        # 2. pointwise prox of the reflection, relaxed step, consensus |y - L z|
+        out = relaxed_step(t)
+        res_history.append(float(np.sqrt(np.multiply(work, work, out=work) @ consensus_weight)))
+
+        # 3. certified stop: F at the projected pair against G at its multiplier;
         # weak duality needs the pair feasible, so a negative density is not checked
         since = len(res_history) - config.min_iterations
-        if since < 0 or since % config.stagnation_window or m_new.min() < 0:
+        if since < 0 or since % config.stagnation_window:
+            return out, False
+        if m_new.min() < 0:
+            last["skipped"] += 1
             return out, False
         obj = functional_value(DensityPath(m_new, grid), MomentumField(w_new, grid),
                                reference, eps)
@@ -765,15 +758,21 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         return out, bool(np.isfinite(obj)
                          and -ROUNDING * scale <= gap <= config.gap_tolerance * scale)
 
-    iterations, converged = anderson_fixed_point(admm_map, x, config.max_outer_iterations)
+    # ADMM's half step from the projected start, zero multiplier (at t = L z the
+    # reflection 2 L z - t is L z): projection k of the loop is then ADMM's k
+    image_of(m_full)
+    lz_b[...] = w
+    t = relaxed_step(lz)
+
+    iterations, converged = anderson_fixed_point(dr_map, t, config.max_outer_iterations)
     res_history = np.asarray(res_history)
     obj_history = np.asarray(obj_history)
     m_full, w, phi = projection.m, projection.w, projection.phi
-    consensus, gap = res_history[-1], last["gap"]
+    consensus, gap, skipped = res_history[-1], last["gap"], last["skipped"]
     if not converged:
         raise ProxError(
-            f"no convergence in {config.max_outer_iterations} projections "
-            f"(consensus gap {consensus:.3e}, certified gap {gap:.3e})",
+            f"no convergence in {config.max_outer_iterations} projections (consensus gap "
+            f"{consensus:.3e}, certified gap {gap:.3e}, {skipped} gap checks skipped)",
             best=(m_full, w), history=res_history)
 
     obj = last["obj"]
@@ -801,6 +800,7 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         wall_time=time.perf_counter() - t0,
         velocity_discrepancy=vdisc,
         certified_gap=gap,
+        skipped_gap_checks=skipped,
         residual_history=res_history,
         objective_history=obj_history,
         converged=converged,

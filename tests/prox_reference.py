@@ -13,24 +13,37 @@ one pass and is compared with it.  ``apply_operator`` applies the
 space-time operators by their stencils, and ``anderson_fixed_point`` is
 the acceleration loop that allocates its work arrays per step, against
 which ``otgeo.prox.anderson_fixed_point`` must reproduce every iterate.
+
+``admm_projections`` runs the splitting as over-relaxed ADMM on the state
+``(interior m, w, lambda)`` under a plain loop; without acceleration the
+Douglas-Rachford map of ``otgeo.prox.solve_prox``, after ADMM's half step,
+makes the same projections.
 """
 
 import functools
 
 import numpy as np
 
-from otgeo.grid import cell_average, covariant_gradient, laplace_beltrami
+from otgeo.grid import cell_average, covariant_gradient, face_average, laplace_beltrami
 from otgeo.prox import (
     ANDERSON_MEMORY,
+    RELAXATION,
+    ProxConfig,
     ProxError,
     _along_space,
     _axis_grid,
     _eigh,
+    _end_coupling,
+    _entropy_prox,
+    _kinetic_prox,
+    _mode_work,
     _pair_average,
     _pseudo_inverse,
     _space_eigenbasis,
     _symmetrized,
     _time_modes,
+    _weighted_projection,
+    project_continuity,
 )
 from otgeo.transport import DensityPath, MomentumField, continuity_defect
 
@@ -245,3 +258,51 @@ def anderson_fixed_point(apply, x, max_evaluations):
         slot = (slot + 1) % memory
         fx, g, g_norm = f_trial, g_trial, g_trial_norm
     return evaluations, stop
+
+
+def admm_projections(m0, m1, reference, eps, grid, maps):
+    """The projections ``(m, w, phi)``, copied, of ``maps`` evaluations of the
+    ADMM map of ``(interior m, w, lambda)`` under a plain loop, from the
+    projected interpolation of the marginals and a zero multiplier.
+
+    With ``L z = (A m, w, interior m)`` each map takes the prox
+    ``y = prox(L z + lambda / r)``, projects the relaxed point
+    ``h = alpha y + (1 - alpha) L z`` less ``lambda / r`` and ascends
+    ``lambda += r (L z' - h)`` at the projected image ``L z'``, with
+    ``ProxConfig``'s default penalty ``r``.
+    """
+    Nt, r = grid.n_time, ProxConfig().penalty
+    frac = (np.arange(Nt + 1) / Nt).reshape((-1,) + (1,) * grid.dim)
+    start = project_continuity(DensityPath((1.0 - frac) * m0 + frac * m1, grid),
+                               MomentumField(np.zeros((Nt,) + grid.space_shape + (grid.dim,)),
+                                             grid), m0, m1, grid)
+    m, w = start[0].values.copy(), start[1].values.copy()
+    lam = np.zeros(2 * w.size + m[1:-1].size)
+    sigma = 1.0 / r
+    work = _mode_work(grid, coupled=True)
+    end_coupling = _end_coupling(m0, m1, grid)
+    n_w = w.size
+
+    def image(density, momentum):
+        a = face_average(0.5 * (density[:-1] + density[1:]), grid)
+        return np.concatenate((a.ravel(), momentum.ravel(), density[1:-1].ravel()))
+
+    def blocks(v):
+        return (v[:n_w].reshape(w.shape), v[n_w:2 * n_w].reshape(w.shape),
+                v[2 * n_w:].reshape(m[1:-1].shape))
+
+    projections = []
+    for _ in range(maps):
+        lz = image(m, w)
+        pa, pb, pc = blocks(lz + lam / r)
+        ya = _kinetic_prox(pa, grid.face_metric * pb * pb, sigma)
+        yb = ya / (ya + sigma) * pb
+        yc = _entropy_prox(pc, sigma, eps, reference.potential_V)
+        y = np.concatenate((ya.ravel(), yb.ravel(), yc.ravel()))
+        relaxed = RELAXATION * y + (1.0 - RELAXATION) * lz
+        m_new, w_new, phi = _weighted_projection(*blocks(relaxed - lam / r), m0, m1, grid,
+                                                 end_coupling, work)
+        m, w = m_new.copy(), w_new.copy()
+        projections.append((m, w, phi.copy()))
+        lam = lam + r * (image(m, w) - relaxed)
+    return projections

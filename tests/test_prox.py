@@ -479,6 +479,30 @@ class TestSolveProx:
         assert err.value.best is not None
         assert len(err.value.history) == 5
 
+    def test_skipped_gap_checks_are_counted(self, monkeypatch):
+        # a gap check at a projected density with a negative cell is skipped,
+        # and the error and the report count it
+        g = build_grid(1, 16, 8, 1.0)
+        ref = ReferenceMeasure.from_potential(0.0, g)
+        m0, m1 = make_marginals("point_like", {"smoothing_steps": 0}, g)
+        negative, project = [], prox._weighted_projection
+
+        def recorded(*args):
+            out = project(*args)
+            negative.append(bool(out[0].min() < 0))
+            return out
+
+        monkeypatch.setattr(prox, "_weighted_projection", recorded)
+        with pytest.raises(ProxError) as err:
+            solve_prox(m0, m1, ref, 0.1, g, ProxConfig(stagnation_window=1, max_outer_iterations=60))
+        assert sum(negative) > 0 and f", {sum(negative)} gap checks skipped)" in str(err.value)
+        negative.clear()
+        config = ProxConfig(stagnation_window=1)
+        rep = solve_prox(m0, m1, ref, 0.1, g, config)[3]
+        assert rep.skipped_gap_checks == sum(negative) > 0
+        assert rep.as_dict()["skipped_gap_checks"] == rep.skipped_gap_checks
+        assert_certified(rep, config)
+
     def test_two_bump_certificates(self):
         g = build_grid(1, 64, 32, 1.0)
         ref = ReferenceMeasure.from_potential(0.0, g)
@@ -495,7 +519,7 @@ class TestSolveProx:
         assert np.all(np.diff(tail) <= 1e-12)
 
     @pytest.mark.parametrize("n_space,n_time,metric,width,projections", [
-        (64, 32, None, 0.08, 90),
+        (64, 32, None, 0.08, 80),
         (32, 16, lambda x: 1.0 + 0.5 * np.sin(2.0 * np.pi * x), 0.15, 40),
     ], ids=["flat-64x32", "conformal-32x16"])
     def test_projection_count_of_benchmark_instances(self, n_space, n_time, metric, width,
@@ -607,6 +631,39 @@ class TestSolveProx:
         # a rejected extrapolation is followed by the plain image of the step before
         rejected = sum(np.array_equal(points[i], images[i - 2]) for i in range(2, len(points)))
         assert rejected == 0 if family == "bump_pair" else rejected > 0
+
+    @pytest.mark.parametrize("dim,n,n_time,metric", [
+        (1, 32, 16, None), (1, 32, 16, CONFORMAL), (2, 8, 4, None),
+    ], ids=["flat-32x16", "conformal-32x16", "flat2d-8x4"])
+    def test_map_makes_the_admm_projections(self, monkeypatch, dim, n, n_time, metric):
+        # without acceleration the Douglas-Rachford map of the projection input,
+        # after ADMM's half step, projects what the ADMM map of
+        # (interior m, w, lambda) projects, map for map
+        g = build_grid(dim, n, n_time, 1.0, metric)
+        ref = ReferenceMeasure.from_potential(0.0, g)
+        m0, m1 = make_marginals("bump_pair", {"width": 0.15}, g)
+        projections, project = [], prox._weighted_projection
+
+        def recorded(*args):
+            out = project(*args)
+            projections.append(tuple(v.copy() for v in out))
+            return out
+
+        def plain(apply, x, max_evaluations):
+            for _ in range(max_evaluations):
+                x = apply(x)[0]
+            return max_evaluations, False
+
+        monkeypatch.setattr(prox, "_weighted_projection", recorded)
+        monkeypatch.setattr(prox, "anderson_fixed_point", plain)
+        with pytest.raises(ProxError):
+            solve_prox(m0, m1, ref, 0.1, g, ProxConfig(max_outer_iterations=40))
+        monkeypatch.undo()
+        expected = prox_reference.admm_projections(m0, m1, ref, 0.1, g, 40)
+        assert len(projections) == len(expected) == 40
+        for got, want in zip(projections, expected):
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 class TestAnderson:
