@@ -324,8 +324,6 @@ def _validate_check_options(cid, opts, grid):
             nodes = grid.time_nodes()
             if not np.any((nodes >= window[0] - 1e-12) & (nodes <= window[1] + 1e-12)):
                 fail(f"window {window!r} holds no time node")
-    if cid == "sweep" and not grid.flat:
-        fail("needs the flat metric (its W2 oracles are flat-only)")
 
 
 def run(config, out_dir=None, verbose=False):
@@ -519,8 +517,8 @@ def emit_plots(report: DiagnosticsReport, out_dir, digest="") -> list:
             paths.append(str(p))
         elif entry.check == "energy":
             e = np.asarray(entry.values["energies"])
-            T = entry.grid_info["horizon"]
-            t = np.linspace(T / len(e), T - T / len(e), len(e))
+            T, Nt = entry.grid_info["horizon"], entry.grid_info["n_time"]
+            t = np.linspace(0.0, T, Nt + 1)[1:-1]  # the interior nodes t_1 .. t_{Nt-1}
             text = svg.line_plot(
                 [("E(t)", t, e)], "Invariant energy along the curve", "t", "E",
                 annotations=(f"drift {entry.values['drift']:.3e}",), digest=digest)

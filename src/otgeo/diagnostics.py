@@ -31,7 +31,7 @@ from .transport import (
     relative_entropy,
 )
 from .prox import ProxConfig, solve_prox
-from .oracles import circular_w2_oracle, flow_w2_oracle, mccann_midpoint
+from .oracles import _axis_pairs, flow_w2_oracle, mccann_midpoint
 
 
 @dataclass
@@ -361,11 +361,16 @@ class SweepSpec:
     solver_config: ProxConfig = None
 
     def validate(self):
+        """The spec itself; ``ValueError`` unless its eps list is strictly
+        decreasing and positive, it has a grid, and the W2 oracles take its
+        marginal pair (a product on the 2-D torus)."""
         eps = tuple(self.eps_list)
         if any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
             raise ValueError("eps_list must be strictly decreasing and positive")
         if self.grid is None:
             raise ValueError("SweepSpec needs a grid")
+        from .families import make_marginals
+        _axis_pairs(*make_marginals(self.family, self.family_params, self.grid), self.grid)
         return self
 
 
@@ -385,28 +390,21 @@ def epsilon_sweep(spec: SweepSpec, required=False) -> CheckEntry:
     spec.validate()
     grid = spec.grid
     m0, m1 = make_marginals(spec.family, spec.family_params, grid)
-    if grid.dim == 1:
-        w2sq = circular_w2_oracle(m0, m1, grid)
-        mid_oracle = mccann_midpoint(m0, m1, grid, t=0.5)
-    else:
-        w2sq = flow_w2_oracle(m0, m1, grid)
-        mid_oracle = None
+    w2sq = flow_w2_oracle(m0, m1, grid)
+    mid_oracle = mccann_midpoint(m0, m1, grid, t=0.5)
     reference = ReferenceMeasure.from_potential(0.0, grid)
     base = w2sq / (2.0 * grid.horizon)
     config = spec.solver_config or ProxConfig()
 
     def solve_one(eps):
         m, w, u, rep = solve_prox(m0, m1, reference, eps, grid, config)
-        entry = {"eps": eps, "objective": rep.objective,
-                 "residual": rep.objective - base,
-                 "duality_gap": rep.duality_gap,
-                 "certified_gap": rep.certified_gap,
-                 "iterations": rep.iterations}
-        if mid_oracle is not None:
-            k_mid = grid.n_time // 2
-            entry["midpoint_l1"] = float(np.sum(
-                np.abs(m.values[k_mid] - mid_oracle) * grid.cell_volume))
-        return entry
+        return {"eps": eps, "objective": rep.objective,
+                "residual": rep.objective - base,
+                "duality_gap": rep.duality_gap,
+                "certified_gap": rep.certified_gap,
+                "iterations": rep.iterations,
+                "midpoint_l1": float(np.sum(
+                    np.abs(m.values[grid.n_time // 2] - mid_oracle) * grid.cell_volume))}
 
     eps_list = list(spec.eps_list)
     per_eps = [solve_one(e) for e in eps_list]
@@ -422,8 +420,7 @@ def epsilon_sweep(spec: SweepSpec, required=False) -> CheckEntry:
     else:
         slope, intercept = np.nan, np.nan
     slope_ok = bool(0.8 <= slope <= 1.2)
-    mid_l1 = [p.get("midpoint_l1") for p in per_eps]
-    midpoint_decreasing = (mid_l1[0] is None) or (mid_l1[-1] <= mid_l1[0] + 1e-12)
+    midpoint_decreasing = per_eps[-1]["midpoint_l1"] <= per_eps[0]["midpoint_l1"] + 1e-12
 
     passed = positive and monotone and slope_ok and lower_ok
     return CheckEntry(
@@ -475,26 +472,6 @@ def check_time_scaling(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         passed=bool(repa.objective <= bound),
         required=required,
     )
-
-
-def fit_local_bound_constant(m: DensityPath, u: Potential, reference: ReferenceMeasure,
-                             eps, grid: Grid, window=None, kappa=0.25):
-    """Fitted constant K of the interior density barrier.
-
-    Over interior times of ``window = (a, b)`` the quantity
-    ``eps (log m + V) + kappa |grad u|^2`` is bounded by
-    ``K (1/(t-a)^2 + 1/(b-t)^2)``; returns the smallest K making that hold
-    on the grid (an empirical constant, to be checked for stability, never
-    against a closed form).
-    """
-    a, b = window or (grid.horizon / 4.0, 3.0 * grid.horizon / 4.0)
-    t = grid.time_nodes()
-    inside = (t > a + 1e-12) & (t < b - 1e-12)
-    mk = np.maximum(m.values[inside], 1e-300)
-    gu = covariant_gradient(u.values[inside], grid)
-    quantity = eps * (np.log(mk) + reference.potential_V) + kappa * metric_norm_sq(gu, grid)
-    barrier = 1.0 / (t[inside] - a) ** 2 + 1.0 / (b - t[inside]) ** 2
-    return float(np.max(quantity.max(axis=tuple(range(1, 1 + grid.dim))) / barrier, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,10 @@ class TestRun:
         ({"solver": {"method": "both", "eps": 0.1, "epsilon": 0.5}}, "solver.epsilon"),
         ({"output": {"directroy": "results"}}, "output.directroy"),
         ({"diagnostics": {"checks": [], "check": ["energy"]}}, "diagnostics.check"),
+        # the 2-D W2 oracles take product pairs, and the floor makes the step pair a sum
+        ({"grid": {"dim": 2, "n_space": 8}, "marginals": {"family": "step"},
+          "solver": {"method": "prox", "eps_list": [0.2, 0.1]},
+          "diagnostics": {"checks": ["sweep"]}}, "product"),
     ], ids=["length-string", "length-zero", "length-bool", "metric-negative",
             "sweep-eps_list-increasing", "eps_list-empty", "width-zero", "width-negative",
             "step-width-zero", "peak-zero", "floor-negative", "floor-slightly-negative",
@@ -358,7 +362,8 @@ class TestRun:
             "check-option-misspelt", "check-option-of-another-check", "output-directory-number",
             "grid-field-misspelt", "metric-field-misspelt", "marginals-field-misspelt",
             "marginals-field-of-another-family", "reference-field-misspelt",
-            "solver-field-misspelt", "output-field-misspelt", "diagnostics-field-misspelt"])
+            "solver-field-misspelt", "output-field-misspelt", "diagnostics-field-misspelt",
+            "sweep-2d-step"])
     def test_config_built_before_any_solve(self, tmp_path, monkeypatch, capsys, patch, name):
         # check builds what run builds, so both reject the config, and run
         # neither solves nor creates its output directory
@@ -643,3 +648,20 @@ class TestEmitPlots:
         assert Path(p2[0]).read_text() == text1
         assert "config_digest=abc" in text1
         assert text1.startswith("<svg")
+
+    def test_energy_plotted_at_the_interior_time_nodes(self, tmp_path, monkeypatch):
+        import otgeo.cli as cli
+        from otgeo.diagnostics import CheckEntry
+        g = build_grid(1, 8, 16, 2.0)
+        report = DiagnosticsReport()
+        report.add(CheckEntry("energy", "", {"horizon": g.horizon, "n_time": g.n_time}, {},
+                              {"energies": np.arange(g.n_time - 1.0), "drift": 0.0}, True))
+        plotted = []
+
+        def line_plot(series, *args, **kwargs):
+            plotted.extend(series)
+            return "<svg/>"
+        monkeypatch.setattr(cli.svg, "line_plot", line_plot)
+        emit_plots(report, tmp_path)
+        [(_, t, _)] = plotted
+        assert np.array_equal(t, g.time_nodes()[1:-1])

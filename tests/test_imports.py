@@ -1,4 +1,4 @@
-"""The import boundary: only the dual route and the 2-D W2 oracle load SciPy.
+"""The import boundary: only the dual route loads SciPy, and only ``scipy.linalg``.
 
 Each case runs in a fresh interpreter, since the test modules import SciPy
 themselves.
@@ -32,14 +32,14 @@ def loaded_scipy(*args, extra=".cli"):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def run_args(tmp_path, method):
-    cfg = {"grid": {"dim": 1, "n_space": 32, "n_time": 16, "horizon": 1.0},
+def run_args(tmp_path, method, command="run", dim=1):
+    cfg = {"grid": {"dim": dim, "n_space": 32 if dim == 1 else 8, "n_time": 16, "horizon": 1.0},
            "marginals": {"family": "bump_pair", "width": 0.15},
-           "solver": {"method": method, "eps": 0.1},
+           "solver": {"method": method, "eps": 0.1, "eps_list": [0.2, 0.1]},
            "diagnostics": {"checks": ["energy", "duality", "heat_bound"]}}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    return "run", str(path), "--out", str(tmp_path / "out")
+    return command, str(path), "--out", str(tmp_path / "out")
 
 
 def test_import_loads_no_scipy():
@@ -57,3 +57,8 @@ def test_both_run_loads_no_optimizer(tmp_path):
     assert code == 0
     assert "scipy.linalg" in modules
     assert not any(m.startswith(("scipy.sparse", "scipy.optimize")) for m in modules)
+
+
+def test_torus_w2_oracle_loads_no_scipy(tmp_path):
+    # the 2-D W2 oracle and midpoint are sums and products of circle oracles
+    assert loaded_scipy(*run_args(tmp_path, "prox", command="sweep", dim=2)) == [0, []]

@@ -1,4 +1,5 @@
-"""Ground-truth oracles: circular W2, Kantorovich LP, heat competitor."""
+"""Ground-truth oracles: circular and torus W2 against the transportation LP,
+the McCann interpolant, the heat flow and its competitor."""
 
 import numpy as np
 import pytest
@@ -19,14 +20,28 @@ from otgeo.oracles import (
 )
 
 
-def lp_circle_w2(m0, m1, grid):
-    """Independent exact reference: the full transportation LP on the circle."""
-    n, h = grid.n_space, grid.h
-    a = m0 * grid.cell_volume
-    b = m1 * grid.cell_volume
-    a, b = a / a.sum(), b / b.sum()
+def circle_cost(grid):
+    """Periodic squared distance between the nodes of one axis."""
+    n = grid.n_space
     d = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    d = np.minimum(d, n - d) * h
+    return (np.minimum(d, n - d) * grid.h) ** 2
+
+
+def torus_cost(grid):
+    """Periodic squared distance between the cells of the 2-D torus, in
+    the order of ``ravel``."""
+    c = circle_cost(grid)
+    size = grid.n_space ** 2
+    return (c[:, None, :, None] + c[None, :, None, :]).reshape(size, size)
+
+
+def lp_w2(m0, m1, grid, cost):
+    """Independent exact reference: the full transportation LP between the
+    cells of the grid, with ground ``cost`` between them."""
+    a = (m0 * grid.cell_volume).ravel()
+    b = (m1 * grid.cell_volume).ravel()
+    a, b = a / a.sum(), b / b.sum()
+    n = a.size
     nvar = n * n
     rows = np.concatenate([np.repeat(np.arange(n), n), n + np.tile(np.arange(n), n)])
     cols = np.concatenate([np.arange(nvar), np.arange(nvar)])
@@ -34,7 +49,7 @@ def lp_circle_w2(m0, m1, grid):
     # HiGHS's default feasibility tolerances (1e-7) leave errors up to 2e-9
     # on marginals with near-empty cells; at 1e-10 its presolve declares some
     # of them infeasible, so it is off
-    res = linprog((d ** 2).ravel(), A_eq=A[:-1], b_eq=np.concatenate([a, b])[:-1],
+    res = linprog(cost.ravel(), A_eq=A[:-1], b_eq=np.concatenate([a, b])[:-1],
                   bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10, "presolve": False})
@@ -127,7 +142,7 @@ class TestCircularW2:
     def test_matches_transportation_lp_on_random_instances(self, kind):
         for m0, m1, g in _lp_instances(kind):
             assert circular_w2_oracle(m0, m1, g) == pytest.approx(
-                lp_circle_w2(m0, m1, g), abs=1e-10)
+                lp_w2(m0, m1, g, circle_cost(g)), abs=1e-10)
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_antipodal_tie_returns_the_smallest_minimizer(self, n):
@@ -187,7 +202,8 @@ class TestCircularW2:
         g = build_grid(1, 64, 32, 1.0)
         m0, m1 = make_marginals("bump_pair", {"width": 0.08, "centers": [
             0.5366333278673542, 0.03663332786735429]}, g)
-        assert circular_w2_oracle(m0, m1, g) == pytest.approx(lp_circle_w2(m0, m1, g), abs=1e-10)
+        assert circular_w2_oracle(m0, m1, g) == pytest.approx(
+            lp_w2(m0, m1, g, circle_cost(g)), abs=1e-10)
         assert integrate(mccann_midpoint(m0, m1, g), g) == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_cost_is_convex_in_the_offset(self):
@@ -246,27 +262,44 @@ class TestFlowW2:
         val = flow_w2_oracle(q, shifted, g)
         assert val <= 0.0625 + 1e-10
 
-    def test_dimensional_reduction_matches_circular(self):
-        n = 12
-        g2 = build_grid(2, n, 4, 1.0)
-        g1 = build_grid(1, n, 4, 1.0)
-        x = g1.axis_coords()
-        prof0 = np.exp(0.8 * np.cos(2 * np.pi * x))
-        prof1 = np.exp(0.8 * np.sin(2 * np.pi * x))
-        prof0 /= integrate(prof0, g1)
-        prof1 /= integrate(prof1, g1)
-        m0 = np.tile(prof0[:, None], (1, n))
-        m1 = np.tile(prof1[:, None], (1, n))
-        v2 = flow_w2_oracle(m0, m1, g2)
-        v1 = circular_w2_oracle(prof0, prof1, g1)
-        assert v2 == pytest.approx(v1, abs=1e-10)
+    @pytest.mark.parametrize("n, family", [(8, "bump_pair"), (12, "bump_pair"),
+                                           (12, "point_like")])
+    def test_matches_transportation_lp(self, n, family):
+        # at HiGHS's default 1e-7 feasibility the same LP misses the second
+        # 8^2 bump pair by 1.0e-9 and the third 12^2 one by 4.5e-9
+        from otgeo.families import make_marginals
+        g = build_grid(2, n, 4, 1.0)
+        rng = np.random.default_rng(n)
+        params = ([{"centers": rng.random((2, 2)).tolist()} for _ in range(3)]
+                  if family == "bump_pair" else [{"smoothing_steps": 1}])
+        for p in params:
+            m0, m1 = make_marginals(family, p, g)
+            assert flow_w2_oracle(m0, m1, g) == pytest.approx(
+                lp_w2(m0, m1, g, torus_cost(g)), abs=1e-14)
 
-    def test_bin_budget_error_instructs_coarsening(self):
-        g = build_grid(2, 16, 4, 1.0)
-        m = np.ones(g.space_shape)
-        with pytest.raises(ValueError, match="coarsen"):
-            flow_w2_oracle(m, m, g, max_bins=64)
-        assert flow_w2_oracle(m, m, g, max_bins=64, coarsen=2) == pytest.approx(0.0, abs=1e-12)
+    def test_non_product_pair_raises(self):
+        from otgeo.families import make_marginals
+        g = build_grid(2, 8, 4, 1.0)
+        m0, m1 = make_marginals("step", {}, g)
+        for oracle in (flow_w2_oracle, mccann_midpoint):
+            with pytest.raises(ValueError, match="product"):
+                oracle(m0, m1, g)
+        # the floor makes the step pair a sum, not a product
+        m0, m1 = make_marginals("step", {"floor": 0.0}, g)
+        assert flow_w2_oracle(m0, m1, g) > 0
+
+    def test_midpoint_is_the_product_of_the_axis_midpoints(self):
+        from otgeo.families import make_marginals
+        g2 = build_grid(2, 16, 4, 1.0)
+        g1 = build_grid(1, 16, 4, 1.0)
+        m0, m1 = make_marginals("bump_pair", {"centers": [[0.1, 0.3], [0.6, 0.45]]}, g2)
+        axis = [make_marginals("bump_pair", {"centers": c}, g1) for c in ([0.1, 0.6], [0.3, 0.45])]
+        mid = mccann_midpoint(m0, m1, g2)
+        expected = np.multiply.outer(*(mccann_midpoint(a, b, g1) for a, b in axis))
+        assert np.max(np.abs(mid - expected)) <= 1e-13 * np.max(expected)
+        assert integrate(mid, g2) == pytest.approx(1.0, abs=1e-12)
+        assert flow_w2_oracle(m0, m1, g2) == pytest.approx(
+            sum(circular_w2_oracle(a, b, g1) for a, b in axis), abs=1e-15)
 
 
 class TestHeatFlow:
