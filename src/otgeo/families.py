@@ -4,18 +4,21 @@ Each family produces a pair of unit-mass grid densities.  Both solvers
 take any nonnegative pair of unit mass, the paper's L1 data, so the
 families need not be positive: ``point_like`` loads one cell per marginal,
 optionally regularized by a few steps of the grid's Laplace-Beltrami heat
-flow, on every grid.  A family rejects a parameter it does not read and
-one it cannot use (a width that is not positive, centres or cells that
-are not two points of the grid) with a ``ValueError`` that names the
-parameter.
+flow, on every grid (on the torus axis by axis, so the pair is a product).
+A family rejects a parameter it does not read and one it cannot use (a
+width that is not positive, centres or cells that are not two points of
+the grid) with a ``ValueError`` that names the parameter.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .grid import Grid, integrate, read_field
 from .oracles import heat_semigroup
+from .prox import _axis_grid
 
 
 def _positive(params, key, default, zero=False):
@@ -107,18 +110,24 @@ def _point_like(grid: Grid, params):
     half = grid.n_space // 2
     cells = _two_points(params, "cells", (0, half) if grid.dim == 1 else ((0, 0), (half, half)),
                         grid)
+    # on the torus each marginal is the outer product of its axis factors,
+    # each smoothed and floored on the axis circle, so it stays a product
+    axis = grid if grid.dim == 1 else _axis_grid(grid)
     out = []
     for cell in cells:
-        m = np.zeros(grid.space_shape)
-        m[tuple(np.atleast_1d(cell))] = 1.0
-        m /= integrate(m, grid)
-        if steps > 0:
-            m = heat_semigroup(m, steps * grid.h ** 2, grid)
-            # the flow is positive up to rounding; the floor keeps a
-            # rounding-size undershoot from leaving a negative cell
-            m = np.maximum(m, 1e-12 * np.max(m))
-            m /= integrate(m, grid)
-        out.append(m)
+        factors = []
+        for index in np.atleast_1d(cell):
+            m = np.zeros(axis.space_shape)
+            m[index] = 1.0
+            m /= integrate(m, axis)
+            if steps > 0:
+                m = heat_semigroup(m, steps * axis.h ** 2, axis)
+                # the flow is positive up to rounding; the floor keeps a
+                # rounding-size undershoot from leaving a negative cell
+                m = np.maximum(m, 1e-12 * np.max(m))
+                m /= integrate(m, axis)
+            factors.append(m)
+        out.append(functools.reduce(np.multiply.outer, factors))
     return out[0], out[1]
 
 

@@ -99,7 +99,7 @@ def _optimal_shift(p, q, xs, L):
 
 # a 2-D marginal counts as a product when no cell departs from the outer
 # product of its axis marginals by more than this fraction of its peak; the
-# products of the families depart by at most 1.6e-15 up to 128^2
+# products of the families depart by at most 3.5e-15 up to 128^2
 PRODUCT_ROUNDING = 1e-13
 
 

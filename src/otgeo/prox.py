@@ -38,11 +38,14 @@ first half step from it, with a zero multiplier, gives
 ``t_1 = L z_0 + alpha (prox(L z_0) - L z_0)``, so that projection ``k`` of
 the loop is ADMM's projection ``k``.  The loop runs ``T`` under
 safeguarded type-II Anderson acceleration (``anderson_fixed_point``,
-memory ``ANDERSON_MEMORY = 5``; Zhang, O'Donoghue & Boyd 2020, Fu, Zhang &
+memory ``ANDERSON_MEMORY = 7``; Zhang, O'Donoghue & Boyd 2020, Fu, Zhang &
 Boyd 2020): each step extrapolates from the last few residuals
 ``t - T(t)`` and keeps the extrapolated point only if its residual is no
 larger than the current one; otherwise the memory is cleared and the loop
-goes on from the plain image ``T(t)``.  ``iterations``,
+goes on from the plain image ``T(t)``.  A step passes over its memory
+twice, once for the new Gram row and once for the extrapolation; the
+products of the differences with the current residual are kept from
+step to step.  ``iterations``,
 ``residual_history`` and ``max_outer_iterations`` all count evaluations
 of ``T``, that is weighted projections; ``residual_history`` holds the
 consensus ``|y - L z|`` within each map, in the volume weights.
@@ -107,7 +110,7 @@ from .transport import (
 # Over-relaxation factor alpha of the splitting; 1 is plain ADMM.
 RELAXATION = 1.5
 # Number of past steps the Anderson acceleration of the splitting's map mixes.
-ANDERSON_MEMORY = 5
+ANDERSON_MEMORY = 7
 
 
 class ProxError(Exception):
@@ -601,17 +604,23 @@ def anderson_fixed_point(apply, x, max_evaluations):
     ``dG`` of the residuals ``g = x - T(x)`` and ``dF`` of the images, with
     ``gamma`` minimizing ``|g - dG gamma|`` through the normal equations: the
     Gram matrix ``dG dG^T`` gains one row per step and a ridge of ``1e-12``
-    times its trace.  ``x~`` is kept only when ``|T(x~) - x~| <= |T(x) - x|``;
-    otherwise the memory is cleared and the iteration continues from the
-    plain image ``T(x)`` (Fu, Zhang & Boyd 2020).  With an empty memory, or
-    differences that are all zero, the step is the plain image.  The loop
-    holds the last image and may pass it back as the next point, so
-    ``apply`` must not write into its argument and must return a new array.
+    times its trace.  The right-hand side ``dG g`` is kept, not recomputed:
+    when ``g`` becomes ``g' = g + dg`` with ``dg`` the new difference, each
+    kept row's product gains its Gram entry with ``dg`` and the new row's
+    product is one dot ``dg . g'``.  A step thus passes over the memory
+    twice, for the Gram row and for ``dF gamma``.  ``x~`` is kept only when
+    ``|T(x~) - x~| <= |T(x) - x|``; otherwise the memory is cleared and the
+    iteration continues from the plain image ``T(x)`` (Fu, Zhang & Boyd
+    2020).  With an empty memory, or differences that are all zero, the step
+    is the plain image.  The loop holds the last image and may pass it back
+    as the next point, so ``apply`` must not write into its argument and
+    must return a new array.
     """
     memory = ANDERSON_MEMORY
     d_g = np.empty((memory, x.size))
     d_f = np.empty((memory, x.size))
     gram = np.zeros((memory, memory))
+    g_dots = np.zeros(memory)                     # d_g[:count] @ g, kept step to step
     ridged = np.empty(memory * memory)            # count x count at its head
     g, g_trial = np.empty((2, x.size))            # residuals, swapped each step
     count = slot = evaluations = 0
@@ -632,7 +641,7 @@ def anderson_fixed_point(apply, x, max_evaluations):
             square = ridged[:count * count].reshape(count, count)
             square[...] = gram[:count, :count]
             ridged[:count * count:count + 1] += 1e-12 * trace
-            gamma = np.linalg.solve(square, d_g[:count] @ g)
+            gamma = np.linalg.solve(square, g_dots[:count])
             trial = fx - gamma @ d_f[:count]
         f_trial, g_trial_norm, stop = evaluate(trial, g_trial)
         if extrapolated and g_trial_norm > g_norm and not stop and evaluations < max_evaluations:
@@ -642,6 +651,8 @@ def anderson_fixed_point(apply, x, max_evaluations):
         np.subtract(f_trial, fx, out=d_f[slot])
         count = min(count + 1, memory)
         gram[slot, :count] = gram[:count, slot] = d_g[:count] @ d_g[slot]
+        g_dots[:count] += gram[:count, slot]      # d_g[i] @ g_trial = d_g[i] @ (g + d_g[slot])
+        g_dots[slot] = d_g[slot] @ g_trial
         slot = (slot + 1) % memory
         fx, g_norm = f_trial, g_trial_norm
         g, g_trial = g_trial, g

@@ -224,11 +224,14 @@ def weighted_projection(qa, qb, qc, m0, m1, grid, end_coupling):
 def anderson_fixed_point(apply, x, max_evaluations):
     """Safeguarded type-II Anderson acceleration as
     ``otgeo.prox.anderson_fixed_point`` specifies it, with fresh arrays for
-    every residual, difference and ridge."""
+    every residual, difference and ridge.  The products ``d_g[:count] @ g``
+    are kept: a new residual ``g + d_g[slot]`` adds each row's Gram entry
+    with ``d_g[slot]``, and the new row takes one dot."""
     memory = ANDERSON_MEMORY
     d_g = np.empty((memory, x.size))
     d_f = np.empty((memory, x.size))
     gram = np.zeros((memory, memory))
+    g_dots = np.zeros(memory)
     count = slot = evaluations = 0
 
     def evaluate(y):
@@ -245,7 +248,7 @@ def anderson_fixed_point(apply, x, max_evaluations):
         extrapolated = trace > 0
         if extrapolated:
             gamma = np.linalg.solve(gram[:count, :count] + 1e-12 * trace * np.eye(count),
-                                    d_g[:count] @ g)
+                                    g_dots[:count])
             trial = fx - gamma @ d_f[:count]
         f_trial, g_trial, g_trial_norm, stop = evaluate(trial)
         if extrapolated and g_trial_norm > g_norm and not stop and evaluations < max_evaluations:
@@ -255,6 +258,8 @@ def anderson_fixed_point(apply, x, max_evaluations):
         d_f[slot] = f_trial - fx
         count = min(count + 1, memory)
         gram[slot, :count] = gram[:count, slot] = d_g[:count] @ d_g[slot]
+        g_dots[:count] = g_dots[:count] + gram[:count, slot]
+        g_dots[slot] = d_g[slot] @ g_trial
         slot = (slot + 1) % memory
         fx, g, g_norm = f_trial, g_trial, g_trial_norm
     return evaluations, stop

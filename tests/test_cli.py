@@ -87,6 +87,17 @@ class TestMakeMarginals:
         assert np.min(m0) > 0
         assert integrate(m0, g) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_point_like_2d_smoothed_pair_is_a_product(self, n):
+        # each axis factor is smoothed and floored on its own, so the marginal
+        # is the outer product of its axis marginals, and positive
+        g = build_grid(2, n, 4, 1.0)
+        for m in make_marginals("point_like", {"smoothing_steps": 1}, g):
+            row, col = m.sum(axis=1) * g.h, m.sum(axis=0) * g.h
+            assert np.max(np.abs(m - np.multiply.outer(row, col))) <= 1e-14 * np.max(m)
+            assert np.min(m) > 0
+            assert integrate(m, g) == pytest.approx(1.0, abs=1e-12)
+
     def test_file_family_roundtrip(self, tmp_path):
         g = build_grid(1, 32, 8, 1.0)
         x = g.axis_coords()

@@ -1,5 +1,7 @@
 """Primal solver: prox cells, space-time solves, projection, full solves."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -581,6 +583,18 @@ class TestSolveProx:
         assert rep.duality_gap <= 1e-4 * (1.0 + abs(rep.objective))
         assert_certified(rep)
 
+    @pytest.mark.parametrize("c0", [0.0, 0.13, 0.29, 0.71, 0.86])
+    def test_conformal_benchmark_instance_certifies_in_30_projections(self, c0):
+        # the benchmark's conformal instance (conformal_sine, amplitude 0.5):
+        # Anderson's seven-deep memory certifies it in 30 projections, where
+        # a five-deep one needs 40 at every centre
+        g = build_grid(1, 32, 16, 1.0, lambda x: 1.0 + 0.5 * np.sin(2.0 * np.pi * x))
+        ref = ReferenceMeasure.from_potential(0.0, g)
+        m0, m1 = make_marginals("bump_pair", {"width": 0.15, "centers": [c0, (c0 + 0.5) % 1.0]}, g)
+        rep = solve_prox(m0, m1, ref, 0.1, g)[3]
+        assert rep.iterations <= 30
+        assert_certified(rep)
+
     def test_2d_torus_solve(self):
         g = build_grid(2, 12, 8, 1.0)
         ref = ReferenceMeasure.from_potential(0.0, g)
@@ -602,10 +616,12 @@ class TestSolveProx:
 
     @pytest.mark.parametrize("family,params,config", [
         ("bump_pair", {"width": 0.12}, ProxConfig()),
-        ("point_like", {"smoothing_steps": 1}, ProxConfig(gap_tolerance=1e-6)),
+        ("point_like", {"smoothing_steps": 0}, ProxConfig(gap_tolerance=1e-6)),
     ])
     def test_iterations_count_projections(self, monkeypatch, family, params, config):
-        g = build_grid(1, 64, 32, 1.0)
+        # raw single-cell data at 32x16 makes the safeguard reject extrapolations
+        n = 64 if family == "bump_pair" else 32
+        g = build_grid(1, n, n // 2, 1.0)
         ref = ReferenceMeasure.from_potential(0.0, g)
         m0, m1 = make_marginals(family, params, g)
         projections, points, images = [0], [], []
@@ -688,6 +704,27 @@ class TestAnderson:
         (points, images), (ref_points, _) = runs
         assert all(np.array_equal(p, q) for p, q in zip(points, ref_points))
         assert any(np.array_equal(points[i], images[i - 2]) for i in range(2, len(points)))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_kept_products_match_recomputed(self, monkeypatch, seed):
+        # the right-hand side d_g[:count] @ g is kept from step to step, not
+        # recomputed; at every step of a run it equals the product taken
+        # afresh from the loop's own memory and residual
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((40, 40))
+        A *= 0.97 / np.linalg.norm(A, 2)
+        b = rng.standard_normal(40)
+        solve_normal, errors = np.linalg.solve, []
+
+        def checked(square, kept):
+            loop = sys._getframe(1).f_locals
+            fresh = loop["d_g"][:loop["count"]] @ loop["g"]
+            errors.append(np.linalg.norm(kept - fresh) / np.linalg.norm(fresh))
+            return solve_normal(square, kept)
+
+        monkeypatch.setattr(np.linalg, "solve", checked)
+        assert anderson_fixed_point(lambda x: (A @ x + b, False), np.zeros(40), 60) == (60, False)
+        assert len(errors) >= 50 and max(errors) <= 1e-12
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_linear_contraction(self, dim):
