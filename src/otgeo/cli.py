@@ -34,7 +34,7 @@ from .grid import Grid, build_grid, write_field
 from .transport import ReferenceMeasure, check_marginals, dual_pair
 from .prox import ProxConfig, ProxError, solve_prox
 from .elliptic import EllipticConfig, EllipticError, EllipticProblem, solve_elliptic
-from .oracles import heat_competitor_bound
+from .oracles import heat_bound_window, heat_competitor_bound
 from .families import make_marginals
 from .diagnostics import (
     DiagnosticsReport,
@@ -63,7 +63,7 @@ CHECK_OPTIONS = {
     "duality": {"required": True, "gap_factor": 1e-4},
     "displacement_convexity": {"required": False, "tol_conv": None},
     "heat_bound": {"required": False, "beta": 2.0},
-    "time_scaling": {"required": False, "T_alt": 2.0},
+    "time_scaling": {"required": False},
     "interior_bounds": {"required": False, "peaks": (4.0, 40.0), "window": None},
     "sweep": {"required": False},
 }
@@ -152,7 +152,7 @@ class Setup(NamedTuple):
     reference: ReferenceMeasure
     m0: np.ndarray
     m1: np.ndarray
-    method: str
+    routes: tuple  # the solvers solver.method runs; the checks read the first one's solve
     eps: float
     prox: ProxConfig
     elliptic: EllipticConfig
@@ -260,23 +260,23 @@ def validate_config(cfg) -> Setup:
             raise ConfigError(f"diagnostics check {cid}: unknown option {unknown[0]!r} "
                               f"(known: {sorted(CHECK_OPTIONS[cid])})")
         opts = {name: given.get(name, default) for name, default in CHECK_OPTIONS[cid].items()}
-        _validate_check_options(cid, opts, grid)
-        if cid == "sweep":
-            try:
+        try:
+            _validate_check_options(cid, opts, grid)
+            if cid == "sweep":
                 opts["spec"] = SweepSpec(
                     eps_list=tuple(eps_list or SweepSpec.eps_list), family=family,
                     family_params=params, grid=grid, solver_config=prox_cfg).validate()
-            except ValueError as err:
-                raise ConfigError(f"diagnostics check sweep: {err}")
+        except ValueError as err:
+            raise ConfigError(f"diagnostics check {cid}: {err}")
         checks.append((cid, opts))
 
     _need(cfg, "output", dict, {})
     formats = _need(cfg, "output.formats", list, ["json", "csv", "svg"])
     if not all(item in ("json", "csv", "svg") for item in formats):
         raise ConfigError(f"output.formats items must be json, csv or svg, got {formats!r}")
-    return Setup(grid, reference, m0, m1, method, eps if eps is not None else eps_list[0],
-                 prox_cfg, ell_cfg, checks, _need(cfg, "output.directory", str, "otgeo-out"),
-                 formats)
+    return Setup(grid, reference, m0, m1, ("prox", "elliptic") if method == "both" else (method,),
+                 eps if eps is not None else eps_list[0], prox_cfg, ell_cfg, checks,
+                 _need(cfg, "output.directory", str, "otgeo-out"), formats)
 
 
 def _is_number(value):
@@ -285,9 +285,10 @@ def _is_number(value):
 
 
 def _validate_check_options(cid, opts, grid):
-    """Reject the resolved options a check would refuse only after both solves."""
+    """``ValueError`` for the resolved options a check would refuse only after
+    both solves."""
     def fail(message):
-        raise ConfigError(f"diagnostics check {cid}: {message}")
+        raise ValueError(message)
 
     def number(name):
         value = opts[name]
@@ -298,13 +299,8 @@ def _validate_check_options(cid, opts, grid):
     for name in ("required", "with_heat_bound"):
         if name in opts and not isinstance(opts[name], bool):
             fail(f"{name} must be true or false, got {opts[name]!r}")
-    if cid == "heat_bound" and number("beta") <= 1:
-        fail("beta must exceed 1")
-    if (cid == "heat_bound" or (cid == "energy" and opts["with_heat_bound"])) \
-            and grid.n_time < 3:
-        fail("the heat bound's window needs grid.n_time >= 3")
-    if cid == "time_scaling" and number("T_alt") <= 0:
-        fail("T_alt must be positive")
+    if cid == "heat_bound" or (cid == "energy" and opts["with_heat_bound"]):
+        heat_bound_window(grid.n_time, number("beta") if cid == "heat_bound" else 2.0)
     if cid == "duality" and number("gap_factor") < 0:
         fail("gap_factor must be nonnegative")
     if cid == "displacement_convexity" and opts["tol_conv"] is not None \
@@ -352,41 +348,20 @@ def _run(config, out_dir):
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG, []
 
-    digest = config_digest(cfg)
-    out = Path(out_dir or setup.out_dir)
-    grid, reference, m0, m1, eps = setup.grid, setup.reference, setup.m0, setup.m1, setup.eps
     report = DiagnosticsReport()
-    solve_reports = {}
-    fields = {}
 
     try:
-        if setup.method in ("prox", "both"):
-            logger.info("prox solve at eps=%s", eps)
-            m, w, u, rep = solve_prox(m0, m1, reference, eps, grid, setup.prox)
-            solve_reports["prox"] = rep
-            fields["prox"] = (m, w, u)
-        if setup.method in ("elliptic", "both"):
-            logger.info("elliptic solve at eps=%s", eps)
-            problem = EllipticProblem(grid, reference, eps, m0, m1)
-            ue, me, repe = solve_elliptic(problem, setup.elliptic)
-            solve_reports["elliptic"] = repe
-            _, we = dual_pair(repe.multiplier, m0, m1, reference, eps, grid)
-            fields["elliptic"] = (me, we, ue)
-        if setup.method == "both":
-            l1 = float(np.sum(np.abs(fields["prox"][0].values
-                                     - fields["elliptic"][0].values)
-                              * grid.cell_volume) * grid.tau)
-            solve_reports["cross_method_l1"] = l1
+        fields, solve_reports = _solve(setup, setup.grid, setup.eps, setup.routes)
+        if len(setup.routes) == 2:
+            solve_reports["cross_method_l1"] = float(np.sum(np.abs(
+                fields["prox"][0].values - fields["elliptic"][0].values)
+                * setup.grid.cell_volume) * setup.grid.tau)
     except (ProxError, EllipticError, ValueError) as err:
         print(f"solver error: {err}", file=sys.stderr)
         return EXIT_SOLVER, []
 
-    primary = fields.get("prox") or fields.get("elliptic")
-    m, w, u = primary
-    objective = solve_reports.get("prox", solve_reports.get("elliptic")).objective
-
     try:
-        _run_checks(setup, report, m, w, u, objective)
+        _run_checks(setup, report, fields, solve_reports)
     except (ProxError, EllipticError) as err:
         print(f"solver error during diagnostics: {err}", file=sys.stderr)
         return EXIT_SOLVER, []
@@ -394,8 +369,8 @@ def _run(config, out_dir):
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG, []
 
-    artifacts = _write_artifacts(out, digest, setup.formats, grid, fields,
-                                 solve_reports, report)
+    artifacts = _write_artifacts(Path(out_dir or setup.out_dir), config_digest(cfg),
+                                 setup.formats, setup.grid, fields, solve_reports, report)
 
     if not report.all_required_passed():
         failed = [e.check for e in report.entries if e.required and not e.passed]
@@ -404,8 +379,27 @@ def _run(config, out_dir):
     return EXIT_OK, artifacts
 
 
-def _run_checks(setup: Setup, report, m, w, u, objective):
+def _solve(setup: Setup, grid, eps, routes):
+    """Solve the config's pair on ``grid`` at ``eps`` by each of ``routes``;
+    returns the fields ``(m, w, u)`` and the solve reports, by route."""
+    m0, m1, reference = setup.m0, setup.m1, setup.reference
+    fields, reports = {}, {}
+    for route in routes:
+        logger.info("%s solve at eps=%s", route, eps)
+        if route == "prox":
+            m, w, u, reports[route] = solve_prox(m0, m1, reference, eps, grid, setup.prox)
+        else:
+            problem = EllipticProblem(grid, reference, eps, m0, m1)
+            u, m, reports[route] = solve_elliptic(problem, setup.elliptic)
+            _, w = dual_pair(reports[route].multiplier, m0, m1, reference, eps, grid)
+        fields[route] = (m, w, u)
+    return fields, reports
+
+
+def _run_checks(setup: Setup, report, fields, solve_reports):
     grid, reference, m0, m1, eps = setup.grid, setup.reference, setup.m0, setup.m1, setup.eps
+    route = setup.routes[0]
+    (m, w, u), objective = fields[route], solve_reports[route].objective
     for cid, opts in setup.checks:
         required = opts["required"]
         logger.info("diagnostic: %s", cid)
@@ -430,8 +424,9 @@ def _run_checks(setup: Setup, report, m, w, u, objective):
             report.add(check_heat_bound(m0, m1, eps, grid, objective, bound, parts,
                                         required=required))
         elif cid == "time_scaling":
-            report.add(check_time_scaling(m0, m1, reference, eps, grid, opts["T_alt"],
-                                          setup.prox, required=required))
+            report.add(check_time_scaling(
+                objective, lambda g, e: _solve(setup, g, e, (route,))[1][route].objective,
+                eps, grid, setup.prox.gap_tolerance, required=required))
         elif cid == "interior_bounds":
             fam = []
             for peak in opts["peaks"]:

@@ -137,10 +137,9 @@ def _from_files(grid: Grid, params):
     out = []
     for key in ("file0", "file1"):
         try:
-            values, _, _, _ = read_field(params[key], grid)
+            m = read_field(params[key], grid)[0][0]
         except OSError as err:
             raise ValueError(f"{key}: {err}")
-        m = values[0]
         if not np.all(np.isfinite(m)):
             raise ValueError(f"{params[key]}: non-finite density")
         if np.any(m < 0):

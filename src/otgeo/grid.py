@@ -319,15 +319,17 @@ def read_field(path, grid: Grid = None):
         if header[:2] != FIELD_FORMAT_VERSION.split():
             raise ValueError(f"{path}: not an {FIELD_FORMAT_VERSION} file")
         meta = dict(kv.split("=") for kv in header[2:])
+        missing = sorted({"dim", "n", "nt"} - meta.keys())
+        if missing:
+            raise ValueError(f"{path}: the header has no {missing[0]}=")
         dim, n, nt = int(meta["dim"]), int(meta["n"]), int(meta["nt"])
         data = np.array(fh.read().split(), dtype=float)
-    per_slice = n ** dim
-    if data.size % per_slice:
+    if grid is not None and (dim, n, nt) != (grid.dim, grid.n_space, grid.n_time):
+        raise ValueError(
+            f"{path}: header (dim={dim}, n={n}, nt={nt}) does not match grid "
+            f"(dim={grid.dim}, n={grid.n_space}, nt={grid.n_time})")
+    if data.size == 0:
+        raise ValueError(f"{path}: the file holds no slice")
+    if data.size % n ** dim:
         raise ValueError(f"{path}: {data.size} values is not a whole number of slices")
-    values = data.reshape(-1, *((n,) * dim))
-    if grid is not None:
-        if (dim, n, nt) != (grid.dim, grid.n_space, grid.n_time):
-            raise ValueError(
-                f"{path}: header (dim={dim}, n={n}, nt={nt}) does not match grid "
-                f"(dim={grid.dim}, n={grid.n_space}, nt={grid.n_time})")
-    return values, dim, n, nt
+    return data.reshape(-1, *((n,) * dim)), dim, n, nt

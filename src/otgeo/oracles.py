@@ -248,6 +248,16 @@ def momentum_from_density_steps(m_path, grid: Grid):
     return covariant_gradient(phi, grid)
 
 
+def heat_bound_window(n_time, beta=2.0):
+    """The input rules of :func:`heat_competitor_bound`; its window nodes."""
+    if beta <= 1:
+        raise ValueError("beta must exceed 1")
+    k0, k1 = int(round(n_time / 3)), int(round(2 * n_time / 3))
+    if not 0 < k0 < k1 < n_time:
+        raise ValueError(f"window nodes ({k0}, {k1}) need 0 < k0 < k1 < n_time = {n_time}")
+    return k0, k1
+
+
 def heat_competitor_bound(m0, m1, reference: ReferenceMeasure, eps, grid: Grid, beta=2.0):
     """Feasible-curve upper bound for the minimal regularized action.
 
@@ -261,16 +271,11 @@ def heat_competitor_bound(m0, m1, reference: ReferenceMeasure, eps, grid: Grid, 
 
     Returns ``(bound, parts)`` with the leg costs in ``parts``.
     """
-    if beta <= 1:
-        raise ValueError("beta must exceed 1")
+    k0, k1 = heat_bound_window(grid.n_time, beta)
     # looked up per call, so that a wrapper of prox.solve_prox sees this solve
     from .prox import solve_prox
 
-    T, Nt = grid.horizon, grid.n_time
-    k0, k1 = int(round(Nt / 3)), int(round(2 * Nt / 3))
-    if not 0 < k0 < k1 < Nt:
-        raise ValueError(f"window nodes ({k0}, {k1}) must satisfy 0 < k0 < k1 < {Nt}")
-    t_nodes = grid.time_nodes()
+    T, Nt, t_nodes = grid.horizon, grid.n_time, grid.time_nodes()
 
     m_path = np.empty((Nt + 1,) + grid.space_shape)
     m_path[:k0 + 1] = _positive_slice(heat_semigroup(m0, t_nodes[:k0 + 1] ** beta, grid), grid)

@@ -269,6 +269,23 @@ class TestRun:
         assert run(path) == (EXIT_CONFIG, [])
         assert "non-finite density" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header,body,message", [
+        ("ot-field v1 dim=1 n=16", "1.0 " * 16, "the header has no nt="),
+        ("ot-field v1 dim=1 n=16 nt=8", "", "the file holds no slice"),
+    ], ids=["no-nt", "no-slice"])
+    def test_malformed_marginal_file_exits_2(self, tmp_path, capsys, header, body, message):
+        f0, f1 = tmp_path / "m0.txt", tmp_path / "m1.txt"
+        f0.write_text(f"{header}\n{body}\n")
+        write_field(f1, np.ones((1, 16)), build_grid(1, 16, 8, 1.0))
+        path, cfg = write_config(
+            tmp_path, grid={"dim": 1, "n_space": 16, "n_time": 8, "horizon": 1.0},
+            marginals={"family": "file", "file0": str(f0), "file1": str(f1)})
+        assert main(["check", str(path)]) == EXIT_CONFIG
+        assert run(path) == (EXIT_CONFIG, [])
+        err = capsys.readouterr().err
+        assert err.count(f"{f0}: {message}") == 2
+        assert not Path(cfg["output"]["directory"]).exists()
+
     @pytest.mark.parametrize("solver,horizon", [
         ({"method": "elliptic", "eps": 0.1, "elliptic": {"newton_tolerance": float("nan")}}, 1.0),
         ({"method": "elliptic", "eps": float("nan")}, 1.0),
@@ -535,7 +552,6 @@ class TestRun:
 
     @pytest.mark.parametrize("grid, checks", [
         ({"metric_profile": {"id": "conformal_sine"}}, ["sweep"]),
-        ({}, [{"id": "time_scaling", "T_alt": 0}]),
         ({}, [{"id": "heat_bound", "beta": 1.0}]),
         ({}, [{"id": "heat_bound", "beta": "2"}]),
         ({"n_time": 2}, ["heat_bound"]),
@@ -555,11 +571,14 @@ class TestRun:
         ({}, [{"id": "interior_bounds", "window": [0.501, 0.502]}]),
         ({}, [{"id": "energy", "required": "no"}]),
         ({}, [{"id": "energy", "with_heat_bound": 1}]),
-    ], ids=["conformal-sweep", "zero-horizon", "beta-one", "beta-string", "two-levels",
+        # removed options: time_scaling's T_alt went with its bound, so it is unknown
+        ({}, [{"id": "time_scaling", "T_alt": 0}]),
+    ], ids=["conformal-sweep", "beta-one", "beta-string", "two-levels",
             "two-levels-energy", "beta-inf", "gap_factor-string", "gap_factor-nan",
             "gap_factor-negative", "tol_conv-string", "tol_conv-negative", "peaks-string",
             "peaks-empty", "peaks-bool", "window-number", "window-reversed", "window-inf",
-            "window-no-node", "required-string", "with_heat_bound-number"])
+            "window-no-node", "required-string", "with_heat_bound-number",
+            "zero-horizon"])
     def test_check_rejecting_its_options_exits_2(self, tmp_path, capsys, grid, checks):
         # found by check and run alike, before anything is solved or written
         path, cfg = write_config(
@@ -571,6 +590,25 @@ class TestRun:
         assert code == EXIT_CONFIG and artifacts == []
         assert "config error" in capsys.readouterr().err
         assert not Path(cfg["output"]["directory"]).exists()
+
+    @pytest.mark.parametrize("method", ["prox", "elliptic", "both"])
+    def test_time_scaling_reads_the_runs_own_solve(self, tmp_path, method):
+        # at horizon 0.5 the entry carries the run's objective (the prox one
+        # of both) beside one solve at horizon 1 and eps / 4
+        path, cfg = write_config(
+            tmp_path, grid={"dim": 1, "n_space": 32, "n_time": 16, "horizon": 0.5},
+            marginals={"family": "bump_pair", "width": 0.15},
+            reference={"profile": "cosine", "amplitude": 0.3},
+            solver={"method": method, "eps": 0.1},
+            diagnostics={"checks": [{"id": "time_scaling", "required": True}]})
+        assert run(path)[0] == EXIT_OK
+        out = Path(cfg["output"]["directory"])
+        solvers = json.loads((out / "solve_report.json").read_text())["solvers"]
+        entry, = json.loads((out / "diagnostics.json").read_text())["entries"]
+        route = "elliptic" if method == "elliptic" else "prox"
+        assert entry["values"]["objective_T"] == solvers[route]["objective"]
+        assert entry["passed"] and entry["grid"]["horizon"] == 0.5
+        assert entry["values"]["defect"] <= entry["threshold"]["defect"] < 1e-9
 
     def test_conformal_heat_bound_runs(self, tmp_path):
         path, cfg = write_config(

@@ -1,5 +1,6 @@
 """Diagnostics: report schema, per-check behavior on closed-form instances."""
 
+import functools
 import json
 
 import numpy as np
@@ -13,7 +14,9 @@ from otgeo.transport import (
     entropy_density,
     relative_entropy,
 )
-from otgeo.prox import solve_prox
+from otgeo.prox import ProxConfig, solve_prox
+from otgeo.elliptic import EllipticProblem, solve_elliptic
+from otgeo.families import make_marginals
 from otgeo.diagnostics import (
     DiagnosticsReport,
     SweepSpec,
@@ -136,19 +139,98 @@ class TestDisplacementConvexity:
         assert np.max(np.abs(entropy_profile(m, g))) < 1e-14
 
 
+def _solve(route, grid, ref, m0, m1, eps):
+    """F and the density path of one solve by ``route`` (prox or elliptic)."""
+    if route == "prox":
+        m, _, _, rep = solve_prox(m0, m1, ref, eps, grid)
+    else:
+        _, m, rep = solve_elliptic(EllipticProblem(grid, ref, eps, m0, m1))
+    return rep.objective, m.values
+
+
 class TestTimeScaling:
-    def test_trivially_tight_at_equal_horizons(self, bump_solution):
-        g, ref, (m0, m1), *_ = bump_solution
-        entry = check_time_scaling(m0, m1, ref, 0.1, g, T_alt=1.0)
-        assert entry.passed
-        assert entry.values["objective_Talt"] == pytest.approx(
-            entry.values["objective_T1"], rel=1e-6)
+    @staticmethod
+    def prox_objective(m0, m1, ref, calls):
+        def solve(grid, eps):
+            calls.append((grid, eps))
+            return _solve("prox", grid, ref, m0, m1, eps)[0]
+        return solve
 
     def test_double_horizon(self, bump_solution):
-        g, ref, (m0, m1), *_ = bump_solution
-        entry = check_time_scaling(m0, m1, ref, 0.1, g, T_alt=2.0)
+        g, ref, (m0, m1), m, w, u, rep = bump_solution
+        calls = []
+        entry = check_time_scaling(rep.objective, self.prox_objective(m0, m1, ref, calls),
+                                   0.1, g, ProxConfig().gap_tolerance)
+        # one solve, at twice the horizon and a quarter of the eps on the same time grid
+        (g2, eps2), = calls
+        assert (g2.horizon, g2.n_time, g2.n_space, eps2) == (2.0, g.n_time, g.n_space, 0.025)
         assert entry.passed
-        assert entry.values["objective_Talt"] <= 2 * entry.values["objective_T1"] + 1e-4
+        assert entry.values["defect"] == abs(rep.objective - 2 * entry.values["objective_2T"])
+        assert entry.threshold["defect"] == pytest.approx(
+            1e-10 * (1 + rep.objective + 2 * (1 + entry.values["objective_2T"])))
+
+    def test_perturbed_objective_fails(self, bump_solution):
+        # a 1e-8 relative error is far inside the old bound F_2 <= 2 F_1 + 1e-4;
+        # the defect reads 3.3 times the two solves' certified tolerances
+        g, ref, (m0, m1), m, w, u, rep = bump_solution
+        entry = check_time_scaling(rep.objective * (1 + 1e-8),
+                                   self.prox_objective(m0, m1, ref, []), 0.1, g,
+                                   ProxConfig().gap_tolerance)
+        assert not entry.passed
+        assert entry.values["objective_2T"] <= 2 * rep.objective + 1e-4
+
+
+def _invariance_case(name):
+    """Grid, reference and marginals of one invariance instance."""
+    if name == "flat-cosine":
+        g = build_grid(1, 64, 32, 1.0)
+        ref = ReferenceMeasure.from_potential(0.3 * np.cos(2 * np.pi * g.axis_coords()), g)
+        return g, ref, make_marginals("bump_pair", {"width": 0.12}, g)
+    if name == "conformal":
+        # the metric as node values, so that a torus of another length keeps them
+        g = build_grid(1, 32, 16, 1.0, 1.0 + 0.5 * np.sin(2 * np.pi * np.arange(32) / 32))
+        return g, ReferenceMeasure.from_potential(0.0, g), make_marginals(
+            "bump_pair", {"width": 0.15}, g)
+    g = build_grid(2, 16, 8, 1.0)
+    return g, ReferenceMeasure.from_potential(0.0, g), make_marginals("bump_pair", {}, g)
+
+
+@functools.lru_cache(maxsize=None)
+def _invariance_base(name, route):
+    g, ref, (m0, m1) = _invariance_case(name)
+    return (g, ref, m0, m1) + _solve(route, g, ref, m0, m1, 0.1)
+
+
+# per solve: the prox route's certified tolerance, rounding on the dual route
+SOLVE_TOLERANCE = {"prox": ProxConfig().gap_tolerance, "elliptic": 1e-13}
+
+
+@pytest.mark.parametrize("route", ["prox", "elliptic"])
+@pytest.mark.parametrize("case", ["flat-cosine", "conformal", "2d"])
+class TestExactInvariances:
+    """Two exact symmetries of the discrete problem beside the horizon
+    identity: time reversal, and the length of the torus."""
+
+    def test_time_reversal(self, case, route):
+        g, ref, m0, m1, F, m = _invariance_base(case, route)
+        F_rev, m_rev = _solve(route, g, ref, m1, m0, 0.1)
+        assert abs(F_rev - F) <= SOLVE_TOLERANCE[route] * ((1 + abs(F)) + (1 + abs(F_rev)))
+        if route == "elliptic":
+            assert np.max(np.abs(m_rev[::-1] - m)) <= 1e-11 * np.max(m)
+
+    def test_length_scaling(self, case, route):
+        # on a torus of length lam with marginals m / lam^d and eps lam^2:
+        # F = lam^2 (F_1(eps) - eps T d log lam), the path m / lam^d
+        g, ref, m0, m1, F, m = _invariance_base(case, route)
+        lam, d = 2.0, g.dim
+        gl = build_grid(d, g.n_space, g.n_time, g.horizon, g.metric, lam)
+        refl = ReferenceMeasure.from_potential(ref.potential_V, gl)
+        F_lam, m_lam = _solve(route, gl, refl, m0 / lam ** d, m1 / lam ** d, 0.1 * lam ** 2)
+        expected = lam ** 2 * (F - 0.1 * g.horizon * d * np.log(lam))
+        assert abs(F_lam - expected) <= SOLVE_TOLERANCE[route] * (
+            (1 + abs(F_lam)) + lam ** 2 * (1 + abs(F)))
+        if route == "elliptic":
+            assert np.max(np.abs(m_lam * lam ** d - m)) <= 1e-11 * np.max(m)
 
 
 class TestSweep:

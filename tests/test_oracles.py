@@ -13,6 +13,7 @@ from otgeo.prox import solve_prox
 from otgeo.oracles import (
     circular_w2_oracle,
     flow_w2_oracle,
+    heat_bound_window,
     heat_competitor_bound,
     heat_semigroup,
     mccann_midpoint,
@@ -385,6 +386,15 @@ class TestHeatCompetitor:
         ref = ReferenceMeasure.from_potential(0.0, g)
         with pytest.raises(ValueError, match="beta"):
             heat_competitor_bound(np.ones(32), np.ones(32), ref, 0.1, g, beta=1.0)
+
+    @pytest.mark.parametrize("n_time,beta,match", [
+        (2, 2.0, "window nodes"), (1, 2.0, "window nodes"), (12, 1.0, "beta"),
+        (12, 0.5, "beta")])
+    def test_window_rules(self, n_time, beta, match):
+        # the rules the CLI checks before any solve, with the bound's own window
+        with pytest.raises(ValueError, match=match):
+            heat_bound_window(n_time, beta)
+        assert heat_bound_window(3) == (1, 2) and heat_bound_window(12, 1.5) == (4, 8)
 
     def test_bound_stable_under_refinement(self):
         # nonincreasing under refinement for fixed data, within a 5% margin
