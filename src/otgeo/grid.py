@@ -318,11 +318,22 @@ def read_field(path, grid: Grid = None):
         header = fh.readline().split()
         if header[:2] != FIELD_FORMAT_VERSION.split():
             raise ValueError(f"{path}: not an {FIELD_FORMAT_VERSION} file")
-        meta = dict(kv.split("=") for kv in header[2:])
+        meta = {}
+        for token in header[2:]:
+            key, eq, value = token.partition("=")
+            if not eq:
+                raise ValueError(f"{path}: header token {token!r} is not key=value")
+            meta[key] = value
         missing = sorted({"dim", "n", "nt"} - meta.keys())
         if missing:
             raise ValueError(f"{path}: the header has no {missing[0]}=")
-        dim, n, nt = int(meta["dim"]), int(meta["n"]), int(meta["nt"])
+        try:
+            dim, n, nt = int(meta["dim"]), int(meta["n"]), int(meta["nt"])
+        except ValueError:
+            raise ValueError(f"{path}: header (dim={meta['dim']}, n={meta['n']}, "
+                             f"nt={meta['nt']}) is not integer") from None
+        if dim not in (1, 2) or n < 1:
+            raise ValueError(f"{path}: header (dim={dim}, n={n}) needs dim 1 or 2 and n >= 1")
         data = np.array(fh.read().split(), dtype=float)
     if grid is not None and (dim, n, nt) != (grid.dim, grid.n_space, grid.n_time):
         raise ValueError(

@@ -214,8 +214,8 @@ def _spectral(field, symbol, grid: Grid):
     of the field and the symbol broadcast."""
     _, Q = _space_eigenbasis(grid)
     wroot = np.sqrt(grid.sqrt_g)
-    hat = _along_space(np.asarray(field, dtype=float) * wroot, Q, grid.dim) * symbol
-    return _along_space(hat, Q.T, grid.dim) / wroot
+    hat = _along_space(np.asarray(field, dtype=float) * wroot, (Q,) * grid.dim) * symbol
+    return _along_space(hat, (Q.T,) * grid.dim) / wroot
 
 
 def heat_semigroup(m, t, grid: Grid) -> np.ndarray:

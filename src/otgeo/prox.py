@@ -13,7 +13,7 @@ After one step ``L z = P_C(t)`` and ``lambda / r = P_C(t) - t`` depend on
 the projection input ``t`` alone, so the loop runs the splitting in its
 relaxed Douglas-Rachford form, a map of ``t`` laid out like ``L z``:
 
-    1. weighted continuity projection            (m, w, phi), L z = P_C(t)
+    1. weighted continuity projection            L z = P_C(t)
     2. pointwise prox of the reflection          y = prox(2 L z - t)
     3. relaxed step                              T(t) = t + alpha (y - L z).
 
@@ -22,10 +22,16 @@ The projection couples the interior densities through
 multiplier together: in the time modes they split into one small block per
 mode pair, and ``_projection_operator`` caches the blocks' inverse per grid
 (four symbols on flat grids, one dense block per mode on the conformal
-circle), so a projection is one pass into the modes and one back
-(``_solve_in_modes``).  With the coupling switched off, ``K = I``, the same
-operator and pass serve the unweighted ``project_continuity`` through
-``spacetime_poisson``: one space-time operator for both projections.
+circle; ``_mode_step``).  The stencils around that step are fixed and
+linear, so ``_folded_operator`` composes them with the time and spatial
+bases once per grid: a projection goes from ``t`` to ``L z`` in a few
+matrix products, with the marginals' share of it three constant arrays of
+the solve (``_projection_work``).  The multiplier stays in its modes and is
+formed only where it is read, at a gap check and for the returned
+potential (``_projected_pair``).  With the coupling switched off,
+``K = I``, the same operator and mode step serve the unweighted
+``project_continuity`` through ``spacetime_poisson``, one pass into the
+modes and one back: one space-time operator for both projections.
 
 Step 2 is exact: ``(a, b)`` carry only the kinetic energy, so ``a`` is the
 real root of the Benamou-Brenier cubic (``_kinetic_prox``), and ``c``
@@ -76,6 +82,7 @@ identity's defect, ``duality_gap``, carries the reconstruction error of
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -415,13 +422,19 @@ def _projection_operator(grid: Grid, coupled):
     ``j`` and midpoint mode ``j + 1`` form the block
     ``[[I + t_j S, c_j], [-c_j, L]]``, invertible since ``c_j != 0``, and
     midpoint mode 0 is ``L`` alone, whose pseudo-inverse masks the constants.
-    On flat grids one spatial eigenbasis ``Q`` diagonalizes ``S`` and ``L``:
-    ``spatial = (Q, (a, b, c, d))``, the symbols of the inverse,
+    The modes are laid out as ``_mode_step`` reads them: row ``k`` holds
+    interior mode ``k - 1`` beside midpoint mode ``k``.  On flat grids one
+    spatial eigenbasis ``Q`` diagonalizes ``S`` and ``L``:
+    ``spatial = (Q, symbols)``, with the four symbols of the inverse,
     ``m = a rhs_m + b rhs_phi`` and ``phi = c rhs_m + d rhs_phi`` per mode
-    pair (``d`` has one more time mode, the first).  On the conformal circle
+    pair, laid out like the modes: ``symbols[0]`` holds ``(a, c)`` and
+    ``symbols[1]`` ``(b, d)`` in each row (``d`` has one more time mode, the
+    first; the other entries of row 0 are zero).  On the conformal circle
     ``spatial`` holds one dense inverse of order ``2 n`` per midpoint mode,
-    acting on ``(rhs_m, rhs_phi)`` stacked; the first block's ``rhs_m`` rows
-    and columns are zero.  Returns ``(basis_int, basis_mid, spatial)``.
+    acting on the cells of ``(rhs_m, rhs_phi)`` stacked; the first block's
+    ``rhs_m`` rows and columns are zero.  ``_folded_operator`` composes the
+    bases with the projection's stencils.  Returns
+    ``(basis_int, basis_mid, spatial)``.
     """
     basis_int, lam = _time_modes(grid, interior=True)
     basis_mid, _ = _time_modes(grid, interior=False)
@@ -436,10 +449,11 @@ def _projection_operator(grid: Grid, coupled):
         c, t = (v.reshape((-1,) + (1,) * grid.dim) for v in (c, t))
         kappa = 1.0 + t * s
         det = c * c + kappa * mu
-        symbols = (mu / det, -c / det, c / det,
-                   np.concatenate((_pseudo_inverse(mu)[None], kappa / det)))
-        for symbol in symbols:
-            symbol.flags.writeable = False
+        symbols = np.zeros((2, grid.n_time, 2) + grid.space_shape)
+        symbols[0, 1:, 0], symbols[0, 1:, 1] = mu / det, c / det
+        symbols[1, 1:, 0], symbols[1, :, 1] = -c / det, np.concatenate(
+            (_pseudo_inverse(mu)[None], kappa / det))
+        symbols.flags.writeable = False
         spatial = (Q, symbols)
     else:
         n = grid.n_space
@@ -459,59 +473,54 @@ def _projection_operator(grid: Grid, coupled):
     return basis_int, basis_mid, spatial
 
 
-def _along_space(field, matrix, dim, out=None, work=None):
-    """Apply ``matrix`` along every spatial axis of a space-time field (into ``out``)."""
-    if dim == 1:
-        return np.matmul(field, matrix, out=out)
-    return np.matmul(np.matmul(matrix.T, field, out=work), matrix, out=out)
+def _along_space(field, factors, out=None, work=None):
+    """``field`` with one factor applied along each spatial axis (into
+    ``out``): ``field @ factors[0]`` on the circle and
+    ``factors[0]^T @ field @ factors[1]`` on the torus, ``work`` holding the
+    middle product.  Leading axes of the field and of stacked factors
+    broadcast; ``factors`` ``None`` stands for the identity."""
+    if factors is None:
+        if out is None:
+            return field
+        np.copyto(out, field)
+        return out
+    if len(factors) == 1:
+        return np.matmul(field, factors[0], out=out)
+    return np.matmul(np.matmul(np.swapaxes(factors[0], -1, -2), field, out=work), factors[1],
+                     out=out)
 
 
-def _mode_work(grid: Grid, coupled):
-    """The cached ``operator`` and the arrays of :func:`_solve_in_modes`, made
-    once for any number of passes: ``rhs_m`` and ``rhs_phi`` to fill, the path
-    ``m`` (interior solved, endpoints the caller's), ``phi``, the modes and
-    ``tmp``, one row per node, midpoint or mode (``time_in`` and ``time_out``
-    view them as ``(time, cells)``), and a momentum ``w``."""
-    Nt, shape = grid.n_time, grid.space_shape
-    work = SimpleNamespace(operator=_projection_operator(grid, coupled),
-                           m=np.empty((Nt + 1,) + shape), w=np.empty((Nt,) + shape + (grid.dim,)))
-    work.rhs_m = np.zeros((Nt - 1,) + shape)
-    work.rhs_phi, work.phi, work.tmp = np.empty((3, Nt) + shape)
-    # conformal: rhs_m's modes sit one mode up beside rhs_phi's; the first stays 0
-    stacked, solved = np.zeros((2, Nt, 2) + shape)
-    work.spatial_modes = stacked.reshape(Nt, -1, 1), solved.reshape(Nt, -1, 1)
-    work.r, work.b, work.r_sp, work.b_sp = stacked[1:, 0], stacked[:, 1], solved[1:, 0], solved[:, 1]
-    rows = [a.reshape(len(a), -1) for a in (work.rhs_m, work.r, work.rhs_phi, work.b,
-                                            work.r_sp, work.m[1:-1], work.b_sp, work.phi)]
-    work.time_in, work.time_out = rows[:4], rows[4:]
-    return work
+def _space_bases(grid: Grid, spatial):
+    """The factors of ``_along_space`` into the spatial modes of
+    ``_projection_operator``'s ``spatial`` and back: ``Q`` and ``Q^T`` along
+    every axis on flat grids, ``None`` on the conformal circle, whose blocks
+    act on the cells themselves."""
+    if not grid.flat:
+        return None, None
+    return (spatial[0],) * grid.dim, (spatial[0].T,) * grid.dim
 
 
-def _solve_in_modes(work, grid: Grid):
-    """Solve the normal equations of ``work.operator`` (``_mode_work``) for
-    ``rhs_m`` and ``rhs_phi`` by one pass into the time and spatial modes and
-    one back, into the interior of ``work.m`` and ``work.phi``; returns both."""
-    basis_int, basis_mid, spatial = work.operator
-    rhs_m, r, rhs_phi, b = work.time_in
-    np.matmul(basis_int, rhs_m, out=r)
-    np.matmul(basis_mid, rhs_phi, out=b)
-    if grid.flat:
-        Q, (sa, sb, sc, sd) = spatial
-        r, b, r_sp, b_sp, tmp = work.r, work.b, work.r_sp, work.b_sp, work.tmp  # space-shaped
-        _along_space(r, Q, grid.dim, r_sp, tmp[1:])
-        _along_space(b, Q, grid.dim, b_sp, tmp)
-        np.multiply(sa, r_sp, out=r)
-        r += np.multiply(sb, b_sp[1:], out=tmp[1:])
-        np.multiply(sd, b_sp, out=b)
-        b[1:] += np.multiply(sc, r_sp, out=tmp[1:])
-        _along_space(r, Q.T, grid.dim, r_sp, tmp[1:])
-        _along_space(b, Q.T, grid.dim, b_sp, tmp)
+def _rows(field):
+    """A space-time field as a matrix, one row per time index (a view)."""
+    return field.reshape(len(field), -1)
+
+
+def _mode_step(spatial, modes, solved, tmp):
+    """Invert the normal equations of ``_projection_operator`` mode by mode.
+
+    ``modes`` holds the right-hand sides in the time and spatial modes,
+    ``rhs_m`` of interior mode ``j`` at ``[j + 1, 0]`` and ``rhs_phi`` of
+    midpoint mode ``k`` at ``[k, 1]`` (``[0, 0]`` is zero); ``solved``
+    receives ``m`` and ``phi`` in the same places: on flat grids two
+    products with the symbols and one sum (``tmp``, shaped like ``modes``,
+    holds a product), on the conformal circle one matrix product per mode.
+    """
+    if isinstance(spatial, tuple):
+        from_m, from_phi = spatial[1]
+        np.multiply(from_m, modes[:, :1], out=solved)
+        solved += np.multiply(from_phi, modes[:, 1:], out=tmp)
     else:
-        np.matmul(spatial, work.spatial_modes[0], out=work.spatial_modes[1])
-    r_sp, m_int, b_sp, phi = work.time_out
-    np.matmul(basis_int.T, r_sp, out=m_int)
-    np.matmul(basis_mid.T, b_sp, out=phi)
-    return work.m, work.phi
+        np.matmul(spatial, modes.reshape(len(modes), -1, 1), out=solved.reshape(len(modes), -1, 1))
 
 
 def spacetime_poisson(rhs, grid: Grid):
@@ -522,14 +531,18 @@ def spacetime_poisson(rhs, grid: Grid):
     the kernel, the space-time constants, and the solution is
     sqrt(g)-orthogonal to them.  Direct, by the one cached space-time
     operator of the projections, ``_projection_operator``, uncoupled and
-    with no density right-hand side.
+    with no density right-hand side: one pass into the modes, the mode
+    step of the weighted projection, and one pass back.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (grid.n_time,) + grid.space_shape:
         raise ValueError(f"rhs shape {rhs.shape}, expected {(grid.n_time,) + grid.space_shape}")
-    work = _mode_work(grid, coupled=False)
-    work.rhs_phi[...] = rhs
-    return _solve_in_modes(work, grid)[1]
+    _, basis_mid, spatial = _projection_operator(grid, coupled=False)
+    into, back = _space_bases(grid, spatial)
+    modes, solved = np.zeros((2, len(rhs), 2) + grid.space_shape)
+    _along_space((basis_mid @ _rows(rhs)).reshape(rhs.shape), into, modes[:, 1])
+    _mode_step(spatial, modes, solved, np.empty_like(modes))
+    return (basis_mid.T @ _rows(_along_space(solved[:, 1], back))).reshape(rhs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -555,39 +568,149 @@ def project_continuity(m: DensityPath, w: MomentumField, m0, m1, grid: Grid):
             MomentumField(w.values - covariant_gradient(phi, grid), grid))
 
 
-def _end_coupling(m0, m1, grid: Grid):
-    """``A_int* A m_ends``: ``S m0 / 4`` and ``S m1 / 4``, the marginals'
-    share of the first and last interior node's normal equation."""
-    return 0.25 * _pair_average(np.stack((m0, m1)), grid)
+@functools.lru_cache(maxsize=16)
+def _folded_operator(grid: Grid):
+    """The weighted projection's fixed stencils composed with the time and
+    spatial bases of ``_projection_operator(grid, True)``, cached per grid
+    and read-only.
 
-
-def _weighted_projection(qa, qb, qc, m0, m1, grid: Grid, end_coupling, work=None):
-    """Constrained least-squares step of the splitting.
-
-    Minimizes ``|A m - qa|^2 + |w - qb|^2_g + |m_int - qc|^2``, with the face
-    and cell volumes as weights, over the continuity set (endpoints pinned
-    to the marginals).  With ``w = qb - grad phi`` the optimality conditions
-    are the normal equations of ``_projection_operator``, whose right-hand
-    sides are ``rhs_m = A*(qa - A m_ends) + qc`` (``end_coupling``) and
-    ``rhs_phi = -div_g qb`` plus the marginals' time differences; one pass
-    into the time and spatial modes and one back give ``m_int`` and ``phi``.
-    Returns ``(m_full, w, phi)``, arrays of ``work`` (``_mode_work``, coupled).
+    ``cell_average``, ``divergence_g``, ``face_average`` and
+    ``covariant_gradient`` applied to the unit fields of an axis give ``C``,
+    ``Div``, ``Fa`` and ``Grad``, acting on the right of a row of cells or
+    faces; with ``Q`` the spatial basis (the identity on the conformal
+    circle, whose blocks act on the cells) the factors along each axis are
+    ``C Q`` and ``-Div Q`` (``into_ab``) taking ``qa`` and ``qb`` to the
+    modes of ``rhs_m`` and ``rhs_phi``, ``Q^T Fa`` (``face``) and
+    ``Q^T Grad`` (``gradient``) taking the modes to ``A m`` and
+    ``grad phi``; face component ``a`` takes them along axis ``a`` and
+    ``Q`` or ``Q^T`` along the others.  In time, with ``T`` the average of
+    the intervals onto the interior nodes, ``time_in_r = [B_int | B_int T]``
+    (``B_int T`` once per component) sums ``qc`` and ``qa`` into the
+    interior modes, ``time_in_b`` the components of ``qb`` into the
+    midpoint modes, and ``time_out_r = [B_int^T ; (B_int T)^T]`` brings the
+    interior modes back to ``m_int`` and to the face density.
     """
-    work = work or _mode_work(grid, coupled=True)
-    rhs_m, rhs_phi, tau = work.rhs_m, work.rhs_phi, grid.tau
-    cells = cell_average(qa, grid, out=work.tmp)
-    np.add(np.multiply(np.add(cells[:-1], cells[1:], out=rhs_m), 0.5, out=rhs_m), qc, out=rhs_m)
-    rhs_m[0] -= end_coupling[0]
-    rhs_m[-1] -= end_coupling[1]
-    divergence_g(qb, grid, out=rhs_phi)
-    rhs_phi[0] += m0 / tau
-    rhs_phi[-1] -= m1 / tau
-    np.negative(rhs_phi, out=rhs_phi)
+    basis_int, basis_mid, spatial = _projection_operator(grid, coupled=True)
+    dim, n_time = grid.dim, grid.n_time
+    axis = grid if dim == 1 else _axis_grid(grid)
+    eye = np.eye(grid.n_space)
+    Q = spatial[0] if grid.flat else eye
+    into, back = _space_bases(grid, spatial)
 
-    m_new, phi = _solve_in_modes(work, grid)
-    m_new[0] = m0
-    m_new[-1] = m1
-    return m_new, np.subtract(qb, covariant_gradient(phi, grid, out=work.w), out=work.w), phi
+    def per_component(plain, stencil):
+        """Per axis, ``stencil`` for the face component along it and
+        ``plain`` for the others, stacked over the components."""
+        shape = (dim,) + (1,) * (dim - 1) + stencil.shape
+        return tuple(np.stack([stencil if a == k else plain for a in range(dim)]).reshape(shape)
+                     for k in range(dim))
+
+    into_a = per_component(Q, cell_average(eye[..., None], axis) @ Q)
+    into_b = per_component(Q, -divergence_g(eye[..., None], axis) @ Q)
+    averaged = basis_int @ (0.5 * (np.eye(n_time - 1, n_time) + np.eye(n_time - 1, n_time, 1)))
+    op = SimpleNamespace(
+        spatial=spatial, basis_int=basis_int, basis_mid=basis_mid, into=into, back=back,
+        into_ab=tuple(np.concatenate(pair) for pair in zip(into_a, into_b)),
+        face=per_component(Q.T, Q.T @ face_average(eye, axis)[..., 0]),
+        gradient=per_component(Q.T, Q.T @ covariant_gradient(eye, axis)[..., 0]),
+        time_in_r=np.hstack([basis_int] + [averaged] * dim),
+        time_in_b=np.hstack([basis_mid] * dim),
+        time_out_r=np.vstack((basis_int.T, averaged.T)),
+        time_out_b=basis_mid.T.copy())
+    for value in vars(op).values():
+        for array in value if isinstance(value, tuple) else (value,):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+    return op
+
+
+def _blocks(v, grid: Grid):
+    """The ``(a, b, c)`` blocks of a flat array laid out like ``L z``:
+    ``a`` and ``b`` face fields with the face component leading,
+    ``(dim, Nt) + space_shape``, and ``c`` the interior nodes."""
+    faces = (grid.dim, grid.n_time) + grid.space_shape
+    n_face = math.prod(faces)
+    return (v[:n_face].reshape(faces), v[n_face:2 * n_face].reshape(faces),
+            v[2 * n_face:].reshape((grid.n_time - 1,) + grid.space_shape))
+
+
+def _projection_work(grid: Grid, m0, m1):
+    """One solve's ``_folded_operator``, its buffers and the marginals' terms.
+
+    ``lz`` receives ``L z`` and ``a``, ``b``, ``c`` are its blocks
+    (``_blocks``); ``m`` holds the marginals at its ends, written once.  The
+    marginals enter the projection through three constant arrays: their
+    share ``a_ends`` of ``A m``, and in ``ends``, laid out like the modes,
+    what that share takes from ``rhs_m`` (``-T A_x* a_ends``) and their
+    time differences in ``rhs_phi``.
+    """
+    op = _folded_operator(grid)
+    dim, n_time, shape = grid.dim, grid.n_time, grid.space_shape
+    n_in = n_time - 1 + dim * n_time                      # rows of qc and qa; qb's follow
+    faces, both = (dim, n_time) + shape, (2 * dim, n_time) + shape
+    lz = np.empty(2 * math.prod(faces) + (n_time - 1) * math.prod(shape))
+    spatial_in, scratch = np.empty((2, n_in + dim * n_time) + shape)
+    work = SimpleNamespace(operator=op, lz=lz, time_r=np.empty((2 * n_time - 1,) + shape),
+                           time_b=np.empty((n_time,) + shape), phi=np.empty((n_time,) + shape))
+    work.a, work.b, work.c = _blocks(lz, grid)
+    work.modes, work.solved, work.ends = np.zeros((3, n_time, 2) + shape)
+    # views: the spatial products of qc, then of (qa, qb) stacked, and their rows
+    work.in_c, work.in_ab = spatial_in[:n_time - 1], spatial_in[n_time - 1:].reshape(both)
+    work.in_r, work.in_b = _rows(spatial_in[:n_in]), _rows(spatial_in[n_in:])
+    work.scratch_c, work.scratch_ab = scratch[:n_time - 1], scratch[:2 * dim * n_time].reshape(both)
+    work.scratch_faces = scratch[:dim * n_time].reshape(faces)
+    work.scratch_modes = scratch[:2 * n_time].reshape(work.modes.shape)
+
+    ends = np.zeros((n_time + 1,) + shape)
+    ends[0], ends[-1] = m0, m1
+    work.m = ends.copy()
+    a_ends = face_average(0.5 * (ends[:-1] + ends[1:]), grid)
+    cells = cell_average(a_ends, grid)
+    work.a_ends = np.ascontiguousarray(np.moveaxis(a_ends, -1, 0))
+    for basis, rhs, out in ((op.basis_int, -0.5 * (cells[:-1] + cells[1:]), work.ends[1:, 0]),
+                            (op.basis_mid, np.diff(ends, axis=0) / grid.tau, work.ends[:, 1])):
+        _along_space((basis @ _rows(rhs)).reshape(rhs.shape), op.into, out)
+    return work
+
+
+def _weighted_projection(t, work):
+    """Constrained least-squares step of the splitting, folded.
+
+    Minimizes ``|A m - qa|^2 + |w - qb|^2_g + |m_int - qc|^2`` for the
+    state ``t = (qa, qb, qc)`` laid out like ``L z`` (``_blocks``), with the
+    face and cell volumes as weights, over the continuity set (endpoints
+    pinned to the marginals).  With ``w = qb - grad phi`` the optimality
+    conditions are the normal equations of ``_projection_operator``; the
+    folded factors of ``_folded_operator`` take ``t`` into the modes, the
+    marginals' terms are added there, ``_mode_step`` solves, and the
+    factors bring the solution back as ``L z = (A m, w, m_int)`` into
+    ``work.lz``, which is returned.  The multiplier stays in its modes;
+    ``_projected_pair`` forms it when asked.
+    """
+    op, n_c = work.operator, len(work.c)
+    qab = t[:2 * work.a.size].reshape(work.in_ab.shape)
+    _along_space(t[2 * work.a.size:].reshape(work.c.shape), op.into, work.in_c, work.scratch_c)
+    _along_space(qab, op.into_ab, work.in_ab, work.scratch_ab)
+    np.matmul(op.time_in_r, work.in_r, out=_rows(work.modes[1:, 0]))
+    np.matmul(op.time_in_b, work.in_b, out=_rows(work.modes[:, 1]))
+    work.modes += work.ends
+    _mode_step(op.spatial, work.modes, work.solved, work.scratch_modes)
+    np.matmul(op.time_out_r, _rows(work.solved[1:, 0]), out=_rows(work.time_r))
+    np.matmul(op.time_out_b, _rows(work.solved[:, 1]), out=_rows(work.time_b))
+    _along_space(work.time_r[:n_c], op.back, work.c, work.scratch_c)
+    _along_space(work.time_r[n_c:], op.face, work.a, work.scratch_faces)
+    work.a += work.a_ends
+    _along_space(work.time_b, op.gradient, work.b, work.scratch_faces)
+    np.subtract(qab[len(work.a):], work.b, out=work.b)
+    return work.lz
+
+
+def _projected_pair(work):
+    """The last projection's ``(m, w, phi)``: ``m`` with the marginals at
+    its ends, ``w`` with the face axis trailing (a view of ``work.lz``) and
+    the multiplier ``phi``, brought back from its modes."""
+    work.m[1:-1] = work.c
+    _along_space(work.time_b, work.operator.back, work.phi, work.scratch_faces[0])
+    return work.m, np.moveaxis(work.b, 0, -1), work.phi
 
 
 # ---------------------------------------------------------------------------
@@ -697,43 +820,32 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     m_full, w = start[0].values, start[1].values
 
     # The map's state t, the projection input, is laid out like L z = (A m, w,
-    # interior m); so are the buffers of L z, y, the prox input and the weights.
-    faces, interior = w.shape, m_full[1:-1].shape
-    n_m, n_w = m_full[1:-1].size, w.size
+    # interior m), face fields with their component leading (_blocks); so are
+    # the buffers of L z, y, the prox input and the weights.
+    projection = _projection_work(grid, m0, m1)
+    lz = projection.lz
+    lz_a, lz_b, lz_c = projection.a, projection.b, projection.c
 
     V = reference.potential_V
     sigma = 1.0 / r
     shift = V + 1.0 + np.log(sigma * eps)            # _entropy_prox's, once a solve
     res_history = []
     obj_history = []
-    face_weight = np.broadcast_to(grid.face_volume * tau, faces)
+    face_metric = np.moveaxis(grid.face_metric, -1, 0)[:, None]
+    face_weight = np.broadcast_to(np.moveaxis(grid.face_volume, -1, 0)[:, None] * tau, lz_a.shape)
     consensus_weight = np.concatenate((
-        face_weight.ravel(), (grid.face_metric * face_weight).ravel(),
-        np.broadcast_to(grid.cell_volume * tau, interior).ravel()))
+        face_weight.ravel(), (face_metric * face_weight).ravel(),
+        np.broadcast_to(grid.cell_volume * tau, lz_c.shape).ravel()))
 
-    def blocks(v):
-        """The ``(a, b, c)`` blocks of a flat array laid out like ``L z``."""
-        return v[:n_w].reshape(faces), v[n_w:2 * n_w].reshape(faces), v[2 * n_w:].reshape(interior)
-
-    lz, y, work = np.empty((3, 2 * n_w + n_m))
-    (lz_a, lz_b, lz_c), (y_a, y_b, y_c), (pa, pb, pc) = map(blocks, (lz, y, work))
-    projection = _mode_work(grid, coupled=True)
-    projection.w = lz_b             # the projected momentum is L z's middle block
-    mid = projection.tmp            # free outside the projection
-    end_coupling = _end_coupling(m0, m1, grid)
+    y, work = np.empty((2, lz.size))
+    (y_a, y_b, y_c), (pa, pb, pc) = _blocks(y, grid), _blocks(work, grid)
     last = {"gap": np.inf, "skipped": 0}
-
-    def image_of(density):
-        """Fill the density blocks of ``lz``, ``A m`` and interior ``m``."""
-        np.multiply(np.add(density[:-1], density[1:], out=mid), 0.5, out=mid)
-        face_average(mid, grid, out=lz_a)
-        lz_c[...] = density[1:-1]
 
     def relaxed_step(t):
         """``t + alpha (y - L z)``, a new array, for ``y = prox(2 L z - t)``
         (``|b|^2`` waits in ``y_b``); leaves ``y - L z`` in ``work``."""
         np.subtract(np.multiply(lz, 2.0, out=work), t, out=work)
-        bsq = np.multiply(np.multiply(grid.face_metric, pb, out=y_b), pb, out=y_b)
+        bsq = np.multiply(np.multiply(face_metric, pb, out=y_b), pb, out=y_b)
         _kinetic_prox(pa, bsq, sigma, y_a)
         np.multiply(np.divide(y_a, np.add(y_a, sigma, out=y_b), out=y_b), pb, out=y_b)
         _entropy_prox(pc, sigma, eps, V, y_c, shift)
@@ -743,10 +855,8 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
 
     def dr_map(t):
         # reads t only: Anderson may pass the image it still holds
-        # 1. weighted continuity projection of t and its image L z
-        m_new, w_new, phi = _weighted_projection(*blocks(t), m0, m1, grid, end_coupling,
-                                                 projection)
-        image_of(m_new)
+        # 1. weighted continuity projection of t: L z
+        _weighted_projection(t, projection)
 
         # 2. pointwise prox of the reflection, relaxed step, consensus |y - L z|
         out = relaxed_step(t)
@@ -757,9 +867,10 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
         since = len(res_history) - config.min_iterations
         if since < 0 or since % config.stagnation_window:
             return out, False
-        if m_new.min() < 0:
+        if lz_c.min() < 0:
             last["skipped"] += 1
             return out, False
+        m_new, w_new, phi = _projected_pair(projection)
         obj = functional_value(DensityPath(m_new, grid), MomentumField(w_new, grid),
                                reference, eps)
         gap = obj - dual_value(r * phi, m0, m1, reference, eps, grid)
@@ -771,14 +882,16 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
 
     # ADMM's half step from the projected start, zero multiplier (at t = L z the
     # reflection 2 L z - t is L z): projection k of the loop is then ADMM's k
-    image_of(m_full)
-    lz_b[...] = w
+    lz_a[...] = np.moveaxis(face_average(0.5 * (m_full[:-1] + m_full[1:]), grid), -1, 0)
+    lz_b[...] = np.moveaxis(w, -1, 0)
+    lz_c[...] = m_full[1:-1]
     t = relaxed_step(lz)
 
     iterations, converged = anderson_fixed_point(dr_map, t, config.max_outer_iterations)
     res_history = np.asarray(res_history)
     obj_history = np.asarray(obj_history)
-    m_full, w, phi = projection.m, projection.w, projection.phi
+    m_full, w, phi = _projected_pair(projection)
+    w = np.ascontiguousarray(w)
     consensus, gap, skipped = res_history[-1], last["gap"], last["skipped"]
     if not converged:
         raise ProxError(
@@ -798,7 +911,7 @@ def solve_prox(m0, m1, reference: ReferenceMeasure, eps, grid: Grid,
     M = face_average(m.midpoints(), grid)
     v = np.divide(w, M, out=np.zeros_like(w), where=M > 1e-14)
     gap_sq = grid.face_metric * (v - covariant_gradient(-r * phi, grid)) ** 2
-    vdisc = float(np.sqrt(np.sum(gap_sq * M * face_weight)))
+    vdisc = float(np.sqrt(np.sum(gap_sq * M * (grid.face_volume * tau))))
 
     _, final_res = continuity_residual(m, mom)
     report = SolveReport(

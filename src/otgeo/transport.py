@@ -169,9 +169,11 @@ def entropy_density(m, V=0.0):
 
     ``V`` broadcasts against ``m`` (a slice or a whole path).
     """
-    out = np.zeros_like(m)
     pos = m > 0
-    out[pos] = m[pos] * (np.log(m[pos]) + np.broadcast_to(V, m.shape)[pos])
+    out = np.log(m, out=np.zeros_like(m), where=pos)
+    out += V
+    out *= m
+    np.copyto(out, 0.0, where=~pos)                        # +0.0 in the empty cells
     return out
 
 
@@ -208,9 +210,7 @@ def functional_value(m: DensityPath, w: MomentumField, reference: ReferenceMeasu
     dead = M <= 0
     if np.any(dead & (wsq > 0)):
         return INFEASIBLE
-    kin = np.zeros_like(M)
-    live = ~dead
-    kin[live] = wsq[live] / (2.0 * M[live])
+    kin = np.divide(wsq, 2.0 * M, out=np.zeros_like(M), where=~dead)
     ent = entropy_density(m.values, reference.potential_V)
     weights = grid.time_weights().reshape((-1,) + (1,) * grid.dim)
     return (grid.tau * float(np.sum(kin * grid.face_volume))

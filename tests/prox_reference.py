@@ -7,17 +7,19 @@ special cases the tests compare with it.
 
 ``weighted_projection`` composes the splitting's projection from three
 space-time solves, a coupling solve, a weighted Poisson solve and a second
-coupling solve, each by its own cached factors (``spacetime_kernel``);
-``otgeo.prox._weighted_projection`` inverts the same normal equations in
-one pass and is compared with it.  ``apply_operator`` applies the
+coupling solve, each by its own cached factors (``spacetime_kernel``), and
+the grid's stencils; ``otgeo.prox._weighted_projection`` inverts the same
+normal equations in one pass with the stencils folded into its bases and is
+compared with it.  ``apply_operator`` applies the
 space-time operators by their stencils, and ``anderson_fixed_point`` is
 the acceleration loop that allocates its work arrays per step, against
 which ``otgeo.prox.anderson_fixed_point`` must reproduce every iterate.
 
 ``admm_projections`` runs the splitting as over-relaxed ADMM on the state
-``(interior m, w, lambda)`` under a plain loop; without acceleration the
-Douglas-Rachford map of ``otgeo.prox.solve_prox``, after ADMM's half step,
-makes the same projections.
+``(interior m, w, lambda)`` under a plain loop, projecting by
+``weighted_projection``; without acceleration the Douglas-Rachford map of
+``otgeo.prox.solve_prox``, after ADMM's half step, makes the same
+projections.
 """
 
 import functools
@@ -33,16 +35,13 @@ from otgeo.prox import (
     _along_space,
     _axis_grid,
     _eigh,
-    _end_coupling,
     _entropy_prox,
     _kinetic_prox,
-    _mode_work,
     _pair_average,
     _pseudo_inverse,
     _space_eigenbasis,
     _symmetrized,
     _time_modes,
-    _weighted_projection,
     project_continuity,
 )
 from otgeo.transport import DensityPath, MomentumField, continuity_defect
@@ -176,7 +175,7 @@ def solve(rhs, kind, grid):
     hat = (basis @ rhs.reshape(len(basis), -1)).reshape(rhs.shape)
     if grid.flat:
         Q, inv = spatial
-        hat = _along_space(_along_space(hat, Q, grid.dim) * inv, Q.T, grid.dim)
+        hat = _along_space(_along_space(hat, (Q,) * grid.dim) * inv, (Q.T,) * grid.dim)
     else:
         hat = np.matmul(spatial, hat[..., None])[..., 0]
     return (basis.T @ hat.reshape(len(basis), -1)).reshape(rhs.shape)
@@ -201,14 +200,17 @@ def apply_operator(phi, grid, weighted):
     return out
 
 
-def weighted_projection(qa, qb, qc, m0, m1, grid, end_coupling):
+def weighted_projection(qa, qb, qc, m0, m1, grid):
     """``otgeo.prox._weighted_projection`` by three solves: the normal
-    equations ``K m_int = A*(qa - A m_ends) + qc`` (``end_coupling``), one
-    weighted space-time solve for the multiplier ``phi`` of the continuity
-    defect, and the correction ``m_int -= K^{-1} D^T phi``,
-    ``w = qb - grad phi``.  Returns ``(m_full, w, phi)``."""
+    equations ``K m_int = A*(qa - A m_ends) + qc``, whose end coupling
+    ``A*(A m_ends)`` is ``S m0 / 4`` and ``S m1 / 4`` at the first and last
+    interior node (``S = A_x* A_x``), one weighted space-time solve for the
+    multiplier ``phi`` of the continuity defect, and the correction
+    ``m_int -= K^{-1} D^T phi``, ``w = qb - grad phi``.  Face fields have the
+    face axis trailing.  Returns ``(m_full, w, phi)``."""
     qa_cells = cell_average(qa, grid)
     rhs_m = 0.5 * (qa_cells[:-1] + qa_cells[1:]) + qc
+    end_coupling = 0.25 * _pair_average(np.stack((m0, m1)), grid)
     rhs_m[0] -= end_coupling[0]
     rhs_m[-1] -= end_coupling[1]
     m_new = np.empty((grid.n_time + 1,) + grid.space_shape)
@@ -266,7 +268,7 @@ def anderson_fixed_point(apply, x, max_evaluations):
 
 
 def admm_projections(m0, m1, reference, eps, grid, maps):
-    """The projections ``(m, w, phi)``, copied, of ``maps`` evaluations of the
+    """The projections ``(m, w, phi)`` of ``maps`` evaluations of the
     ADMM map of ``(interior m, w, lambda)`` under a plain loop, from the
     projected interpolation of the marginals and a zero multiplier.
 
@@ -284,8 +286,6 @@ def admm_projections(m0, m1, reference, eps, grid, maps):
     m, w = start[0].values.copy(), start[1].values.copy()
     lam = np.zeros(2 * w.size + m[1:-1].size)
     sigma = 1.0 / r
-    work = _mode_work(grid, coupled=True)
-    end_coupling = _end_coupling(m0, m1, grid)
     n_w = w.size
 
     def image(density, momentum):
@@ -305,9 +305,7 @@ def admm_projections(m0, m1, reference, eps, grid, maps):
         yc = _entropy_prox(pc, sigma, eps, reference.potential_V)
         y = np.concatenate((ya.ravel(), yb.ravel(), yc.ravel()))
         relaxed = RELAXATION * y + (1.0 - RELAXATION) * lz
-        m_new, w_new, phi = _weighted_projection(*blocks(relaxed - lam / r), m0, m1, grid,
-                                                 end_coupling, work)
-        m, w = m_new.copy(), w_new.copy()
-        projections.append((m, w, phi.copy()))
+        m, w, phi = weighted_projection(*blocks(relaxed - lam / r), m0, m1, grid)
+        projections.append((m, w, phi))
         lam = lam + r * (image(m, w) - relaxed)
     return projections

@@ -292,3 +292,25 @@ class TestFieldFormat:
         other = build_grid(1, 16, 4, 1.0)
         with pytest.raises(ValueError, match="does not match grid"):
             read_field(path, other)
+
+    @pytest.mark.parametrize("header,message", [
+        ("ot-field v1 dim=1 n=16 nt", "header token 'nt' is not key=value"),
+        ("ot-field v1 dim=1 n=x nt=8", "is not integer"),
+    ])
+    def test_malformed_header_token_names_file_and_token(self, tmp_path, header, message):
+        path = tmp_path / "f.txt"
+        path.write_text(header + "\n1 2 3 4\n")
+        for grid in (None, build_grid(1, 16, 8, 1.0)):
+            with pytest.raises(ValueError, match=message) as err:
+                read_field(path, grid)
+            assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("header", ["ot-field v1 dim=1 n=0 nt=8",
+                                        "ot-field v1 dim=3 n=4 nt=8",
+                                        "ot-field v1 dim=0 n=4 nt=8"])
+    def test_degenerate_header_without_grid_names_file(self, tmp_path, header):
+        path = tmp_path / "f.txt"
+        path.write_text(header + "\n1 2 3 4\n")
+        with pytest.raises(ValueError, match="needs dim 1 or 2 and n >= 1") as err:
+            read_field(path)
+        assert str(path) in str(err.value)

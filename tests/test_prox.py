@@ -12,10 +12,8 @@ from otgeo.families import make_marginals
 from otgeo.prox import (
     ProxConfig,
     ProxError,
-    _end_coupling,
     _entropy_prox,
     _kinetic_prox,
-    _weighted_projection,
     anderson_fixed_point,
     project_continuity,
     solve_prox,
@@ -29,6 +27,20 @@ CONFORMAL = lambda x: 1.0 + 0.4 * np.cos(2.0 * np.pi * x)
 # and the conformal circle
 GRID_KINDS = [(1, 12, None), (1, 13, None), (2, 6, None), (1, 12, CONFORMAL), (1, 13, CONFORMAL)]
 GRID_KIND_IDS = ["flat-12", "flat-13", "flat2d-6", "conformal-12", "conformal-13"]
+
+
+def folded_projection(qa, qb, qc, m0, m1, grid):
+    """``prox._weighted_projection`` of ``t = (qa, qb, qc)`` (face fields with
+    the face axis trailing) in a fresh work: ``(m, w, phi)`` of
+    ``prox._projected_pair`` and the image ``L z = (A m, w, m_int)``, face
+    fields again with the face axis trailing."""
+    work = prox._projection_work(grid, m0, m1)
+    t = np.empty_like(work.lz)
+    for block, q in zip(prox._blocks(t, grid), (np.moveaxis(qa, -1, 0), np.moveaxis(qb, -1, 0), qc)):
+        block[...] = q
+    a, b, c = prox._blocks(prox._weighted_projection(t, work), grid)
+    m, w, phi = prox._projected_pair(work)
+    return m, w, phi, (np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1), c)
 
 
 def smooth_pair(grid, width=0.08):
@@ -267,7 +279,7 @@ class TestSpacetimePoisson:
         shape = (6,) + g.space_shape
         qa, qb = (rng.standard_normal(shape + (dim,)) for _ in range(2))
         qc = rng.standard_normal((5,) + g.space_shape)
-        m, w, phi = _weighted_projection(qa, qb, qc, m0, m1, g, _end_coupling(m0, m1, g))
+        m, w, phi, _ = folded_projection(qa, qb, qc, m0, m1, g)
         assert continuity_residual(DensityPath(m, g), MomentumField(w, g))[1] < 1e-10
         # d/dm_int of |A m - qa|^2 / 2 + |m_int - qc|^2 / 2 = -D^T phi, and w - qb = -grad phi
         da = face_average(0.5 * (m[:-1] + m[1:]), g) - qa
@@ -278,13 +290,20 @@ class TestSpacetimePoisson:
 
     @pytest.mark.parametrize("dim,n,metric", GRID_KINDS, ids=GRID_KIND_IDS)
     def test_cached_operator_is_read_only(self, dim, n, metric):
-        # one cache entry per coupling; the uncoupled one serves spacetime_poisson
+        # one cache entry per coupling; the uncoupled one serves spacetime_poisson,
+        # and the folded matrices of the coupled one are cached beside it
         g = build_grid(dim, n, 6, 1.0, metric)
+        arrays = []
         for coupled in (True, False):
             basis_int, basis_mid, spatial = prox._projection_operator(g, coupled)
-            arrays = [basis_int, basis_mid]
-            arrays += [spatial[0], *spatial[1]] if g.flat else [spatial]
-            assert not any(a.flags.writeable for a in arrays)
+            arrays += [basis_int, basis_mid]
+            arrays += [*spatial] if g.flat else [spatial]
+        folded = prox._folded_operator(g)
+        assert folded is prox._folded_operator(build_grid(dim, n, 6, 1.0, metric))
+        for value in vars(folded).values():
+            arrays += [a for a in (value if isinstance(value, tuple) else (value,))
+                       if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 16 and not any(a.flags.writeable for a in arrays)
 
     def test_time_difference_is_subdiagonal_in_the_modes(self):
         # C = basis_mid D basis_int^T pairs interior mode j with midpoint mode
@@ -303,8 +322,9 @@ class TestSpacetimePoisson:
         (2, 16, 8, None),
     ], ids=["flat-64x32", "conformal-32x16", "flat2d-16x8"])
     def test_weighted_projection_matches_three_solves(self, dim, n, n_time, metric):
-        # one pass through the cached operator against the composition of a
-        # coupling, a weighted Poisson and a second coupling solve
+        # one folded pass through the cached operator against the composition
+        # of a coupling, a weighted Poisson and a second coupling solve, and
+        # its image L z against the stencils applied to the reference's pair
         g = build_grid(dim, n, n_time, 1.0, metric)
         rng = np.random.default_rng(8)
         m0, m1 = (1.0 + rng.random(g.space_shape) for _ in range(2))
@@ -312,9 +332,12 @@ class TestSpacetimePoisson:
         shape = (n_time,) + g.space_shape
         qa, qb = (rng.standard_normal(shape + (dim,)) for _ in range(2))
         qc = rng.standard_normal((n_time - 1,) + g.space_shape)
-        args = (qa, qb, qc, m0, m1, g, _end_coupling(m0, m1, g))
+        args = (qa, qb, qc, m0, m1, g)
+        m, w, phi, image = folded_projection(*args)
         reference = prox_reference.weighted_projection(*args)
-        for got, ref in zip(_weighted_projection(*args), reference):
+        ref_m, ref_w = reference[:2]
+        ref_image = (face_average(0.5 * (ref_m[:-1] + ref_m[1:]), g), ref_w, ref_m[1:-1])
+        for got, ref in zip((m, w, phi) + image, reference + ref_image):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -489,9 +512,9 @@ class TestSolveProx:
         m0, m1 = make_marginals("point_like", {"smoothing_steps": 0}, g)
         negative, project = [], prox._weighted_projection
 
-        def recorded(*args):
-            out = project(*args)
-            negative.append(bool(out[0].min() < 0))
+        def recorded(t, work):
+            out = project(t, work)
+            negative.append(bool(prox._projected_pair(work)[0].min() < 0))
             return out
 
         monkeypatch.setattr(prox, "_weighted_projection", recorded)
@@ -654,15 +677,16 @@ class TestSolveProx:
     def test_map_makes_the_admm_projections(self, monkeypatch, dim, n, n_time, metric):
         # without acceleration the Douglas-Rachford map of the projection input,
         # after ADMM's half step, projects what the ADMM map of
-        # (interior m, w, lambda) projects, map for map
+        # (interior m, w, lambda) projects by three solves, map for map; the
+        # hook forms the multiplier at every map, not only at the gap checks
         g = build_grid(dim, n, n_time, 1.0, metric)
         ref = ReferenceMeasure.from_potential(0.0, g)
         m0, m1 = make_marginals("bump_pair", {"width": 0.15}, g)
         projections, project = [], prox._weighted_projection
 
-        def recorded(*args):
-            out = project(*args)
-            projections.append(tuple(v.copy() for v in out))
+        def recorded(t, work):
+            out = project(t, work)
+            projections.append(tuple(v.copy() for v in prox._projected_pair(work)))
             return out
 
         def plain(apply, x, max_evaluations):
